@@ -7,7 +7,9 @@
 // through the campaign layer (campaignOptions/maybeWriteReport below), so
 // their tables come from the same aggregator as `lazyhb bench` and they can
 // dump the same versioned BENCH_*.json via --out. Benches with bespoke
-// per-benchmark procedures keep using runCorpus.
+// per-benchmark procedures (ablation_dpor, tab_inequality,
+// tab_theorem_check) use runCorpus, which fans them out on the campaign's
+// WorkStealingPool.
 
 #pragma once
 
@@ -20,11 +22,11 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/report.hpp"
+#include "campaign/work_stealing_pool.hpp"
 #include "explore/explorer.hpp"
 #include "programs/registry.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 
 namespace lazyhb::bench {
 
@@ -50,17 +52,19 @@ inline std::vector<const programs::ProgramSpec*> selectCorpus(
   return selected;
 }
 
-/// Run `explore(spec)` for every selected benchmark across a thread pool;
-/// results land in a vector parallel to the selection.
+/// Run `explore(spec)` for every selected benchmark across `jobs` pool
+/// threads; results land in a vector parallel to the selection.
 template <typename Result>
 std::vector<Result> runCorpus(
     const std::vector<const programs::ProgramSpec*>& corpus, int jobs,
     const std::function<Result(const programs::ProgramSpec&)>& explore) {
   std::vector<Result> results(corpus.size());
-  support::ThreadPool pool(jobs);
-  pool.parallelFor(corpus.size(), [&](std::size_t i) {
-    results[i] = explore(*corpus[i]);
-  });
+  std::vector<campaign::WorkStealingPool::Task> tasks;
+  tasks.reserve(corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    tasks.push_back([&, i] { results[i] = explore(*corpus[i]); });
+  }
+  campaign::WorkStealingPool(jobs).run(std::move(tasks));
   return results;
 }
 
@@ -91,11 +95,10 @@ inline campaign::CampaignOptions campaignOptions(
     const campaign::CampaignResult& result) {
   const std::string out = options.getString("out");
   if (out.empty()) return true;
-  campaign::ReportConfig config;
-  config.scheduleLimit = campaignOptions.explorer.scheduleLimit;
-  config.maxEventsPerSchedule = campaignOptions.explorer.maxEventsPerSchedule;
-  config.seed = campaignOptions.seed;
-  if (!campaign::writeReportFile(out, result, config)) return false;
+  if (!campaign::writeReportFile(out, result,
+                                 campaign::makeReportConfig(campaignOptions))) {
+    return false;
+  }
   if (out != "-") std::printf("report: %s\n", out.c_str());
   return true;
 }

@@ -401,7 +401,7 @@ void BM_DfsDeepTreeDefaultBudget(benchmark::State& state) {
     options.checkpointable = true;  // fiber images dominate the stage cost
     // ExplorerOptions defaults to defaultSnapshotBudgetBytes(): the probe
     // deliberately measures the out-of-the-box configuration.
-    explore::DfsExplorer explorer(options);
+    explore::TreeExplorer explorer(options);
     const auto result = explorer.explore(deepTreeProgram);
     last = result.checkpointStats;
     benchmark::DoNotOptimize(result.schedulesExecuted);
@@ -431,7 +431,7 @@ void BM_DfsDeepTreeTsoDefaultBudget(benchmark::State& state) {
     options.maxEventsPerSchedule = 1u << 18;
     options.checkpointable = true;
     options.memoryModel = memory::MemoryModel::Tso;
-    explore::DfsExplorer explorer(options);
+    explore::TreeExplorer explorer(options);
     const auto result = explorer.explore(deepTreeProgram);
     last = result.checkpointStats;
     benchmark::DoNotOptimize(result.schedulesExecuted);
@@ -465,7 +465,7 @@ void BM_DfsExplorationAtBudget(benchmark::State& state) {
     explore::ExplorerOptions options;
     options.scheduleLimit = 1u << 14;
     options.snapshotBudgetBytes = static_cast<std::uint64_t>(state.range(0));
-    explore::DfsExplorer explorer(options);
+    explore::TreeExplorer explorer(options);
     benchmark::DoNotOptimize(explorer.explore(contendedProgram));
   }
 }

@@ -141,18 +141,9 @@ SuiteReport Suite::run() const {
 
   const campaign::CampaignResult result = campaign::runCampaign(options);
 
-  campaign::ReportConfig reportConfig;
-  reportConfig.scheduleLimit = config_.scheduleLimit;
-  reportConfig.maxEventsPerSchedule = config_.maxEventsPerSchedule;
-  reportConfig.seed = config_.seed;
-  reportConfig.incremental = config_.incremental;
-  reportConfig.workers = config_.workers;
-  reportConfig.memoryModel = config_.memoryModel;
-  reportConfig.shardIndex = config_.shardIndex;
-  reportConfig.shardCount = config_.shardCount;
-
   SuiteReport report;
-  report.json_ = campaign::writeReportJson(result, reportConfig);
+  report.json_ =
+      campaign::writeReportJson(result, campaign::makeReportConfig(options));
   report.cells.reserve(result.cells.size());
   for (const campaign::CellResult& cell : result.cells) {
     SuiteCell out;

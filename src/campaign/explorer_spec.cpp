@@ -1,6 +1,5 @@
 #include "campaign/explorer_spec.hpp"
 
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/dpor_explorer.hpp"
 #include "explore/parallel_explorer.hpp"
@@ -10,46 +9,40 @@
 
 namespace lazyhb::campaign {
 
+namespace {
+
+/// The tree explorer keyed on `relation` (nullopt: plain DFS), sharded
+/// across options.workers threads when the options allow it. Counts are
+/// byte-identical either way, so the choice is an implementation detail.
+std::unique_ptr<explore::Explorer> treeExplorer(
+    const explore::ExplorerOptions& options,
+    std::optional<trace::Relation> relation, std::uint64_t seed) {
+  if (explore::ParallelExplorer::shardable(options)) {
+    return std::make_unique<explore::ParallelExplorer>(options, relation, seed);
+  }
+  return std::make_unique<explore::TreeExplorer>(options, relation);
+}
+
+}  // namespace
+
 std::unique_ptr<explore::Explorer> ExplorerSpec::create(
     const explore::ExplorerOptions& options, std::uint64_t seed) const {
-  if (explore::ParallelExplorer::shardable(options)) {
-    // The shardable tree searches go parallel; anything order-sensitive
-    // (random's RNG stream, DPOR's visit-ordered backtrack sets, the
-    // ablations) keeps its sequential explorer below regardless of the
-    // requested worker count.
-    switch (kind) {
-      case Kind::Dfs:
-        return std::make_unique<explore::ParallelExplorer>(
-            options, explore::ParallelStrategy::Dfs, seed);
-      case Kind::CachingFull:
-        return std::make_unique<explore::ParallelExplorer>(
-            options, explore::ParallelStrategy::CachingFull, seed);
-      case Kind::CachingLazy:
-        return std::make_unique<explore::ParallelExplorer>(
-            options, explore::ParallelStrategy::CachingLazy, seed);
-      case Kind::CachingValue:
-        return std::make_unique<explore::ParallelExplorer>(
-            options, explore::ParallelStrategy::CachingValue, seed);
-      default:
-        break;
-    }
-  }
+  // Only the tree searches shard; random's RNG stream and DPOR's
+  // visit-ordered backtrack sets keep their sequential explorer regardless
+  // of the requested worker count.
   switch (kind) {
     case Kind::Dfs:
-      return std::make_unique<explore::DfsExplorer>(options);
+      return treeExplorer(options, std::nullopt, seed);
+    case Kind::CachingFull:
+      return treeExplorer(options, trace::Relation::Full, seed);
+    case Kind::CachingLazy:
+      return treeExplorer(options, trace::Relation::Lazy, seed);
+    case Kind::CachingValue:
+      return treeExplorer(options, trace::Relation::Value, seed);
     case Kind::Random:
       return std::make_unique<explore::RandomExplorer>(options, seed);
     case Kind::Dpor:
       return std::make_unique<explore::DporExplorer>(options);
-    case Kind::CachingFull:
-      return std::make_unique<explore::CachingExplorer>(options,
-                                                        trace::Relation::Full);
-    case Kind::CachingLazy:
-      return std::make_unique<explore::CachingExplorer>(options,
-                                                        trace::Relation::Lazy);
-    case Kind::CachingValue:
-      return std::make_unique<explore::CachingExplorer>(options,
-                                                        trace::Relation::Value);
     case Kind::DporNoSleep: {
       explore::DporOptions dpor;
       dpor.sleepSets = false;

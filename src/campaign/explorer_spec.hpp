@@ -7,8 +7,10 @@
 // every campaign cell constructs its own explorer from the spec — which is
 // also what makes the (program × explorer) matrix embarrassingly parallel.
 //
-// The canonical mode names are the strings the CLI accepts for --explorer /
-// --explorers: dfs, random, dpor, caching-full, caching-lazy.
+// The mode names are the strings the CLI accepts for --explorer /
+// --explorers: the five canonical modes dfs, random, dpor, caching-full,
+// caching-lazy, plus the extended caching-value, dpor-nosleep and
+// dpor-lazy-cache.
 
 #pragma once
 
@@ -40,11 +42,13 @@ struct ExplorerSpec {
 
   /// Build a fresh single-use explorer. `seed` affects Kind::Random and,
   /// when `options.workers >= 2`, the parallel frontier pool's per-worker
-  /// victim-selection RNGs. With workers >= 2 the shardable tree searches
-  /// (dfs, caching-full, caching-lazy) come back as a ParallelExplorer; the
-  /// order-sensitive strategies and option combinations fall back to their
-  /// sequential explorer — counts are byte-identical either way, so the
-  /// fallback is an implementation detail, not a behaviour change.
+  /// victim-selection RNGs. The tree searches — dfs, caching-full,
+  /// caching-lazy and caching-value — are one TreeExplorer keyed on no
+  /// relation or on Full / Lazy / Value; with workers >= 2 they come back
+  /// as a ParallelExplorer. The order-sensitive strategies and option
+  /// combinations fall back to their sequential explorer — counts are
+  /// byte-identical either way, so the fallback is an implementation
+  /// detail, not a behaviour change.
   [[nodiscard]] std::unique_ptr<explore::Explorer> create(
       const explore::ExplorerOptions& options, std::uint64_t seed) const;
 };

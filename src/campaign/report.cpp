@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "memory/memory_model.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
 
@@ -341,6 +342,20 @@ std::string writeReportJson(const CampaignResult& result,
 
   json.endObject();
   return json.str() + "\n";
+}
+
+ReportConfig makeReportConfig(const CampaignOptions& options) {
+  ReportConfig config;
+  config.scheduleLimit = options.explorer.scheduleLimit;
+  config.maxEventsPerSchedule = options.explorer.maxEventsPerSchedule;
+  config.seed = options.seed;
+  config.incremental = options.explorer.incremental;
+  config.workers = options.explorer.workers;
+  config.snapshotBudgetBytes = options.explorer.snapshotBudgetBytes;
+  config.memoryModel = memory::memoryModelName(options.explorer.memoryModel);
+  config.shardIndex = options.shardIndex;
+  config.shardCount = options.shardCount;
+  return config;
 }
 
 bool writeReportFile(const std::string& path, const CampaignResult& result,

@@ -58,6 +58,12 @@ struct ReportConfig {
   int shardCount = 1;
 };
 
+/// The config block of a campaign run with `options`: every field echoed
+/// from what the cells actually ran under (quick is the one caller-side
+/// label left at false). The CLI bench, Suite and the corpus benches all
+/// build their reports' config through this.
+[[nodiscard]] ReportConfig makeReportConfig(const CampaignOptions& options);
+
 /// Where a merged report's cells came from: one entry per (transitively)
 /// merged input. Emitted as the top-level "merge" block; absent from
 /// directly-run reports.

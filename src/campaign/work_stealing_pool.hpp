@@ -1,8 +1,9 @@
 // lazyhb/campaign/work_stealing_pool.hpp
 //
-// The shared executor behind both parallel layers: the campaign runner's
-// (program × explorer) matrix and, since PR 6, the parallel explorer's
-// intra-scenario frontier (explore/parallel_explorer.hpp). A fixed set of
+// The one thread pool of the code base: the executor behind the campaign
+// runner's (program × explorer) matrix, the parallel explorer's
+// intra-scenario frontier (explore/parallel_explorer.hpp) and the corpus
+// benches' runCorpus (bench/bench_common.hpp). A fixed set of
 // OS threads, one task deque per worker, with work stealing. Tasks vary
 // wildly in cost (a complete DFS of a 2-thread program vs. 100,000
 // schedules of a contended one), so a single shared queue serves long tasks
@@ -25,9 +26,9 @@
 //     (a shared or unseeded RNG would make steal patterns — and with them
 //     any order-sensitive downstream state — drift between runs).
 //
-// Tasks are independent and must not throw (support::ThreadPool's contract,
-// kept here): an experiment harness has no meaningful recovery from a lost
-// result, so an escaping exception terminates the process via noexcept.
+// Tasks are independent and must not throw: an experiment harness has no
+// meaningful recovery from a lost result, so an escaping exception
+// terminates the process via noexcept.
 //
 // This pool is deliberately simple — one mutex over the deques, not a
 // lock-free Chase–Lev deque. Tasks run for milliseconds to minutes, so

@@ -702,17 +702,8 @@ int cmdBench(int argc, char** argv) {
     }
   }
 
-  campaign::ReportConfig reportConfig;
-  reportConfig.scheduleLimit = limit;
-  reportConfig.maxEventsPerSchedule = campaignOptions.explorer.maxEventsPerSchedule;
-  reportConfig.seed = campaignOptions.seed;
+  campaign::ReportConfig reportConfig = campaign::makeReportConfig(campaignOptions);
   reportConfig.quick = quick;
-  reportConfig.incremental = campaignOptions.explorer.incremental;
-  reportConfig.workers = workers;
-  reportConfig.snapshotBudgetBytes = campaignOptions.explorer.snapshotBudgetBytes;
-  reportConfig.memoryModel = memoryModel;
-  reportConfig.shardIndex = campaignOptions.shardIndex;
-  reportConfig.shardCount = campaignOptions.shardCount;
   const std::string out = options.getString("out");
   if (!out.empty()) {
     if (!campaign::writeReportFile(out, result, reportConfig)) {

@@ -58,23 +58,21 @@ int TreeScheduler::pick(runtime::Execution& exec) {
   return node.chosen;
 }
 
-void DfsExplorer::runSearch(const Program& program) {
+void TreeExplorer::runSearch(const Program& program) {
   TreeSearchState state;
-  std::size_t startDepth = 0;
+  if (searchSubtree(program, state, 0)) markComplete();
+}
+
+bool TreeExplorer::searchSubtree(const Program& program, TreeSearchState& state,
+                                 std::size_t startDepth) {
+  std::function<bool()> prune;
+  if (cachesPrefixes()) prune = [this] { return prefixCached(); };
   for (;;) {
-    if (budgetExhausted()) {
-      result().hitScheduleLimit = true;
-      return;
-    }
-    if (shouldStopForViolation()) {
-      return;
-    }
-    TreeScheduler scheduler(state, {}, &prefixEngine(), startDepth);
+    if (!mayRunSchedule()) return false;
+    TreeScheduler scheduler(state, prune, &prefixEngine(), startDepth);
     (void)executeSchedule(program, scheduler);
-    if (!state.advance()) {
-      markComplete();
-      return;
-    }
+    scheduleDone(state);
+    if (!state.advance()) return true;
     startDepth = prefixEngine().prepareNext(state.checkFromDepth);
   }
 }

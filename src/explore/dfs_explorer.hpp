@@ -1,8 +1,10 @@
 // lazyhb/explore/dfs_explorer.hpp
 //
-// Stateless depth-first enumeration of the schedule tree, and the reusable
-// tree-search machinery (search stack + replaying scheduler) that the
-// caching explorers build on.
+// The tree explorer: depth-first enumeration of the schedule tree with an
+// optional HBR-prefix cache — naive DFS, HBR caching, the paper's lazy HBR
+// caching (§2, "Lazy HBR caching") and value-class caching are this one
+// search, differing only in which relation keys the cache — plus the
+// reusable tree-search machinery (search stack + replaying scheduler).
 //
 // The search tree has one node per scheduling point; a node's children are
 // the enabled threads at that point. The walk is driven by a persistent
@@ -16,10 +18,26 @@
 // distinguishes replays from the new suffix (checkFromDepth) so prune
 // hooks — the HBR caches — never test a schedule against its own
 // previously explored path.
+//
+// Prefix-equivalence pruning: after every newly chosen event, the
+// canonical fingerprint of the executed prefix's relation is looked up in
+// the cache. A hit means an equivalent prefix — one reaching the same
+// program state, by Theorem 2.1 (Full relation) or Theorem 2.2 (Lazy
+// relation) — was explored before, so the current schedule is redundant
+// and is abandoned. With the Full relation this is Musuvathi–Qadeer HBR
+// caching; with the Lazy relation it is the paper's contribution, which
+// prunes strictly more because lazy classes are coarser. With the Value
+// relation pruning keys on the observation fingerprint (same operations,
+// same values observed, same visible state — the value-centric DPOR
+// framing), which is coarser still: lazy-equal prefixes are always
+// value-equal, so the value cache prunes at least as much as the lazy one.
+// Figure 3 of the paper compares the Full and Lazy instantiations under a
+// common schedule budget; caching-value extends that A/B.
 
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "explore/explorer.hpp"
@@ -70,15 +88,31 @@ class TreeScheduler final : public runtime::Scheduler {
   std::size_t depth_;
 };
 
-/// Naive systematic enumeration: visits every schedule (up to the limit).
-/// The baseline every reduction is measured against, and the oracle the
-/// property tests compare DPOR and the caching explorers to.
-class DfsExplorer final : public ExplorerBase {
+/// The tree explorer. Without a relation it visits every schedule (up to
+/// the limit): the baseline every reduction is measured against, and the
+/// oracle the property tests compare DPOR and the caching searches to.
+/// With one (Full, Lazy or Value) it prunes on the prefix cache keyed by
+/// that relation. ParallelExplorer's workers are tree explorers too: they
+/// run searchSubtree() on frontier jobs against one shared cache.
+class TreeExplorer : public ExplorerBase {
  public:
-  explicit DfsExplorer(ExplorerOptions options) : ExplorerBase(options) {}
+  explicit TreeExplorer(ExplorerOptions options,
+                        std::optional<trace::Relation> relation = std::nullopt,
+                        core::HbrCache* sharedCache = nullptr)
+      : ExplorerBase(options, relation, sharedCache) {}
 
  protected:
   void runSearch(const Program& program) override;
+
+  /// Walk the subtree `state` spans depth-first, the first schedule
+  /// resuming at `startDepth`, until advance() exhausts it (returns true)
+  /// or mayRunSchedule() stops the search (returns false).
+  bool searchSubtree(const Program& program, TreeSearchState& state,
+                     std::size_t startDepth);
+
+  /// Called after every schedule with the live search stack (default: no
+  /// action). Parallel workers split off subtrees here.
+  virtual void scheduleDone(TreeSearchState& /*state*/) {}
 };
 
 }  // namespace lazyhb::explore

@@ -17,12 +17,9 @@ class DporScheduler final : public runtime::Scheduler {
 
   int pick(runtime::Execution& exec) override {
     // Experimental §4 combination: prune on cached (lazy) HBR prefixes.
-    if (owner_.dpor_.cachePrefixes && depth_ > 0 &&
-        depth_ - 1 >= owner_.checkFromDepth_) {
-      if (owner_.cache_.checkAndInsert(
-              owner_.recorder().fingerprint(*owner_.dpor_.cachePrefixes))) {
-        return kAbandon;
-      }
+    if (owner_.cachesPrefixes() && depth_ > 0 &&
+        depth_ - 1 >= owner_.checkFromDepth_ && owner_.prefixCached()) {
+      return kAbandon;
     }
 
     if (depth_ < owner_.nodes_.size()) {
@@ -211,7 +208,7 @@ class DporScheduler final : public runtime::Scheduler {
 };
 
 DporExplorer::DporExplorer(ExplorerOptions options, DporOptions dpor)
-    : ExplorerBase(options), dpor_(dpor) {}
+    : ExplorerBase(options, dpor.cachePrefixes), dpor_(dpor) {}
 
 bool DporExplorer::advance() {
   while (!nodes_.empty()) {
@@ -234,19 +231,9 @@ void DporExplorer::runSearch(const Program& program) {
   checkFromDepth_ = 0;
   std::size_t startDepth = 0;
   for (;;) {
-    if (budgetExhausted()) {
-      result().hitScheduleLimit = true;
-      return;
-    }
-    if (shouldStopForViolation()) {
-      return;
-    }
+    if (!mayRunSchedule()) return;
     DporScheduler scheduler(*this, startDepth);
-    const runtime::Outcome outcome = executeSchedule(program, scheduler);
-    if (dpor_.cachePrefixes && outcome != runtime::Outcome::Abandoned &&
-        recorder().eventCount() > 0) {
-      cache_.insert(recorder().fingerprint(*dpor_.cachePrefixes));
-    }
+    (void)executeSchedule(program, scheduler);
     if (!advance()) {
       markComplete();
       return;

@@ -17,7 +17,8 @@
 // transitions already explored at the same node.
 //
 // As a §4 "future work" experiment, the explorer can also consult an
-// HBR-prefix cache (Full or Lazy relation) exactly like CachingExplorer.
+// HBR-prefix cache (Full or Lazy relation) exactly like the caching tree
+// searches, through the same ExplorerBase probe and terminal seed.
 // This combination is EXPERIMENTAL: DPOR's coverage argument assumes a
 // subtree, once entered, is explored to its backtrack-completion, which an
 // external cache prune can violate; the test suite quantifies (and the
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "core/dependence.hpp"
-#include "core/hbr_cache.hpp"
 #include "explore/explorer.hpp"
 #include "support/thread_set.hpp"
 
@@ -47,13 +47,9 @@ class DporExplorer final : public ExplorerBase {
 
   /// Number of executions abandoned because every enabled thread was asleep.
   [[nodiscard]] std::uint64_t sleepSetPrunes() const noexcept { return sleepPrunes_; }
-  [[nodiscard]] const core::HbrCache& cache() const noexcept { return cache_; }
 
  protected:
   void runSearch(const Program& program) override;
-  [[nodiscard]] const core::HbrCache* prefixCache() const noexcept override {
-    return dpor_.cachePrefixes ? &cache_ : nullptr;
-  }
 
  private:
   struct DporNode {
@@ -73,7 +69,6 @@ class DporExplorer final : public ExplorerBase {
   std::vector<DporNode> nodes_;
   std::size_t checkFromDepth_ = 0;
   std::uint64_t sleepPrunes_ = 0;
-  core::HbrCache cache_;
 };
 
 }  // namespace lazyhb::explore

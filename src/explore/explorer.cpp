@@ -1,31 +1,49 @@
 #include "explore/explorer.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "support/diagnostics.hpp"
 
 namespace lazyhb::explore {
 
+std::optional<std::uint64_t> parseSnapshotBudgetBytes(const char* text) noexcept {
+  // strtoull alone would accept leading whitespace and a sign ("-1" wraps
+  // to 2^64 - 1, i.e. effectively unlimited), so demand a leading digit.
+  if (text == nullptr || *text < '0' || *text > '9') return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return static_cast<std::uint64_t>(parsed);
+}
+
 std::uint64_t defaultSnapshotBudgetBytes() noexcept {
-  static const std::uint64_t value = [] {
-    if (const char* env = std::getenv("LAZYHB_SNAPSHOT_BUDGET")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0') return static_cast<std::uint64_t>(parsed);
-    }
-    return std::uint64_t{256} * 1024 * 1024;
-  }();
+  static const std::uint64_t value =
+      parseSnapshotBudgetBytes(std::getenv("LAZYHB_SNAPSHOT_BUDGET"))
+          .value_or(std::uint64_t{256} * 1024 * 1024);
   return value;
 }
 
-ExplorerBase::ExplorerBase(ExplorerOptions options)
+ExplorerBase::ExplorerBase(ExplorerOptions options,
+                           std::optional<trace::Relation> cacheRelation,
+                           core::HbrCache* sharedCache)
     : options_(options),
       recorder_(trace::TraceRecorder::Options{options.keepPredecessors,
                                               options.detectRaces}),
+      cacheRelation_(cacheRelation),
       engine_(stackPool_, recorder_, options.incremental,
               options.checkpointable &&
                   runtime::Execution::checkpointingSupported(),
-              options.snapshotBudgetBytes) {}
+              options.snapshotBudgetBytes) {
+  if (cacheRelation_) {
+    LAZYHB_CHECK(*cacheRelation_ == trace::Relation::Full ||
+                 *cacheRelation_ == trace::Relation::Lazy ||
+                 *cacheRelation_ == trace::Relation::Value);
+    if (sharedCache == nullptr) ownCache_ = std::make_unique<core::HbrCache>();
+    cache_ = sharedCache != nullptr ? sharedCache : ownCache_.get();
+  }
+}
 
 ExplorationResult ExplorerBase::explore(const Program& program) {
   LAZYHB_CHECK(!explored_);
@@ -36,10 +54,14 @@ ExplorationResult ExplorerBase::explore(const Program& program) {
                     std::chrono::duration<double>(options_.wallTimeoutSeconds));
   }
   runSearch(program);
-  result_.distinctHbrs = terminalHbrs_.size();
-  result_.distinctLazyHbrs = terminalLazyHbrs_.size();
-  result_.distinctValueClasses = terminalValueClasses_.size();
-  result_.distinctStates = terminalStates_.size();
+  return finishResult();
+}
+
+const ExplorationResult& ExplorerBase::finishResult() {
+  result_.distinctHbrs = classes_.hbrs.size();
+  result_.distinctLazyHbrs = classes_.lazyHbrs.size();
+  result_.distinctValueClasses = classes_.valueClasses.size();
+  result_.distinctStates = classes_.states.size();
   result_.eventsElided = engine_.eventsElided();
   result_.eventsReplayed = engine_.eventsReplayed();
   result_.checkpointStats.enabled = engine_.incremental();
@@ -53,15 +75,24 @@ ExplorationResult ExplorerBase::explore(const Program& program) {
     result_.theoremValue = thmValue_.stats();
   }
   result_.races = raceAggregator_.distinctRaces();
-  if (const core::HbrCache* cache = prefixCache()) {
+  if (cache_ != nullptr) {
+    const core::HbrCache::Stats stats = cache_->stats();
     result_.cacheStats.enabled = true;
-    result_.cacheStats.lookups = cache->stats().lookups;
-    result_.cacheStats.hits = cache->stats().hits;
-    result_.cacheStats.insertions = cache->stats().insertions;
-    result_.cacheStats.entries = cache->size();
-    result_.cacheStats.approxBytes = cache->approxMemoryBytes();
+    result_.cacheStats.lookups = stats.lookups;
+    result_.cacheStats.hits = stats.hits;
+    result_.cacheStats.insertions = stats.insertions;
+    result_.cacheStats.entries = cache_->size();
+    result_.cacheStats.approxBytes = cache_->approxMemoryBytes();
   }
   return result_;
+}
+
+bool ExplorerBase::mayRunSchedule() {
+  if (budgetExhausted()) {
+    result_.hitScheduleLimit = true;
+    return false;
+  }
+  return !shouldStopForViolation();
 }
 
 bool ExplorerBase::budgetExhausted() const noexcept {
@@ -104,10 +135,10 @@ runtime::Outcome ExplorerBase::executeSchedule(const Program& program,
       const support::Hash128 lazy = recorder_.fingerprint(trace::Relation::Lazy);
       const support::Hash128 value = recorder_.fingerprint(trace::Relation::Value);
       const support::Hash128 state = exec.stateFingerprint();
-      terminalHbrs_.insert(hbr);
-      terminalLazyHbrs_.insert(lazy);
-      terminalValueClasses_.insert(value);
-      terminalStates_.insert(state);
+      classes_.hbrs.insert(hbr);
+      classes_.lazyHbrs.insert(lazy);
+      classes_.valueClasses.insert(value);
+      classes_.states.insert(state);
       if (options_.checkTheorems) {
         thm21_.record(hbr, state);
         thm22_.record(lazy, state);
@@ -134,6 +165,12 @@ runtime::Outcome ExplorerBase::executeSchedule(const Program& program,
 
   if (options_.detectRaces) {
     raceAggregator_.ingest(recorder_);
+  }
+  if (cache_ != nullptr && outcome != runtime::Outcome::Abandoned &&
+      recorder_.eventCount() > 0) {
+    // The final event's prefix is never probed (there is no further pick);
+    // seed it so later schedules can prune against it.
+    cache_->insert(recorder_.fingerprint(*cacheRelation_));
   }
   if (options_.onScheduleTick && options_.tickIntervalSchedules > 0 &&
       result_.schedulesExecuted % options_.tickIntervalSchedules == 0) {

@@ -7,14 +7,17 @@
 // property violations found (with replayable schedules).
 //
 // Concrete strategies:
-//   DfsExplorer      — naive depth-first enumeration of all schedules.
+//   TreeExplorer     — depth-first enumeration of the schedule tree with an
+//                      optional HBR-prefix cache, parameterised on the
+//                      relation: none gives naive DFS, Full gives
+//                      Musuvathi–Qadeer HBR caching, Lazy gives the paper's
+//                      lazy HBR caching, Value gives value-class caching
+//                      (explore/dfs_explorer.hpp).
 //   DporExplorer     — Flanagan–Godefroid dynamic partial-order reduction
 //                      with optional sleep sets (explore/dpor_explorer.hpp).
-//   CachingExplorer  — DFS with HBR-prefix caching, parameterised on the
-//                      relation: Full gives Musuvathi–Qadeer HBR caching,
-//                      Lazy gives the paper's lazy HBR caching
-//                      (explore/caching_explorer.hpp).
 //   RandomExplorer   — uniform random walks (explore/random_explorer.hpp).
+//   ParallelExplorer — the tree explorer sharded across OS threads
+//                      (explore/parallel_explorer.hpp).
 
 #pragma once
 
@@ -22,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -48,6 +52,12 @@ using Program = std::function<void()>;
 /// roomy next to the HbrCache approxMemoryBytes footprints the campaign
 /// reports, so eviction only engages on genuinely deep trees.
 [[nodiscard]] std::uint64_t defaultSnapshotBudgetBytes() noexcept;
+
+/// Parse a LAZYHB_SNAPSHOT_BUDGET value: plain decimal bytes. nullopt when
+/// malformed — empty, signed, leading whitespace, trailing junk or out of
+/// range — in which case defaultSnapshotBudgetBytes() keeps its default.
+[[nodiscard]] std::optional<std::uint64_t> parseSnapshotBudgetBytes(
+    const char* text) noexcept;
 
 struct ExplorerOptions {
   /// Maximum number of executions (the paper's experiments use 100,000).
@@ -222,7 +232,7 @@ struct ExplorationResult {
 /// The exploration interface: run a program's schedule space once, return
 /// the accumulated statistics. Sequential strategies implement it through
 /// ExplorerBase below; ParallelExplorer implements it directly (its result
-/// is a merge of per-worker searches, not one ExplorerBase run).
+/// is a merge of per-worker ExplorerBase tallies).
 class Explorer {
  public:
   virtual ~Explorer() = default;
@@ -237,11 +247,29 @@ class Explorer {
   [[nodiscard]] virtual const ExplorerOptions& options() const noexcept = 0;
 };
 
+using Hash128Set = std::unordered_set<support::Hash128, support::Hash128Hasher>;
+
+/// The distinct terminal fingerprints of a search, one set per class kind.
+struct TerminalClasses {
+  Hash128Set hbrs;
+  Hash128Set lazyHbrs;
+  Hash128Set valueClasses;
+  Hash128Set states;
+};
+
 /// Shared plumbing for the sequential explorers: owns the stack pool, the
-/// trace recorder and the statistics, and runs one schedule at a time.
+/// trace recorder, the optional HBR-prefix cache and the statistics, and
+/// runs one schedule at a time.
 class ExplorerBase : public Explorer {
  public:
-  explicit ExplorerBase(ExplorerOptions options);
+  /// `cacheRelation`, when set, keys a prefix cache on that relation (Full,
+  /// Lazy or Value): strategies probe it through prefixCached(), and every
+  /// schedule that is not abandoned seeds its final prefix. The cache is
+  /// `*sharedCache` when given (ParallelExplorer's workers share one),
+  /// otherwise the explorer's own.
+  explicit ExplorerBase(ExplorerOptions options,
+                        std::optional<trace::Relation> cacheRelation = std::nullopt,
+                        core::HbrCache* sharedCache = nullptr);
 
   /// Run the full exploration. May be called once per explorer instance.
   [[nodiscard]] ExplorationResult explore(const Program& program) override;
@@ -254,18 +282,35 @@ class ExplorerBase : public Explorer {
   /// Strategy hook: run schedules (via executeSchedule) until done.
   virtual void runSearch(const Program& program) = 0;
 
-  /// Strategy hook: the HBR prefix cache the search consulted, if any.
-  /// explore() snapshots it into ExplorationResult::cacheStats.
-  [[nodiscard]] virtual const core::HbrCache* prefixCache() const noexcept {
-    return nullptr;
-  }
+  /// Gate checked before every schedule of a systematic search: false once
+  /// the budget (or the wall-clock deadline) is spent — which also marks
+  /// hitScheduleLimit — or the search should stop for a found violation.
+  virtual bool mayRunSchedule();
 
-  /// Execute one schedule under `scheduler`, updating all statistics. In
+  /// Execute one schedule under `scheduler`, updating all statistics and,
+  /// when caching, seeding the cache with the schedule's final prefix. In
   /// incremental mode the execution may be the persistent rolled-back one
   /// (see prefixEngine()); statistics are identical either way. Returns
   /// the outcome.
   runtime::Outcome executeSchedule(const Program& program,
                                    runtime::Scheduler& scheduler);
+
+  /// True when the strategy consults a prefix cache.
+  [[nodiscard]] bool cachesPrefixes() const noexcept { return cache_ != nullptr; }
+
+  /// The prefix-cache probe, for schedulers to call after every new
+  /// (non-replayed) event: look up the executed prefix's fingerprint,
+  /// inserting it when absent. True means an equivalent prefix was explored
+  /// before — by Theorem 2.1 (Full), 2.2 (Lazy) or the value relation's
+  /// observation argument (Value) it reaches the same state — so the
+  /// schedule is redundant and should be abandoned. Requires cachesPrefixes().
+  [[nodiscard]] bool prefixCached() {
+    return cache_->checkAndInsert(recorder_.fingerprint(*cacheRelation_));
+  }
+
+  /// Fill the result's set sizes, replay-engine and cache statistics from
+  /// the live tallies; explore() returns this after runSearch.
+  const ExplorationResult& finishResult();
 
   /// The incremental prefix-replay engine. Tree-search strategies hand it
   /// to their schedulers (checkpoint staging) and call prepareNext() with
@@ -281,6 +326,9 @@ class ExplorerBase : public Explorer {
 
   [[nodiscard]] trace::TraceRecorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] ExplorationResult& result() noexcept { return result_; }
+  [[nodiscard]] const TerminalClasses& terminalClasses() const noexcept {
+    return classes_;
+  }
 
   /// Mark the search as having visited every schedule class.
   void markComplete() noexcept { result_.complete = true; }
@@ -292,14 +340,14 @@ class ExplorerBase : public Explorer {
   runtime::StackPool stackPool_;
   trace::TraceRecorder recorder_;
   ExplorationResult result_;
-  std::unordered_set<support::Hash128, support::Hash128Hasher> terminalHbrs_;
-  std::unordered_set<support::Hash128, support::Hash128Hasher> terminalLazyHbrs_;
-  std::unordered_set<support::Hash128, support::Hash128Hasher> terminalValueClasses_;
-  std::unordered_set<support::Hash128, support::Hash128Hasher> terminalStates_;
+  TerminalClasses classes_;
   core::EquivalenceChecker thm21_;
   core::EquivalenceChecker thm22_;
   core::EquivalenceChecker thmValue_;
   core::RaceAggregator raceAggregator_;
+  std::optional<trace::Relation> cacheRelation_;
+  std::unique_ptr<core::HbrCache> ownCache_;  ///< unless a shared one is used
+  core::HbrCache* cache_ = nullptr;           ///< null: no prefix caching
   PrefixReplayEngine engine_;  ///< after stackPool_/recorder_: destroyed first
   bool explored_ = false;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <tuple>
 #include <unordered_set>
@@ -9,19 +10,12 @@
 
 #include "campaign/work_stealing_pool.hpp"
 #include "core/hbr_cache.hpp"
-#include "core/race_detector.hpp"
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
-#include "explore/prefix_replay.hpp"
-#include "runtime/execution.hpp"
 #include "support/diagnostics.hpp"
 
 namespace lazyhb::explore {
 
 namespace {
-
-using Hash128Set =
-    std::unordered_set<support::Hash128, support::Hash128Hasher>;
 
 /// One subtree of the schedule tree, claimable by any worker: force the
 /// choices in `prefix`, then explore every child in `enabled - done` of the
@@ -31,38 +25,6 @@ struct FrontierJob {
   std::vector<int> prefix;
   support::ThreadSet enabled;
   support::ThreadSet done;
-};
-
-/// A worker's private exploration kit plus its share of the statistics.
-/// Nothing in here is touched by any other thread until the merge.
-struct WorkerContext {
-  WorkerContext(const ExplorerOptions& opts, std::uint64_t snapshotBudgetBytes)
-      : recorder(trace::TraceRecorder::Options{opts.keepPredecessors,
-                                               opts.detectRaces}),
-        engine(stackPool, recorder, opts.incremental,
-               opts.checkpointable &&
-                   runtime::Execution::checkpointingSupported(),
-               snapshotBudgetBytes) {}
-
-  runtime::StackPool stackPool;
-  trace::TraceRecorder recorder;
-  PrefixReplayEngine engine;
-  bool ranASchedule = false;  ///< engine.prepareNext needs a first schedule
-
-  std::uint64_t schedules = 0;
-  std::uint64_t terminal = 0;
-  std::uint64_t violation = 0;
-  std::uint64_t pruned = 0;
-  std::uint64_t events = 0;
-  std::uint64_t flushEvents = 0;
-  std::uint64_t fenceEvents = 0;
-  std::uint32_t maxBufferedStores = 0;
-  Hash128Set hbrs;
-  Hash128Set lazyHbrs;
-  Hash128Set valueClasses;
-  Hash128Set states;
-  std::vector<ViolationRecord> violations;
-  core::RaceAggregator races;
 };
 
 /// Stable order for merged violation records: worker completion order is
@@ -79,42 +41,74 @@ bool violationLess(const ViolationRecord& a, const ViolationRecord& b) {
 }  // namespace
 
 /// Everything alive only during one explore() call: the frontier pool, the
-/// shared cache, the per-worker contexts and the global coordination state.
+/// shared cache, the workers and the global coordination state.
 struct ParallelExplorer::Impl {
-  Impl(const ExplorerOptions& opts, std::optional<trace::Relation> rel,
-       std::uint64_t seed)
-      : options(opts), relation(rel), pool(opts.workers, seed) {
-    const int n = pool.workerCount();
-    // Each worker runs its own replay engine, so the scenario's snapshot
-    // budget is split evenly across them — the combined footprint stays
-    // what the user asked for, not workers× it (0 stays unlimited).
-    const std::uint64_t perWorkerBudget =
-        opts.snapshotBudgetBytes == 0
-            ? 0
-            : std::max<std::uint64_t>(
-                  1, opts.snapshotBudgetBytes / static_cast<std::uint64_t>(n));
-    contexts.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      contexts.push_back(std::make_unique<WorkerContext>(opts, perWorkerBudget));
-    }
-  }
+  Impl(const ExplorerOptions& opts, std::optional<trace::Relation> relation,
+       std::uint64_t seed);
 
   const ExplorerOptions& options;
-  std::optional<trace::Relation> relation;
   campaign::WorkStealingPool pool;
-  std::vector<std::unique_ptr<WorkerContext>> contexts;
   core::HbrCache cache;  ///< shared; unused (empty) for plain DFS
+  std::vector<std::unique_ptr<Worker>> workers;  ///< one per pool thread
   const Program* program = nullptr;
 
   std::atomic<std::uint64_t> claimed{0};  ///< global budget slots taken
   std::atomic<bool> aborted{false};       ///< budget exceeded: discard all
   std::atomic<std::uint64_t> frontierJobs{0};
 
-  void runJob(FrontierJob job);
   void submitJob(FrontierJob job);
-  runtime::Outcome executeOne(WorkerContext& cx, runtime::Scheduler& sched);
-  void maybeDonate(TreeSearchState& state);
+  /// Run `job` on the calling pool thread's worker.
+  void runJob(FrontierJob job);
 };
+
+/// One pool worker: the sequential tree explorer, fed frontier jobs instead
+/// of the whole tree. Its schedules go through ExplorerBase's accounting
+/// and its prunes through the shared cache; only the budget claim and
+/// stack splitting are its own.
+class ParallelExplorer::Worker final : public TreeExplorer {
+ public:
+  Worker(Impl& impl, const ExplorerOptions& options,
+         std::optional<trace::Relation> relation)
+      : TreeExplorer(options, relation, &impl.cache), impl_(impl) {}
+
+  void runJob(FrontierJob job);
+
+  // The finished tallies, read by the merge once the pool has drained.
+  using ExplorerBase::finishResult;
+  using ExplorerBase::terminalClasses;
+
+ protected:
+  bool mayRunSchedule() override;
+  void scheduleDone(TreeSearchState& state) override;
+
+ private:
+  Impl& impl_;
+};
+
+ParallelExplorer::Impl::Impl(const ExplorerOptions& opts,
+                             std::optional<trace::Relation> relation,
+                             std::uint64_t seed)
+    : options(opts), pool(opts.workers, seed) {
+  const int n = pool.workerCount();
+  ExplorerOptions workerOptions = opts;
+  // Each worker runs its own replay engine, so the scenario's snapshot
+  // budget is split evenly across them — the combined footprint stays
+  // what the user asked for, not workers× it (0 stays unlimited).
+  if (opts.snapshotBudgetBytes != 0) {
+    workerOptions.snapshotBudgetBytes = std::max<std::uint64_t>(
+        1, opts.snapshotBudgetBytes / static_cast<std::uint64_t>(n));
+  }
+  // Keep every violation record: capping per worker would make the
+  // post-merge kept set depend on how violations happened to shard across
+  // workers. The maxViolationsKept cut is applied once, after the global
+  // sort, so the surviving set is a function of the full violation
+  // multiset alone — identical at any worker count.
+  workerOptions.maxViolationsKept = std::numeric_limits<std::uint32_t>::max();
+  workers.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    workers.push_back(std::make_unique<Worker>(*this, workerOptions, relation));
+  }
+}
 
 void ParallelExplorer::Impl::submitJob(FrontierJob job) {
   frontierJobs.fetch_add(1, std::memory_order_relaxed);
@@ -123,75 +117,31 @@ void ParallelExplorer::Impl::submitJob(FrontierJob job) {
   });
 }
 
-/// One schedule, mirroring ExplorerBase::executeSchedule's accounting onto
-/// the worker's private tallies (any drift between the two is caught by the
-/// count-identity suite in tests/test_parallel.cpp). The caching terminal
-/// seeding from CachingExplorer::runSearch lives here too.
-runtime::Outcome ParallelExplorer::Impl::executeOne(WorkerContext& cx,
-                                                    runtime::Scheduler& sched) {
-  runtime::Config config;
-  config.maxEventsPerSchedule = options.maxEventsPerSchedule;
-  config.memoryModel = options.memoryModel;
-  const PrefixReplayEngine::Session session =
-      cx.engine.beginSchedule(config, &cx.recorder);
-  runtime::Execution& exec = *session.exec;
-  const runtime::Outcome outcome =
-      session.resumed ? exec.resume(sched) : exec.run(*program, sched);
+void ParallelExplorer::Impl::runJob(FrontierJob job) {
+  const int workerIndex = pool.currentWorkerIndex();
+  LAZYHB_CHECK(workerIndex >= 0);
+  workers[static_cast<std::size_t>(workerIndex)]->runJob(std::move(job));
+}
 
-  ++cx.schedules;
-  cx.events += exec.events().size();
-  cx.flushEvents += exec.flushEventCount();
-  cx.fenceEvents += exec.fenceEventCount();
-  if (exec.maxBufferedStores() > cx.maxBufferedStores) {
-    cx.maxBufferedStores = exec.maxBufferedStores();
+bool ParallelExplorer::Worker::mayRunSchedule() {
+  if (impl_.aborted.load(std::memory_order_relaxed)) return false;
+  // Claim a budget slot before executing, like the sequential search checks
+  // budgetExhausted() before each schedule. Total demand is
+  // order-independent (see header), so whether this trips is a function of
+  // the scenario, not of scheduling.
+  if (impl_.claimed.fetch_add(1, std::memory_order_relaxed) >=
+      impl_.options.scheduleLimit) {
+    impl_.aborted.store(true, std::memory_order_relaxed);
+    return false;
   }
-
-  switch (outcome) {
-    case runtime::Outcome::Terminal: {
-      ++cx.terminal;
-      cx.hbrs.insert(cx.recorder.fingerprint(trace::Relation::Full));
-      cx.lazyHbrs.insert(cx.recorder.fingerprint(trace::Relation::Lazy));
-      cx.valueClasses.insert(cx.recorder.fingerprint(trace::Relation::Value));
-      cx.states.insert(exec.stateFingerprint());
-      break;
-    }
-    case runtime::Outcome::Deadlock:
-    case runtime::Outcome::AssertionFailure:
-    case runtime::Outcome::UsageError: {
-      ++cx.violation;
-      // Keep every record: capping per worker would make the post-merge
-      // kept set depend on how violations happened to shard across
-      // workers. The maxViolationsKept cut is applied once, after the
-      // global sort, so the surviving set is a function of the full
-      // violation multiset alone — identical at any worker count.
-      const runtime::Violation& v = exec.violation();
-      cx.violations.push_back(ViolationRecord{v.kind, v.message, v.schedule});
-      break;
-    }
-    case runtime::Outcome::Abandoned:
-      ++cx.pruned;
-      break;
-    case runtime::Outcome::EventLimit:
-      break;  // counted as executed, contributes no terminal data
-  }
-
-  if (options.detectRaces) {
-    cx.races.ingest(cx.recorder);
-  }
-  if (relation.has_value() && outcome != runtime::Outcome::Abandoned &&
-      cx.recorder.eventCount() > 0) {
-    // The final event's prefix is never tested by the scheduler (there is
-    // no further pick); seed it so any worker can prune against it.
-    cache.insert(cx.recorder.fingerprint(*relation));
-  }
-  return outcome;
+  return true;
 }
 
 /// Stack splitting: when the pool signals an idle worker, give away the
 /// unexplored siblings of our shallowest splittable node — the largest
 /// subtree we can part with — as one job (the donee can re-split further).
-void ParallelExplorer::Impl::maybeDonate(TreeSearchState& state) {
-  if (!pool.hungry()) return;
+void ParallelExplorer::Worker::scheduleDone(TreeSearchState& state) {
+  if (!impl_.pool.hungry()) return;
   for (std::size_t d = 0; d < state.nodes.size(); ++d) {
     SearchNode& node = state.nodes[d];
     const support::ThreadSet stealable = node.enabled.minus(node.done).minus(
@@ -206,16 +156,13 @@ void ParallelExplorer::Impl::maybeDonate(TreeSearchState& state) {
     child.enabled = node.enabled;
     child.done = node.enabled.minus(stealable);  // donee owns exactly these
     node.done = node.done.unionWith(stealable);  // we never revisit them
-    submitJob(std::move(child));
+    impl_.submitJob(std::move(child));
     return;
   }
 }
 
-void ParallelExplorer::Impl::runJob(FrontierJob job) {
-  if (aborted.load(std::memory_order_relaxed)) return;
-  const int workerIndex = pool.currentWorkerIndex();
-  LAZYHB_CHECK(workerIndex >= 0);
-  WorkerContext& cx = *contexts[static_cast<std::size_t>(workerIndex)];
+void ParallelExplorer::Worker::runJob(FrontierJob job) {
+  if (impl_.aborted.load(std::memory_order_relaxed)) return;
 
   // Rebuild the job's subtree root as a search stack: forced single-choice
   // nodes pin the prefix (advance() can never flip them), then the
@@ -242,70 +189,25 @@ void ParallelExplorer::Impl::runJob(FrontierJob job) {
 
   // This job's tree shares nothing with whatever this worker ran before:
   // divergence is at the root as far as the replay engine is concerned.
-  std::size_t startDepth = cx.ranASchedule ? cx.engine.prepareNext(0) : 0;
-  cx.ranASchedule = true;
-
-  for (;;) {
-    if (aborted.load(std::memory_order_relaxed)) return;
-    // Claim a budget slot before executing, like the sequential loop checks
-    // budgetExhausted() before each schedule. Total demand is
-    // order-independent (see header), so whether this trips is a function
-    // of the scenario, not of scheduling.
-    if (claimed.fetch_add(1, std::memory_order_relaxed) >=
-        options.scheduleLimit) {
-      aborted.store(true, std::memory_order_relaxed);
-      return;
-    }
-
-    std::function<bool()> pruneHook;
-    if (relation.has_value()) {
-      pruneHook = [this, &cx] {
-        return cache.checkAndInsert(cx.recorder.fingerprint(*relation));
-      };
-    }
-    TreeScheduler scheduler(state, std::move(pruneHook), &cx.engine,
-                            startDepth);
-    (void)executeOne(cx, scheduler);
-    maybeDonate(state);
-    if (!state.advance()) return;  // subtree exhausted
-    startDepth = cx.engine.prepareNext(state.checkFromDepth);
-  }
+  const std::size_t startDepth =
+      result().schedulesExecuted > 0 ? prefixEngine().prepareNext(0) : 0;
+  (void)searchSubtree(*impl_.program, state, startDepth);
 }
 
 ParallelExplorer::ParallelExplorer(ExplorerOptions options,
-                                   ParallelStrategy strategy,
+                                   std::optional<trace::Relation> relation,
                                    std::uint64_t seed)
-    : options_(options), strategy_(strategy), seed_(seed) {
+    : options_(options), relation_(relation), seed_(seed) {
   LAZYHB_CHECK(shardable(options));
 }
 
 ParallelExplorer::~ParallelExplorer() = default;
 
-std::optional<trace::Relation> ParallelExplorer::relation() const noexcept {
-  switch (strategy_) {
-    case ParallelStrategy::Dfs:
-      return std::nullopt;
-    case ParallelStrategy::CachingFull:
-      return trace::Relation::Full;
-    case ParallelStrategy::CachingLazy:
-      return trace::Relation::Lazy;
-    case ParallelStrategy::CachingValue:
-      return trace::Relation::Value;
-  }
-  return std::nullopt;
-}
-
 ExplorationResult ParallelExplorer::runSequentialFallback(
     const Program& program) {
   ExplorerOptions sequential = options_;
   sequential.workers = 1;
-  std::unique_ptr<Explorer> explorer;
-  if (const std::optional<trace::Relation> rel = relation()) {
-    explorer = std::make_unique<CachingExplorer>(sequential, *rel);
-  } else {
-    explorer = std::make_unique<DfsExplorer>(sequential);
-  }
-  ExplorationResult result = explorer->explore(program);
+  ExplorationResult result = TreeExplorer(sequential, relation_).explore(program);
   result.parallel.workers = options_.workers;
   result.parallel.fellBackSequential = true;
   return result;
@@ -315,7 +217,7 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
   LAZYHB_CHECK(!explored_);
   explored_ = true;
 
-  Impl impl(options_, relation(), seed_);
+  Impl impl(options_, relation_, seed_);
   impl.program = &program;
 
   std::vector<campaign::WorkStealingPool::Task> roots;
@@ -332,81 +234,66 @@ ExplorationResult ParallelExplorer::explore(const Program& program) {
 
   // Deterministic merge. Counts are sums, fingerprint classes are set
   // unions, violations sort lexicographically before the keep-cap, races
-  // dedup on the racy object across workers.
+  // dedup on the racy object across workers. The cache is shared, so
+  // every worker's snapshot of it is the same.
   ExplorationResult result;
-  Hash128Set hbrs;
-  Hash128Set lazyHbrs;
-  Hash128Set valueClasses;
-  Hash128Set states;
-  std::vector<ViolationRecord> violations;
-  std::vector<trace::RaceReport> races;
+  TerminalClasses classes;
   std::unordered_set<runtime::Uid> raceUids;
-
   result.parallel.workers = impl.pool.workerCount();
   result.parallel.frontierJobs =
       impl.frontierJobs.load(std::memory_order_relaxed);
   const std::vector<std::uint64_t> steals = impl.pool.stealsByWorker();
-  for (std::size_t i = 0; i < impl.contexts.size(); ++i) {
-    const WorkerContext& cx = *impl.contexts[i];
-    result.schedulesExecuted += cx.schedules;
-    result.terminalSchedules += cx.terminal;
-    result.violationSchedules += cx.violation;
-    result.prunedSchedules += cx.pruned;
-    result.totalEvents += cx.events;
-    result.flushEvents += cx.flushEvents;
-    result.fenceEvents += cx.fenceEvents;
-    if (cx.maxBufferedStores > result.maxBufferedStores) {
-      result.maxBufferedStores = cx.maxBufferedStores;
-    }
-    result.eventsElided += cx.engine.eventsElided();
-    result.eventsReplayed += cx.engine.eventsReplayed();
+  for (std::size_t i = 0; i < impl.workers.size(); ++i) {
+    Worker& worker = *impl.workers[i];
+    const ExplorationResult& part = worker.finishResult();
+    result.schedulesExecuted += part.schedulesExecuted;
+    result.terminalSchedules += part.terminalSchedules;
+    result.violationSchedules += part.violationSchedules;
+    result.prunedSchedules += part.prunedSchedules;
+    result.totalEvents += part.totalEvents;
+    result.eventsElided += part.eventsElided;
+    result.eventsReplayed += part.eventsReplayed;
+    result.flushEvents += part.flushEvents;
+    result.fenceEvents += part.fenceEvents;
+    result.maxBufferedStores =
+        std::max(result.maxBufferedStores, part.maxBufferedStores);
     result.checkpointStats.enabled =
-        result.checkpointStats.enabled || cx.engine.incremental();
-    result.checkpointStats.stages += cx.engine.stagesCreated();
-    result.checkpointStats.bytesStaged += cx.engine.bytesStaged();
-    result.checkpointStats.evictions += cx.engine.evictions();
-    result.checkpointStats.replayFallbacks += cx.engine.replayFallbacks();
-    hbrs.insert(cx.hbrs.begin(), cx.hbrs.end());
-    lazyHbrs.insert(cx.lazyHbrs.begin(), cx.lazyHbrs.end());
-    valueClasses.insert(cx.valueClasses.begin(), cx.valueClasses.end());
-    states.insert(cx.states.begin(), cx.states.end());
-    violations.insert(violations.end(), cx.violations.begin(),
-                      cx.violations.end());
-    for (const trace::RaceReport& race : cx.races.distinctRaces()) {
+        result.checkpointStats.enabled || part.checkpointStats.enabled;
+    result.checkpointStats.stages += part.checkpointStats.stages;
+    result.checkpointStats.bytesStaged += part.checkpointStats.bytesStaged;
+    result.checkpointStats.evictions += part.checkpointStats.evictions;
+    result.checkpointStats.replayFallbacks +=
+        part.checkpointStats.replayFallbacks;
+    result.cacheStats = part.cacheStats;
+    const TerminalClasses& c = worker.terminalClasses();
+    classes.hbrs.insert(c.hbrs.begin(), c.hbrs.end());
+    classes.lazyHbrs.insert(c.lazyHbrs.begin(), c.lazyHbrs.end());
+    classes.valueClasses.insert(c.valueClasses.begin(), c.valueClasses.end());
+    classes.states.insert(c.states.begin(), c.states.end());
+    result.violations.insert(result.violations.end(), part.violations.begin(),
+                             part.violations.end());
+    for (const trace::RaceReport& race : part.races) {
       if (raceUids.insert(race.objectUid).second) {
-        races.push_back(race);
+        result.races.push_back(race);
       }
     }
-    result.parallel.byWorker.push_back(WorkerShare{cx.schedules, steals[i]});
+    result.parallel.byWorker.push_back(
+        WorkerShare{part.schedulesExecuted, steals[i]});
   }
-  result.distinctHbrs = hbrs.size();
-  result.distinctLazyHbrs = lazyHbrs.size();
-  result.distinctValueClasses = valueClasses.size();
-  result.distinctStates = states.size();
+  result.distinctHbrs = classes.hbrs.size();
+  result.distinctLazyHbrs = classes.lazyHbrs.size();
+  result.distinctValueClasses = classes.valueClasses.size();
+  result.distinctStates = classes.states.size();
   result.complete = true;
-  result.hitScheduleLimit = false;
 
-  std::sort(violations.begin(), violations.end(), violationLess);
-  if (violations.size() > options_.maxViolationsKept) {
-    violations.resize(options_.maxViolationsKept);
+  std::sort(result.violations.begin(), result.violations.end(), violationLess);
+  if (result.violations.size() > options_.maxViolationsKept) {
+    result.violations.resize(options_.maxViolationsKept);
   }
-  result.violations = std::move(violations);
-
-  std::sort(races.begin(), races.end(),
+  std::sort(result.races.begin(), result.races.end(),
             [](const trace::RaceReport& a, const trace::RaceReport& b) {
               return a.objectUid < b.objectUid;
             });
-  result.races = std::move(races);
-
-  if (relation().has_value()) {
-    const core::HbrCache::Stats cacheStats = impl.cache.stats();
-    result.cacheStats.enabled = true;
-    result.cacheStats.lookups = cacheStats.lookups;
-    result.cacheStats.hits = cacheStats.hits;
-    result.cacheStats.insertions = cacheStats.insertions;
-    result.cacheStats.entries = impl.cache.size();
-    result.cacheStats.approxBytes = impl.cache.approxMemoryBytes();
-  }
   return result;
 }
 

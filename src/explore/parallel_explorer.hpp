@@ -13,9 +13,10 @@
 //
 // A frontier job is a subtree of the schedule tree: a forced choice prefix
 // plus, at the divergence node, the set of children the job owns. Each pool
-// worker owns a full sequential exploration kit — fiber stack pool,
-// TraceRecorder, incremental prefix-replay engine — and runs jobs as plain
-// depth-first searches whose roots are pinned by the forced prefix. When
+// worker is a sequential TreeExplorer (explore/dfs_explorer.hpp) — its own
+// fiber stack pool, TraceRecorder, incremental prefix-replay engine and
+// per-schedule accounting — and runs jobs through the same depth-first
+// search as the sequential path, rooted at the forced prefix. When
 // the pool reports hungry workers, a running worker donates the unexplored
 // siblings of its *shallowest* splittable node (the largest subtree it can
 // give away) as a new job: classic stack splitting, submitted back into the
@@ -66,23 +67,15 @@
 
 namespace lazyhb::explore {
 
-/// Which sequential search a ParallelExplorer shards. The tree searches
-/// with order-independent counts.
-enum class ParallelStrategy {
-  Dfs,           ///< naive enumeration, no cache
-  CachingFull,   ///< Musuvathi–Qadeer HBR caching (shared cache, Full keys)
-  CachingLazy,   ///< the paper's lazy HBR caching (shared cache, Lazy keys)
-  CachingValue,  ///< value-class caching (shared cache, Value keys)
-};
-
 class ParallelExplorer final : public Explorer {
  public:
-  /// `options.workers` must be >= 2 (use the sequential strategy classes
-  /// for 1), and options must not request stopOnFirstViolation or
-  /// checkTheorems (the factory routes those to sequential explorers).
-  /// `seed` roots the frontier pool's per-worker victim-selection RNGs.
-  ParallelExplorer(ExplorerOptions options, ParallelStrategy strategy,
-                   std::uint64_t seed);
+  /// Shards TreeExplorer(options, relation): nullopt for dfs, Full / Lazy /
+  /// Value for the caching searches (one cache shared by every worker).
+  /// `options` must be shardable() (the factory routes everything else to
+  /// sequential explorers). `seed` roots the frontier pool's per-worker
+  /// victim-selection RNGs.
+  ParallelExplorer(ExplorerOptions options,
+                   std::optional<trace::Relation> relation, std::uint64_t seed);
   ~ParallelExplorer() override;
 
   [[nodiscard]] ExplorationResult explore(const Program& program) override;
@@ -90,7 +83,6 @@ class ParallelExplorer final : public Explorer {
   [[nodiscard]] const ExplorerOptions& options() const noexcept override {
     return options_;
   }
-  [[nodiscard]] ParallelStrategy strategy() const noexcept { return strategy_; }
 
   /// True when `options` can be sharded at all (the factory's gate):
   /// workers >= 2 and none of the order-sensitive options — no
@@ -105,16 +97,14 @@ class ParallelExplorer final : public Explorer {
 
  private:
   struct Impl;
+  class Worker;
 
-  /// The caching relation, or nullopt for plain DFS.
-  [[nodiscard]] std::optional<trace::Relation> relation() const noexcept;
-
-  /// Re-run the scenario with the matching sequential explorer (budget
-  /// abort path). Returns its result with parallel.fellBackSequential set.
+  /// Re-run the scenario with the sequential tree explorer (budget abort
+  /// path). Returns its result with parallel.fellBackSequential set.
   [[nodiscard]] ExplorationResult runSequentialFallback(const Program& program);
 
   ExplorerOptions options_;
-  ParallelStrategy strategy_;
+  std::optional<trace::Relation> relation_;
   std::uint64_t seed_;
   bool explored_ = false;
 };

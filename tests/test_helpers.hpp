@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/dpor_explorer.hpp"
 #include "explore/explorer.hpp"
@@ -25,7 +24,7 @@ inline explore::ExplorerOptions smallOptions(std::uint64_t limit = 200'000) {
 
 inline explore::ExplorationResult runDfs(const explore::Program& p,
                                          std::uint64_t limit = 200'000) {
-  explore::DfsExplorer explorer(smallOptions(limit));
+  explore::TreeExplorer explorer(smallOptions(limit));
   return explorer.explore(p);
 }
 
@@ -39,7 +38,7 @@ inline explore::ExplorationResult runDpor(const explore::Program& p, bool sleepS
 
 inline explore::ExplorationResult runCaching(const explore::Program& p, trace::Relation r,
                                              std::uint64_t limit = 200'000) {
-  explore::CachingExplorer explorer(smallOptions(limit), r);
+  explore::TreeExplorer explorer(smallOptions(limit), r);
   return explorer.explore(p);
 }
 

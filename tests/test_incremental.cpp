@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "memory/memory_model.hpp"
 #include "explore/dpor_explorer.hpp"
@@ -53,7 +52,7 @@ bool operator==(const ScheduleTrace& a, const ScheduleTrace& b) {
          a.clocks == b.clocks;
 }
 
-/// The DFS walk of DfsExplorer::runSearch, instrumented: returns one trace
+/// The DFS walk of TreeExplorer::runSearch, instrumented: returns one trace
 /// per executed schedule, capturing everything the exploration layer could
 /// observe about it.
 std::vector<ScheduleTrace> tracedDfs(const explore::Program& program,
@@ -275,8 +274,8 @@ TEST(IncrementalReplay, CachingAndDporCountsIdenticalAcrossModes) {
     ASSERT_NE(spec, nullptr) << name;
     for (const trace::Relation relation :
          {trace::Relation::Full, trace::Relation::Lazy}) {
-      explore::CachingExplorer off(optionsFor(false, false), relation);
-      explore::CachingExplorer on(optionsFor(true, spec->checkpointable), relation);
+      explore::TreeExplorer off(optionsFor(false, false), relation);
+      explore::TreeExplorer on(optionsFor(true, spec->checkpointable), relation);
       expectSameCounts(off.explore(spec->body), on.explore(spec->body),
                        std::string(name) + " caching-" + trace::relationName(relation));
     }
@@ -290,12 +289,12 @@ TEST(IncrementalReplay, CachingAndDporCountsIdenticalAcrossModes) {
 TEST(IncrementalReplay, ElisionAccountingIsConsistent) {
   const programs::ProgramSpec* spec = programs::byName("noisy-counter-3x2");
   ASSERT_NE(spec, nullptr);
-  explore::DfsExplorer off(optionsFor(false, false));
+  explore::TreeExplorer off(optionsFor(false, false));
   const explore::ExplorationResult base = off.explore(spec->body);
   EXPECT_EQ(base.eventsElided, 0u);
   EXPECT_GT(base.eventsReplayed, 0u);  // replays exist; they are just re-run
 
-  explore::DfsExplorer on(optionsFor(true, spec->checkpointable));
+  explore::TreeExplorer on(optionsFor(true, spec->checkpointable));
   const explore::ExplorationResult fast = on.explore(spec->body);
   EXPECT_EQ(fast.totalEvents, base.totalEvents);
   if (runtime::Execution::checkpointingSupported()) {
@@ -314,6 +313,21 @@ TEST(IncrementalReplay, ElisionAccountingIsConsistent) {
 // staged checkpoints under pressure and falls back to replaying from a
 // shallower stage (or a full restart). None of that may move a single
 // observable: traces and counts are byte-identical at any budget.
+
+TEST(SnapshotBudget, EnvironmentValueParsesOnlyPlainDecimalBytes) {
+  // A malformed LAZYHB_SNAPSHOT_BUDGET falls back to the default; in
+  // particular "-1" must not wrap around to an effectively unlimited budget.
+  EXPECT_EQ(explore::parseSnapshotBudgetBytes("-1"), std::nullopt);
+  EXPECT_EQ(explore::parseSnapshotBudgetBytes(" 5"), std::nullopt);
+  EXPECT_EQ(explore::parseSnapshotBudgetBytes(""), std::nullopt);
+  EXPECT_EQ(explore::parseSnapshotBudgetBytes(nullptr), std::nullopt);
+  EXPECT_EQ(explore::parseSnapshotBudgetBytes("+5"), std::nullopt);
+  EXPECT_EQ(explore::parseSnapshotBudgetBytes("5 "), std::nullopt);
+  EXPECT_EQ(explore::parseSnapshotBudgetBytes("99999999999999999999"), std::nullopt);
+  EXPECT_EQ(explore::parseSnapshotBudgetBytes("0"), std::optional<std::uint64_t>{0});
+  EXPECT_EQ(explore::parseSnapshotBudgetBytes("4096"),
+            std::optional<std::uint64_t>{4096});
+}
 
 TEST(IncrementalReplay, TracesIdenticalAtAnySnapshotBudget) {
   // A 64-byte budget keeps at most the deepest stage alive — every
@@ -427,7 +441,7 @@ TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
   for (const char* name : names) {
     const programs::ProgramSpec* spec = programs::byName(name);
     ASSERT_NE(spec, nullptr) << name;
-    explore::DfsExplorer off(optionsFor(false, false));
+    explore::TreeExplorer off(optionsFor(false, false));
     const explore::ExplorationResult baseline = off.explore(spec->body);
     for (const std::uint64_t budget : budgets) {
       for (const int workers : {1, 4}) {
@@ -438,12 +452,11 @@ TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
                                   std::to_string(budget) + " workers " +
                                   std::to_string(workers);
         if (workers == 1) {
-          explore::DfsExplorer on(options);
+          explore::TreeExplorer on(options);
           expectSameCounts(baseline, on.explore(spec->body), label);
         } else {
           ASSERT_TRUE(explore::ParallelExplorer::shardable(options)) << label;
-          explore::ParallelExplorer on(options, explore::ParallelStrategy::Dfs,
-                                       /*seed=*/42);
+          explore::ParallelExplorer on(options, std::nullopt, /*seed=*/42);
           expectSameCounts(baseline, on.explore(spec->body), label);
         }
       }

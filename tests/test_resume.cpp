@@ -540,6 +540,37 @@ TEST(Suite, EmitsASchemaV5DocumentMergeableWithShards) {
   }
 }
 
+TEST(Suite, ReportEchoesTheSnapshotBudgetItsCellsRan) {
+  // Suite has no budget knob, so its cells run under the default budget —
+  // and its report must say so, not 0 ("unlimited"): otherwise `lazyhb
+  // merge` refuses a Suite shard next to a `lazyhb bench` shard of the
+  // same configuration.
+  const SuiteReport suiteShard = Suite()
+                                     .add("disjoint-lock-2")
+                                     .add("disjoint-lock-3")
+                                     .add("counter-lock-3")
+                                     .add("lost-signal")
+                                     .schedules(150)
+                                     .jobs(2)
+                                     .shard(0, 2)
+                                     .run();
+  std::string error;
+  const auto parsed = support::JsonValue::parse(suiteShard.toJson(), &error);
+  ASSERT_NE(parsed, nullptr) << error;
+  EXPECT_EQ(parsed->find("config")->uintAt("snapshot_budget"),
+            explore::defaultSnapshotBudgetBytes());
+
+  campaign::CampaignOptions options = smallCampaign(2);
+  options.shardIndex = 1;
+  options.shardCount = 2;
+  const std::string benchShard = campaign::writeReportJson(
+      campaign::runCampaign(options), campaign::makeReportConfig(options));
+  const auto merged = campaign::mergeReports({suiteShard.toJson(), benchShard},
+                                             {"suite", "bench"});
+  EXPECT_EQ(merged.config.snapshotBudgetBytes,
+            explore::defaultSnapshotBudgetBytes());
+}
+
 TEST(Suite, ResumesFromItsCheckpointDirectory) {
   const TempDir dir;
   const auto build = [&] {

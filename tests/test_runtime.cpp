@@ -157,7 +157,7 @@ TEST(Runtime, NestedSpawnIdentityIsStable) {
   // confuses the grandchild across schedules (same state fingerprint).
   explore::ExplorerOptions options;
   options.scheduleLimit = 100000;
-  explore::DfsExplorer explorer(options);
+  explore::TreeExplorer explorer(options);
   const auto result = explorer.explore(body);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.distinctStates, 1u);
@@ -280,7 +280,7 @@ TEST(Runtime, ViolationSchedulesReplayExactly) {
   explore::ExplorerOptions options;
   options.scheduleLimit = 1000;
   options.stopOnFirstViolation = true;
-  explore::DfsExplorer explorer(options);
+  explore::TreeExplorer explorer(options);
   const auto result = explorer.explore(body);
   ASSERT_TRUE(result.foundViolation());
   const auto replay = explore::replaySchedule(body, result.violations[0].schedule);

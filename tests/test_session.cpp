@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "campaign/explorer_spec.hpp"
-#include "explore/caching_explorer.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/dpor_explorer.hpp"
 #include "explore/random_explorer.hpp"
@@ -89,7 +88,7 @@ explore::ExplorationResult runDirect(const std::string& strategy,
   options.scheduleLimit = kParityLimit;
   options.checkpointable = checkpointable;
   if (strategy == "dfs") {
-    explore::DfsExplorer explorer(options);
+    explore::TreeExplorer explorer(options);
     return explorer.explore(program);
   }
   if (strategy == "random") {
@@ -101,11 +100,11 @@ explore::ExplorationResult runDirect(const std::string& strategy,
     return explorer.explore(program);
   }
   if (strategy == "caching-full") {
-    explore::CachingExplorer explorer(options, trace::Relation::Full);
+    explore::TreeExplorer explorer(options, trace::Relation::Full);
     return explorer.explore(program);
   }
   if (strategy == "caching-lazy") {
-    explore::CachingExplorer explorer(options, trace::Relation::Lazy);
+    explore::TreeExplorer explorer(options, trace::Relation::Lazy);
     return explorer.explore(program);
   }
   ADD_FAILURE() << "unknown strategy " << strategy;
