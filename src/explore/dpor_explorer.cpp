@@ -208,7 +208,8 @@ class DporScheduler final : public runtime::Scheduler {
 };
 
 DporExplorer::DporExplorer(ExplorerOptions options, DporOptions dpor)
-    : ExplorerBase(options, dpor.cachePrefixes), dpor_(dpor) {}
+    : ExplorerBase(options, dpor.cachePrefixes, nullptr, /*fullClocks=*/true),
+      dpor_(dpor) {}
 
 bool DporExplorer::advance() {
   while (!nodes_.empty()) {

@@ -27,10 +27,10 @@ std::uint64_t defaultSnapshotBudgetBytes() noexcept {
 
 ExplorerBase::ExplorerBase(ExplorerOptions options,
                            std::optional<trace::Relation> cacheRelation,
-                           core::HbrCache* sharedCache)
+                           core::HbrCache* sharedCache, bool fullClocks)
     : options_(options),
       recorder_(trace::TraceRecorder::Options{options.keepPredecessors,
-                                              options.detectRaces}),
+                                              options.detectRaces, fullClocks}),
       cacheRelation_(cacheRelation),
       engine_(stackPool_, recorder_, options.incremental,
               options.checkpointable &&

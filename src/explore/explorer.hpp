@@ -266,10 +266,13 @@ class ExplorerBase : public Explorer {
   /// Lazy or Value): strategies probe it through prefixCached(), and every
   /// schedule that is not abandoned seeds its final prefix. The cache is
   /// `*sharedCache` when given (ParallelExplorer's workers share one),
-  /// otherwise the explorer's own.
+  /// otherwise the explorer's own. `fullClocks` declares that the strategy
+  /// reads Full-relation vector clocks from recorder() (DPOR); without it
+  /// the recorder builds clock rows only for keepPredecessors/detectRaces.
   explicit ExplorerBase(ExplorerOptions options,
                         std::optional<trace::Relation> cacheRelation = std::nullopt,
-                        core::HbrCache* sharedCache = nullptr);
+                        core::HbrCache* sharedCache = nullptr,
+                        bool fullClocks = false);
 
   /// Run the full exploration. May be called once per explorer instance.
   [[nodiscard]] ExplorationResult explore(const Program& program) override;

@@ -32,7 +32,7 @@ void PrefixReplayEngine::stageCheckpoint(runtime::Execution& exec, std::size_t d
   if (runtimeRollback_) {
     LAZYHB_CHECK(&exec == exec_.get());
     // After a full restart the ledger can already hold recorder-only
-    // stages; the fresh execution's first checkpoint then lands on a
+    // stages; the reset execution's first checkpoint then lands on a
     // ledgered depth and only the runtime share is new cost.
     const bool execFresh = exec.deepestCheckpointAtOrBelow(depth) != depth;
     exec.checkpoint();
@@ -107,7 +107,7 @@ void PrefixReplayEngine::settleStages(std::size_t keepAtOrBelow,
     liveBytes_ = 0;
   }
   if (repriceRecorderOnly) {
-    // The persistent execution was retired: surviving stages keep only
+    // The persistent execution was reset: surviving stages keep only
     // their recorder share alive, so re-price them before the next
     // enforceBudget sees stale runtime bytes.
     liveBytes_ = 0;
@@ -138,10 +138,10 @@ std::size_t PrefixReplayEngine::prepareNext(std::size_t divergenceDepth) {
       settleStages(depth, divergenceDepth, /*repriceRecorderOnly=*/false);
       return depth;
     }
-    // No usable runtime checkpoint: retire the persistent execution (its
-    // destructor runs the leftover fibers forward) and re-execute, still
-    // eliding the recorder's share of the prefix below.
-    exec_.reset();
+    // No usable runtime checkpoint: reset the persistent execution (which
+    // runs the leftover fibers forward) and re-execute, still eliding the
+    // recorder's share of the prefix below.
+    exec_->reset();
     ++fullRestarts_;
   }
 
@@ -167,7 +167,11 @@ PrefixReplayEngine::Session PrefixReplayEngine::beginSchedule(
     pendingResume_ = false;
     return Session{exec_.get(), true, pendingStart_};
   }
-  exec_ = std::make_unique<runtime::Execution>(config, stackPool_, observer);
+  if (exec_ == nullptr) {
+    exec_ = std::make_unique<runtime::Execution>(config, stackPool_, observer);
+  } else {
+    exec_->reset(config, observer);
+  }
   if (runtimeRollback_) exec_->enableResumable();
   return Session{exec_.get(), false, 0};
 }

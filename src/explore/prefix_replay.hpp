@@ -87,7 +87,10 @@ class PrefixReplayEngine {
   std::size_t prepareNext(std::size_t divergenceDepth);
 
   /// Hand out the execution for the next schedule: the rolled-back
-  /// persistent one, or a fresh single-use one. Also commits the pending
+  /// persistent one, or — for a schedule that starts from scratch — the
+  /// engine's one Execution, reset to its just-constructed state (it is
+  /// allocated on the first schedule and reused, fibers and tables
+  /// included, for every later one). Also commits the pending
   /// elided/replayed accounting planned by prepareNext.
   Session beginSchedule(const runtime::Config& config,
                         runtime::ExecutionObserver* observer);

@@ -22,6 +22,15 @@ Execution::Execution(const Config& config, StackPool& stackPool,
       tso_(config.memoryModel == memory::MemoryModel::Tso) {}
 
 Execution::~Execution() {
+  runDeferredTeardown();
+  // Otherwise run() tears all fibers down before returning; if run() was
+  // never called there are no fibers.
+  for (const auto& t : threads_) {
+    LAZYHB_CHECK(!t.fiber || t.fiber->finished());
+  }
+}
+
+void Execution::runDeferredTeardown() {
   // In resumable mode end-of-run teardown is deferred (fibers stay restorable
   // between schedules); run whatever is left forward now so destructors in
   // the program under test execute normally.
@@ -31,11 +40,60 @@ Execution::~Execution() {
     teardownUnfinished();
     g_current = nullptr;
   }
-  // Otherwise run() tears all fibers down before returning; if run() was
-  // never called there are no fibers.
-  for (const auto& t : threads_) {
-    LAZYHB_CHECK(!t.fiber || t.fiber->finished());
+}
+
+void Execution::reset(const Config& config, ExecutionObserver* observer) {
+  LAZYHB_CHECK(g_current == nullptr);
+  runDeferredTeardown();
+  for (ThreadRec& t : threads_) {
+    if (!t.fiber) continue;
+    retireFiber(std::move(t.fiber));
   }
+  threads_.clear();
+  objects_.clear();
+  events_.clear();
+  choices_.clear();
+  config_ = config;
+  observer_ = observer;
+  tso_ = config.memoryModel == memory::MemoryModel::Tso;
+  currentThread_ = -1;
+  ran_ = false;
+  done_ = false;
+  abandoning_ = false;
+  resumable_ = false;
+  teardownFuel_ = 0;
+  outcome_ = Outcome::Terminal;
+  violation_ = Violation{};
+  finalFingerprint_ = support::Hash128{};
+  while (!snapshots_.empty()) {
+    for (ThreadSnapshot& ts : snapshots_.back().threads) ts.image = nullptr;
+    snapshotPool_.push_back(std::move(snapshots_.back()));
+    snapshots_.pop_back();
+  }
+  imageCache_.clear();
+  undoSize_ = 0;  // arena entries stay allocated for reuse
+  epochCounter_ = 0;
+  currentEpoch_ = 0;
+  bufferUndoSize_ = 0;
+  stagedStore_ = false;
+  flushEvents_ = 0;
+  fenceEvents_ = 0;
+  maxBufferedStores_ = 0;
+}
+
+void Execution::retireFiber(std::unique_ptr<Fiber> fiber) {
+  fiber->rearm(nullptr);
+  spareFibers_.push_back(std::move(fiber));
+}
+
+std::unique_ptr<Fiber> Execution::makeFiber(std::function<void()> entry) {
+  if (spareFibers_.empty()) {
+    return std::make_unique<Fiber>(stackPool_, std::move(entry));
+  }
+  std::unique_ptr<Fiber> fiber = std::move(spareFibers_.back());
+  spareFibers_.pop_back();
+  fiber->rearm(std::move(entry));
+  return fiber;
 }
 
 void Execution::enableResumable() {
@@ -68,7 +126,7 @@ Outcome Execution::run(const std::function<void()>& body, Scheduler& scheduler) 
     ThreadRec root;
     root.uid = kRootThreadUid;
     root.objectIndex = 0;
-    root.fiber = std::make_unique<Fiber>(stackPool_, [&body] { body(); });
+    root.fiber = makeFiber([&body] { body(); });
     threads_.push_back(std::move(root));
   }
   advance(0);
@@ -249,11 +307,11 @@ void Execution::rollbackTo(std::size_t depth) {
   maxBufferedStores_ = s.maxBufferedStores;
 
   // Threads spawned past the checkpoint are discarded outright: their
-  // stacks are dropped as raw bytes (checkpointable-program contract), and
-  // their engine resources (stack buffer, parked closure) are freed by the
-  // Fiber destructor.
+  // stacks are dropped as raw bytes (checkpointable-program contract), their
+  // parked closure is freed, and their fiber joins the free list.
   while (threads_.size() > s.threadCount) {
     threads_.back().fiber->abandonForRollback();
+    retireFiber(std::move(threads_.back().fiber));
     threads_.pop_back();
     if (imageCache_.size() > threads_.size()) {
       imageCache_.back() = ImageCacheEntry{};
@@ -940,8 +998,7 @@ int Execution::spawnThread(std::function<void()> fn) {
   child.uid = childUid;
   child.spawnPredecessor = spawnEvent;
   child.objectIndex = objIndex;
-  child.fiber = std::make_unique<Fiber>(
-      stackPool_,
+  child.fiber = makeFiber(
       std::move(threads_[static_cast<std::size_t>(currentThread_)].pendingSpawnFn));
   threads_.push_back(std::move(child));
   // Disarm the slot explicitly: a moved-from std::function is only

@@ -144,8 +144,20 @@ class Execution {
   Execution(const Execution&) = delete;
   Execution& operator=(const Execution&) = delete;
 
-  /// Run `body` as thread 0 under `scheduler` control. May be called once.
+  /// Run `body` as thread 0 under `scheduler` control. May be called once
+  /// per construction or reset().
   Outcome run(const std::function<void()>& body, Scheduler& scheduler);
+
+  /// Return to the just-constructed state under `config` and `observer`, so
+  /// one object can run schedule after schedule. Deferred teardown runs
+  /// first (as in the destructor); the thread, object, event and choice
+  /// tables keep their capacity, staged snapshots return to the pool with
+  /// their images released, and finished fibers — stacks included — go to
+  /// a free list that later spawns re-arm instead of allocating.
+  void reset(const Config& config, ExecutionObserver* observer);
+
+  /// reset() under the current config and observer.
+  void reset() { reset(config_, observer_); }
 
   // --- resumable mode (incremental prefix replay) ---------------------------
 
@@ -448,6 +460,18 @@ class Execution {
     std::vector<ThreadSnapshot> threads;
   };
 
+  /// A fiber running `entry`: a re-armed one from the free list when
+  /// available, else a new one.
+  std::unique_ptr<Fiber> makeFiber(std::function<void()> entry);
+
+  /// Put a finished fiber on the free list. Its entry closure is released
+  /// now, host-side, exactly when destroying the fiber would release it.
+  void retireFiber(std::unique_ptr<Fiber> fiber);
+
+  /// Resumable mode: run the fibers a finished schedule left suspended
+  /// forward to completion (the destructor's and reset()'s first step).
+  void runDeferredTeardown();
+
   /// Run tid's fiber until it publishes its next operation or finishes.
   void advance(int tid);
 
@@ -533,6 +557,8 @@ class Execution {
   std::vector<ObjectInfo> objects_;
   std::vector<EventRecord> events_;
   std::vector<int> choices_;
+  /// Finished fibers kept across reset() and rollback for makeFiber.
+  std::vector<std::unique_ptr<Fiber>> spareFibers_;
 
   int currentThread_ = -1;
   bool ran_ = false;

@@ -161,6 +161,10 @@ extern "C" void lazyhbFiberEntry(void* self) {
 
 Fiber::Fiber(StackPool& pool, std::function<void()> entry)
     : pool_(pool), stack_(pool.acquire()), entry_(std::move(entry)) {
+  buildEntryFrame();
+}
+
+void Fiber::buildEntryFrame() {
   const auto top = reinterpret_cast<std::uintptr_t>(stack_.get()) + pool_.stackBytes();
   auto* base = reinterpret_cast<std::uint64_t*>(top & ~std::uintptr_t{15});
 #if defined(__x86_64__)
@@ -217,6 +221,10 @@ void Fiber::yieldToHost() {
 
 Fiber::Fiber(StackPool& pool, std::function<void()> entry)
     : pool_(pool), stack_(pool.acquire()), entry_(std::move(entry)) {
+  buildEntryFrame();
+}
+
+void Fiber::buildEntryFrame() {
   LAZYHB_CHECK(getcontext(&fiberContext_) == 0);
   fiberContext_.uc_stack.ss_sp = stack_.get();
   fiberContext_.uc_stack.ss_size = pool_.stackBytes();
@@ -268,6 +276,16 @@ void Fiber::yieldToHost() {
 }
 
 #endif  // LAZYHB_FAST_FIBER
+
+void Fiber::rearm(std::function<void()> entry) {
+  LAZYHB_CHECK(finished_ || !started_);
+  entry_ = std::move(entry);
+  started_ = false;
+  finished_ = false;
+  hostFakeStack_ = nullptr;
+  fiberFakeStack_ = nullptr;
+  buildEntryFrame();
+}
 
 Fiber::~Fiber() {
   // An unfinished fiber being destroyed would leak whatever RAII state its

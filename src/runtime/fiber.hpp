@@ -135,6 +135,12 @@ class Fiber {
 
   [[nodiscard]] bool finished() const noexcept { return finished_; }
 
+  /// Reuse a finished (or never-started) fiber for a new entry function:
+  /// the stack stays, the entry frame is rebuilt, and the next resume()
+  /// starts `entry` from the top. Lets an Execution recycle its fibers
+  /// across schedules instead of allocating new ones.
+  void rearm(std::function<void()> entry);
+
   /// Capture the fiber's continuation. Must be called from the host while
   /// the fiber is suspended (or finished). Requires kSnapshotSupported.
   void snapshotTo(FiberImage& image) const;
@@ -151,6 +157,8 @@ class Fiber {
 
  private:
   void run();
+  /// Fabricate the entry frame so the first resume() enters run().
+  void buildEntryFrame();
 
   StackPool& pool_;
   std::unique_ptr<char[]> stack_;

@@ -7,6 +7,11 @@
 // joining and copying become branch-free loops over raw spans the compiler
 // can vectorise, and the rows of consecutive events are cache-adjacent.
 //
+// The recorder keeps one arena per relation but fills only those with a
+// declared reader (TraceRecorder::Options: Sync for the race detector,
+// Full for DPOR, all three for the predecessor-list consumers); the others
+// stay empty, so only the stride of an unfilled arena ever changes.
+//
 // Width handling: the stride persists across reset() (cross-execution
 // reuse), so after the first execution of a program the arena never
 // re-strides again. When an execution spawns a thread index beyond the

@@ -4,7 +4,10 @@ namespace lazyhb::trace {
 
 std::string describeEvent(const TraceRecorder& recorder, std::int32_t index) {
   const runtime::EventRecord& ev = recorder.eventRecord(index);
-  std::string out = "T" + std::to_string(ev.threadIndex);
+  // Built by appending: GCC 12's -Wrestrict misfires on the inlined
+  // `"T" + std::to_string(...)` concatenation in Release builds.
+  std::string out = "T";
+  out += std::to_string(ev.threadIndex);
   out += '.';
   out += runtime::opKindName(ev.kind);
   if (ev.objectUid != 0) {
@@ -53,13 +56,20 @@ std::string renderDot(const TraceRecorder& recorder, Relation r) {
   std::string out = "digraph hbr {\n  rankdir=TB;\n  node [shape=box,fontname=\"monospace\"];\n";
   const auto n = static_cast<std::int32_t>(recorder.eventCount());
   for (std::int32_t i = 0; i < n; ++i) {
-    out += "  e" + std::to_string(i) + " [label=\"" + describeEvent(recorder, i) + "\"];\n";
+    out += "  e";
+    out += std::to_string(i);
+    out += " [label=\"";
+    out += describeEvent(recorder, i);
+    out += "\"];\n";
   }
   for (std::int32_t i = 0; i < n; ++i) {
     for (const std::int32_t p : recorder.eventPredecessors(r, i)) {
       const bool inter =
           recorder.eventRecord(p).threadIndex != recorder.eventRecord(i).threadIndex;
-      out += "  e" + std::to_string(p) + " -> e" + std::to_string(i);
+      out += "  e";
+      out += std::to_string(p);
+      out += " -> e";
+      out += std::to_string(i);
       if (inter) out += " [color=red,penwidth=2]";
       out += ";\n";
     }

@@ -36,7 +36,11 @@ constexpr std::uint64_t kValueDomain = 0x3c4dULL;
 
 TraceRecorder::TraceRecorder() : TraceRecorder(Options{}) {}
 
-TraceRecorder::TraceRecorder(Options options) : options_(options) {
+TraceRecorder::TraceRecorder(Options options)
+    : options_(options),
+      syncRows_(options.detectRaces || options.keepPredecessors),
+      fullRows_(options.fullClocks || options.keepPredecessors),
+      lazyRows_(options.keepPredecessors) {
   scratchFull_.reserve(16);
   scratchLazy_.reserve(16);
   scratchSync_.reserve(16);
@@ -111,7 +115,7 @@ void TraceRecorder::onObjectRegistered(const runtime::Execution&, std::int32_t i
     valueState_.add(cvQueueContribution(h));
   }
   if (!name.empty()) {
-    names_.emplace(uid, name);  // keeps the first name seen; stable across runs
+    names_.try_emplace(uid, name);  // keeps the first name seen; stable across runs
   }
 }
 
@@ -183,9 +187,10 @@ void TraceRecorder::rollbackTo(std::size_t depth) {
   fullHash_.resize(depth);
   lazyHash_.resize(depth);
   records_.resize(depth);
-  syncClocks_.truncate(depth);
-  fullClocks_.truncate(depth);
-  lazyClocks_.truncate(depth);
+  // Unbuilt arenas hold no rows to truncate.
+  if (syncRows_) syncClocks_.truncate(depth);
+  if (fullRows_) fullClocks_.truncate(depth);
+  if (lazyRows_) lazyClocks_.truncate(depth);
   prefixFull_ = cp.prefixFull;
   prefixLazy_ = cp.prefixLazy;
   prefixValue_ = cp.prefixValue;
@@ -267,11 +272,17 @@ TraceRecorder::ObjectHistory& TraceRecorder::history(std::int32_t objectIndex) {
   return objects_[i];
 }
 
-const ClockArena& TraceRecorder::arena(Relation r) const noexcept {
+const ClockArena& TraceRecorder::arena(Relation r) const {
   switch (r) {
-    case Relation::Sync: return syncClocks_;
-    case Relation::Full: return fullClocks_;
-    case Relation::Lazy: return lazyClocks_;
+    case Relation::Sync:
+      LAZYHB_CHECK(syncRows_);
+      return syncClocks_;
+    case Relation::Full:
+      LAZYHB_CHECK(fullRows_);
+      return fullClocks_;
+    case Relation::Lazy:
+      LAZYHB_CHECK(lazyRows_);
+      return lazyClocks_;
     case Relation::Value: break;  // an equivalence, not a clock-bearing relation
   }
   LAZYHB_UNREACHABLE("bad relation");
@@ -320,27 +331,21 @@ void sortUnique(std::vector<std::int32_t>& v) {
   v.resize(out);
 }
 
-/// Start one event's clock row in `arena`: copy the thread's running clock
-/// (its previous event's row, or zeros for a thread's first event).
-std::uint32_t* startClockRow(ClockArena& arena, std::int32_t copyFrom) {
-  std::uint32_t* row = arena.appendRow();
-  const std::size_t bytes = arena.stride() * sizeof(std::uint32_t);
-  if (copyFrom >= 0) {
-    std::memcpy(row, arena.row(static_cast<std::size_t>(copyFrom)), bytes);
-  } else {
-    std::memset(row, 0, bytes);
-  }
-  return row;
-}
-
-/// Build one event's clock row: running clock, join the direct
-/// predecessors, tick the thread's own component. All span loops are
-/// branch-free over the arena's fixed stride.
+/// Build one event's clock row: the thread's running clock (its previous
+/// event's row, or zeros for a thread's first event), joined with the
+/// direct predecessors' rows, with the thread's own component ticked. All
+/// span loops are branch-free over the arena's fixed stride.
 void buildClockRow(ClockArena& arena, std::int32_t copyFrom,
                    const std::vector<std::int32_t>& preds, int tid,
                    std::uint32_t tick) {
-  std::uint32_t* row = startClockRow(arena, copyFrom);
+  std::uint32_t* row = arena.appendRow();
   const std::uint32_t stride = arena.stride();
+  if (copyFrom >= 0) {
+    std::memcpy(row, arena.row(static_cast<std::size_t>(copyFrom)),
+                stride * sizeof(std::uint32_t));
+  } else {
+    std::memset(row, 0, stride * sizeof(std::uint32_t));
+  }
   for (const std::int32_t p : preds) {
     joinClockSpans(row, arena.row(static_cast<std::size_t>(p)), stride);
   }
@@ -387,8 +392,8 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
   scratchSync_.clear();
   // Pred-set coincidence tracking: when every predecessor was pushed to all
   // three relations (the common predAll-only case), or at least to both the
-  // Full and Lazy ones, the per-relation scratch lists are identical and the
-  // clock-row builds below fuse into one pass over a single list.
+  // Full and Lazy ones, the per-relation scratch lists are identical, so
+  // only scratchFull_ needs sorting and the others alias it.
   bool lazySameAsFull = true;  // scratchLazy_ would equal scratchFull_
   bool syncSameAsFull = true;  // scratchSync_ would equal scratchFull_
   auto predAll = [&](std::int32_t p) {
@@ -509,48 +514,24 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
       break;
   }
 
+  // Full and Lazy are deduplicated always (the causal hashes are multiset
+  // combines over them); Sync only when its rows are built — nothing else
+  // reads it.
   sortUnique(scratchFull_);
   if (!lazySameAsFull) sortUnique(scratchLazy_);
-  if (!syncSameAsFull) sortUnique(scratchSync_);
+  if (syncRows_ && !syncSameAsFull) sortUnique(scratchSync_);
   const std::vector<std::int32_t>& lazyPreds =
       lazySameAsFull ? scratchFull_ : scratchLazy_;
   const std::vector<std::int32_t>& syncPreds =
       syncSameAsFull ? scratchFull_ : scratchSync_;
 
-  // Clocks: one arena row per relation, built from the thread's running
-  // clock (its previous event's row) and the direct predecessors' rows.
-  // When the pred sets coincide the three builds fuse into a single pass
-  // over one list (one loop, one set of index loads, three joins per pred).
+  // Clocks: one arena row per relation with a declared reader (Options),
+  // from the thread's running clock and the direct predecessors' rows.
   const std::int32_t copyFrom = ev.indexInThread > 0 ? prevEvent : -1;
   const auto tick = ev.indexInThread + 1;
-  if (lazySameAsFull && syncSameAsFull) {
-    std::uint32_t* syncRow = startClockRow(syncClocks_, copyFrom);
-    std::uint32_t* fullRow = startClockRow(fullClocks_, copyFrom);
-    std::uint32_t* lazyRow = startClockRow(lazyClocks_, copyFrom);
-    const std::uint32_t stride = syncClocks_.stride();
-    for (const std::int32_t p : scratchFull_) {
-      const auto row = static_cast<std::size_t>(p);
-      joinClockSpans(syncRow, syncClocks_.row(row), stride);
-      joinClockSpans(fullRow, fullClocks_.row(row), stride);
-      joinClockSpans(lazyRow, lazyClocks_.row(row), stride);
-    }
-    syncRow[t] = fullRow[t] = lazyRow[t] = tick;
-  } else if (lazySameAsFull) {
-    buildClockRow(syncClocks_, copyFrom, syncPreds, t, tick);
-    std::uint32_t* fullRow = startClockRow(fullClocks_, copyFrom);
-    std::uint32_t* lazyRow = startClockRow(lazyClocks_, copyFrom);
-    const std::uint32_t stride = fullClocks_.stride();
-    for (const std::int32_t p : scratchFull_) {
-      const auto row = static_cast<std::size_t>(p);
-      joinClockSpans(fullRow, fullClocks_.row(row), stride);
-      joinClockSpans(lazyRow, lazyClocks_.row(row), stride);
-    }
-    fullRow[t] = lazyRow[t] = tick;
-  } else {
-    buildClockRow(syncClocks_, copyFrom, syncPreds, t, tick);
-    buildClockRow(fullClocks_, copyFrom, scratchFull_, t, tick);
-    buildClockRow(lazyClocks_, copyFrom, lazyPreds, t, tick);
-  }
+  if (syncRows_) buildClockRow(syncClocks_, copyFrom, syncPreds, t, tick);
+  if (fullRows_) buildClockRow(fullClocks_, copyFrom, scratchFull_, t, tick);
+  if (lazyRows_) buildClockRow(lazyClocks_, copyFrom, lazyPreds, t, tick);
 
   // Data-race detection uses the sync clock, against pre-update histories.
   if (options_.detectRaces &&
@@ -560,12 +541,13 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
 
   // Causal hashes: label mixed with the multiset of direct predecessors'
   // hashes under each relation.
+  const support::Hash128 label = ev.labelHash();
   {
     support::MultisetHash acc;
     for (const std::int32_t p : scratchFull_) {
       acc.add(fullHash_[static_cast<std::size_t>(p)]);
     }
-    fullHash_.push_back(ev.labelHash().mixedWith(acc.digest()));
+    fullHash_.push_back(label.mixedWith(acc.digest()));
     prefixFull_.add(fullHash_.back());
   }
   {
@@ -574,7 +556,7 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
       acc.add(lazyHash_[static_cast<std::size_t>(p)]);
     }
     lazyHash_.push_back(
-        ev.labelHash().mixedWith(acc.digest()).mixedWith(support::hash128(0x1a2bULL)));
+        label.mixedWith(acc.digest()).mixedWith(support::hash128(0x1a2bULL)));
     prefixLazy_.add(lazyHash_.back());
   }
   {
@@ -583,7 +565,7 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
     // plus, for reads and RMWs, the value observed (the variable's
     // pre-value; Execution commits an RMW's post-value before recording, so
     // the recorder's own mirror is consulted, not the execution's).
-    support::Hash128 vh = ev.labelHash().mixedWith(support::hash128(kValueDomain));
+    support::Hash128 vh = label.mixedWith(support::hash128(kValueDomain));
     if (ev.kind == OpKind::Read) {
       // The event's own valueHash is the value the read observed — under
       // SC the variable's pre-value (identical to the mirror consulted for
@@ -832,9 +814,10 @@ const std::vector<std::int32_t>& TraceRecorder::eventPredecessors(
 }
 
 ClockView TraceRecorder::threadClock(Relation r, int tid) const {
+  const ClockArena& rows = arena(r);
   const auto i = static_cast<std::size_t>(tid);
   if (i >= threadCount_ || threadLastEvent_[i] < 0) return ClockView{};
-  return arena(r).view(static_cast<std::size_t>(threadLastEvent_[i]));
+  return rows.view(static_cast<std::size_t>(threadLastEvent_[i]));
 }
 
 void TraceRecorder::collectConflicts(const runtime::Execution& exec, int tid,

@@ -41,6 +41,13 @@
 //          per-relation clock rows, which live in flat ClockArena matrices
 //          (trace/clock_arena.hpp); a thread's running clock is simply its
 //          last event's row, so no per-thread clock storage exists at all.
+//          A relation's rows are built only when something reads them:
+//          Sync for the race detector (detectRaces), Full for DPOR
+//          (fullClocks), and all three for keepPredecessors (the Foata and
+//          graph layers). The fingerprints need only the causal hashes
+//          (Theorems 2.1/2.2), so the caching, dfs and random explorers
+//          build no rows at all; eventClock/threadClock on a relation whose
+//          rows are not built fail a check.
 //   cold — EventRecords (consulted by DPOR's race analysis and the race
 //          reports, not by the fingerprint loop) and per-event predecessor
 //          lists, the latter populated only under keepPredecessors.
@@ -100,10 +107,14 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   struct Options {
     /// Record per-event direct-predecessor lists (needed by the Foata
     /// canonicaliser, the HB graph export and the tests; not needed by the
-    /// experiment explorers, which only use fingerprints).
+    /// experiment explorers, which only use fingerprints). Also builds the
+    /// clock rows of all three relations.
     bool keepPredecessors = false;
-    /// Run the sync-HB data-race detector.
+    /// Run the sync-HB data-race detector (builds Sync clock rows).
     bool detectRaces = false;
+    /// Build Full clock rows for a caller that reads eventClock/threadClock
+    /// under Relation::Full — DPOR's race analysis.
+    bool fullClocks = false;
   };
 
   TraceRecorder();  // default options
@@ -169,12 +180,14 @@ class TraceRecorder final : public runtime::ExecutionObserver {
 
   // --- per-event data (valid until the next onExecutionStart) ----------------
   [[nodiscard]] const runtime::EventRecord& eventRecord(std::int32_t index) const;
+  /// Requires the relation's rows to be built (see Options).
   [[nodiscard]] ClockView eventClock(Relation r, std::int32_t index) const;
   [[nodiscard]] support::Hash128 eventHash(Relation r, std::int32_t index) const;
   [[nodiscard]] const std::vector<std::int32_t>& eventPredecessors(
       Relation r, std::int32_t index) const;
 
   /// Clock of thread `tid`'s most recent event (zero clock if none).
+  /// Requires the relation's rows to be built (see Options).
   [[nodiscard]] ClockView threadClock(Relation r, int tid) const;
 
   /// Event indices of already-executed events that conflict (under the Full
@@ -317,11 +330,16 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   [[nodiscard]] static support::Hash128 cvQueueContribution(const ObjectHistory& h) noexcept;
 
   ObjectHistory& history(std::int32_t objectIndex);
-  [[nodiscard]] const ClockArena& arena(Relation r) const noexcept;
+  /// The relation's clock arena; checks that its rows are built.
+  [[nodiscard]] const ClockArena& arena(Relation r) const;
   void checkRace(const runtime::Execution& exec,
                  const runtime::EventRecord& event, std::int32_t index);
 
   Options options_;
+  // Which relations' clock rows onEvent builds (derived from options_).
+  bool syncRows_;
+  bool fullRows_;
+  bool lazyRows_;
   std::size_t eventCount_ = 0;
 
   // Hot per-event arrays (indexed by event).

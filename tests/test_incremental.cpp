@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -60,7 +62,7 @@ std::vector<ScheduleTrace> tracedDfs(const explore::Program& program,
                                      std::uint64_t limit = 4000,
                                      std::uint64_t snapshotBudgetBytes = 0,
                                      memory::MemoryModel model = memory::MemoryModel::Sc) {
-  trace::TraceRecorder recorder;
+  trace::TraceRecorder recorder(trace::TraceRecorder::Options{.fullClocks = true});
   runtime::StackPool pool;
   explore::PrefixReplayEngine engine(
       pool, recorder, incremental,
@@ -663,6 +665,194 @@ TEST(IncrementalReplay, ValueFingerprintSurvivesRollbackAndReplay) {
   seed(fresh);
   for (const auto& ev : captured.events) fresh.onEvent(dummy, ev);
   EXPECT_EQ(fresh.fingerprint(trace::Relation::Value), valueEnd);
+}
+
+// --- execution reuse ---------------------------------------------------------
+
+/// Uniform random picks from a seed; abandons the run once `abandonAt`
+/// events have committed.
+class SeededPicker final : public runtime::Scheduler {
+ public:
+  SeededPicker(std::uint64_t seed, std::size_t abandonAt)
+      : rng_(seed), abandonAt_(abandonAt) {}
+
+  int pick(runtime::Execution& exec) override {
+    if (exec.events().size() == abandonAt_) return kAbandon;
+    const support::ThreadSet enabled = exec.enabled();
+    auto nth = rng_.below(static_cast<std::uint64_t>(enabled.size()));
+    int tid = enabled.first();
+    while (nth-- > 0) tid = enabled.next(tid);
+    return tid;
+  }
+
+ private:
+  support::Rng rng_;
+  std::size_t abandonAt_;
+};
+
+/// Everything one schedule exposes to an explorer.
+struct RunRecord {
+  runtime::Outcome outcome = runtime::Outcome::Terminal;
+  std::vector<int> choices;
+  std::vector<runtime::EventRecord> events;
+  support::Hash128 full;
+  support::Hash128 lazy;
+  support::Hash128 value;
+  support::Hash128 state;
+  runtime::Outcome violationKind = runtime::Outcome::Terminal;
+  std::string violationMessage;
+  std::vector<int> violationSchedule;
+};
+
+bool sameEvent(const runtime::EventRecord& a, const runtime::EventRecord& b) {
+  return a.threadIndex == b.threadIndex && a.indexInThread == b.indexInThread &&
+         a.kind == b.kind && a.aux == b.aux && a.threadUid == b.threadUid &&
+         a.objectUid == b.objectUid && a.objectIndex == b.objectIndex &&
+         a.mutexUid == b.mutexUid && a.mutexIndex == b.mutexIndex &&
+         a.signalPredecessor == b.signalPredecessor &&
+         a.spawnPredecessor == b.spawnPredecessor &&
+         a.joinPredecessor == b.joinPredecessor && a.valueHash == b.valueHash;
+}
+
+bool operator==(const RunRecord& a, const RunRecord& b) {
+  return a.outcome == b.outcome && a.choices == b.choices &&
+         std::equal(a.events.begin(), a.events.end(), b.events.begin(), b.events.end(),
+                    sameEvent) &&
+         a.full == b.full && a.lazy == b.lazy && a.value == b.value &&
+         a.state == b.state && a.violationKind == b.violationKind &&
+         a.violationMessage == b.violationMessage &&
+         a.violationSchedule == b.violationSchedule;
+}
+
+RunRecord capture(runtime::Outcome outcome, const runtime::Execution& exec,
+                  const trace::TraceRecorder& recorder) {
+  RunRecord r;
+  r.outcome = outcome;
+  r.choices = exec.choices();
+  r.events = exec.events();
+  r.full = recorder.fingerprint(trace::Relation::Full);
+  r.lazy = recorder.fingerprint(trace::Relation::Lazy);
+  r.value = recorder.fingerprint(trace::Relation::Value);
+  r.state = exec.stateFingerprint();
+  if (runtime::isViolation(outcome)) {
+    r.violationKind = exec.violation().kind;
+    r.violationMessage = exec.violation().message;
+    r.violationSchedule = exec.violation().schedule;
+  }
+  return r;
+}
+
+/// Checkpointable (engine-resident Shared<int>s, mutexes, stack handles).
+/// By schedule it terminates, deadlocks on the lock-order inversion, loses
+/// an update (assertion failure) or unlocks a mutex it does not hold.
+void mixedOutcomeProgram() {
+  Mutex a("a");
+  Mutex b("b");
+  Shared<int> counter{0, "counter"};
+  Shared<int> last{0, "last"};
+  ThreadHandle t1 = spawn([&] {
+    counter.store(counter.load() + 1);
+    LockGuard ga(a);
+    LockGuard gb(b);
+    last.store(1);
+  });
+  ThreadHandle t2 = spawn([&] {
+    counter.store(counter.load() + 1);
+    LockGuard gb(b);
+    LockGuard ga(a);
+    last.store(2);
+  });
+  t1.join();
+  t2.join();
+  if (counter.load() == 2 && last.load() == 2) a.unlock();  // not held
+  checkAlways(counter.load() == 2, "lost update");
+}
+
+/// Heap-owning stack locals (a vector of strings grown by both threads) and
+/// a lost-update bug.
+void heapBuggyProgram() {
+  std::vector<std::string> log;
+  Shared<int> x{0, "x"};
+  std::vector<ThreadHandle> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.push_back(spawn([&, i] {
+      const int v = x.load();
+      x.store(v + 1);
+      log.push_back("worker " + std::to_string(i) + " stored its increment");
+    }));
+  }
+  for (ThreadHandle& t : threads) t.join();
+  checkAlways(x.load() == 2 && log.size() == 2, "lost update");
+}
+
+/// Runs one schedule sequence twice — through a single PrefixReplayEngine
+/// (one Execution, reset between schedules) and through a fresh Execution
+/// and recorder per schedule — and requires identical records. The
+/// sequence alternates the two programs and the two memory models and
+/// varies the event limit and abandon depth, so reset sees every way a
+/// schedule can end, under both models, followed by either model.
+void expectReuseInvisible(bool resumable) {
+  const explore::Program programs[] = {mixedOutcomeProgram, heapBuggyProgram};
+  const memory::MemoryModel models[] = {memory::MemoryModel::Sc,
+                                        memory::MemoryModel::Tso};
+  runtime::StackPool reusedPool;
+  trace::TraceRecorder reusedRecorder;
+  // No checkpoint is ever staged, so the resumable variant only defers
+  // teardown to the next reset; the heap program is safe under it.
+  explore::PrefixReplayEngine engine(reusedPool, reusedRecorder, resumable, resumable,
+                                     0);
+  std::set<runtime::Outcome> seen[2];
+  const runtime::Execution* only = nullptr;
+  for (std::uint64_t k = 0; k < 480; ++k) {
+    const explore::Program& program = programs[k % 2];
+    runtime::Config config;
+    config.memoryModel = models[(k / 2) % 2];
+    if (k % 7 == 3) config.maxEventsPerSchedule = 6;
+    const std::size_t abandonAt = k % 5 == 1 ? 4 : static_cast<std::size_t>(-1);
+    const std::uint64_t seed = support::mix64(0x5eedULL + k);
+
+    SeededPicker reusedPicker(seed, abandonAt);
+    const explore::PrefixReplayEngine::Session session =
+        engine.beginSchedule(config, &reusedRecorder);
+    ASSERT_FALSE(session.resumed);
+    if (only == nullptr) only = session.exec;
+    EXPECT_EQ(session.exec, only) << "the engine allocated a second Execution";
+    const runtime::Outcome reusedOutcome = session.exec->run(program, reusedPicker);
+    const RunRecord reused = capture(reusedOutcome, *session.exec, reusedRecorder);
+
+    runtime::StackPool freshPool;
+    trace::TraceRecorder freshRecorder;
+    runtime::Execution fresh(config, freshPool, &freshRecorder);
+    SeededPicker freshPicker(seed, abandonAt);
+    const runtime::Outcome freshOutcome = fresh.run(program, freshPicker);
+    const RunRecord expected = capture(freshOutcome, fresh, freshRecorder);
+
+    EXPECT_TRUE(reused == expected)
+        << memory::memoryModelName(config.memoryModel)
+        << (resumable ? " resumable" : "") << ": schedule " << k
+        << " differs on the reused execution (" << runtime::outcomeName(reusedOutcome)
+        << " vs " << runtime::outcomeName(freshOutcome) << ")";
+    seen[(k / 2) % 2].insert(freshOutcome);
+  }
+  for (int m = 0; m < 2; ++m) {
+    for (const runtime::Outcome o :
+         {runtime::Outcome::Terminal, runtime::Outcome::Deadlock,
+          runtime::Outcome::AssertionFailure, runtime::Outcome::UsageError,
+          runtime::Outcome::EventLimit, runtime::Outcome::Abandoned}) {
+      EXPECT_TRUE(seen[m].count(o) == 1)
+          << memory::memoryModelName(models[m]) << ": the sequence never ended in "
+          << runtime::outcomeName(o);
+    }
+  }
+}
+
+TEST(ExecutionReuse, ReusedExecutionMatchesFreshOnes) { expectReuseInvisible(false); }
+
+TEST(ExecutionReuse, ReusedResumableExecutionMatchesFreshOnes) {
+  if (!runtime::Execution::checkpointingSupported()) {
+    GTEST_SKIP() << "resumable executions need fiber snapshots";
+  }
+  expectReuseInvisible(true);
 }
 
 // --- arena truncation --------------------------------------------------------

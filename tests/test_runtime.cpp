@@ -180,6 +180,60 @@ TEST(Runtime, StackPoolReusesStacks) {
   EXPECT_EQ(pool.pooledCount(), 1u);
 }
 
+TEST(Runtime, RearmedFiberRunsItsNewEntryFromTheTop) {
+  StackPool pool(64 * 1024);
+  std::vector<int> log;
+  runtime::Fiber* self = nullptr;
+  // First entry: parks once, then returns — the way teardown finishes a
+  // fiber, by running it forward to the end of its entry.
+  runtime::Fiber fiber(pool, [&] {
+    log.push_back(10);
+    self->yieldToHost();
+    log.push_back(11);
+  });
+  self = &fiber;
+  fiber.resume();
+  fiber.resume();
+  ASSERT_TRUE(fiber.finished());
+
+  // Second entry, re-armed on the finished fiber: starts from the top and
+  // ends by throwing AbandonExecution (a failed checkAlways).
+  fiber.rearm([&] {
+    log.push_back(20);
+    self->yieldToHost();
+    log.push_back(21);
+    throw runtime::AbandonExecution{};
+  });
+  EXPECT_FALSE(fiber.finished());
+  fiber.resume();
+  EXPECT_EQ(log, (std::vector<int>{10, 11, 20}));
+  EXPECT_FALSE(fiber.finished());
+  fiber.resume();
+  ASSERT_TRUE(fiber.finished());
+
+  // Third entry after the abandoned one.
+  fiber.rearm([&] { log.push_back(30); });
+  fiber.resume();
+  EXPECT_TRUE(fiber.finished());
+  EXPECT_EQ(log, (std::vector<int>{10, 11, 20, 21, 30}));
+
+  if (runtime::Fiber::kSnapshotSupported) {
+    // A fiber dropped mid-entry by a rollback also re-arms cleanly.
+    fiber.rearm([&] {
+      log.push_back(40);
+      self->yieldToHost();
+      log.push_back(41);
+    });
+    fiber.resume();
+    fiber.abandonForRollback();
+    fiber.rearm([&] { log.push_back(50); });
+    fiber.resume();
+    EXPECT_TRUE(fiber.finished());
+    EXPECT_EQ(log, (std::vector<int>{10, 11, 20, 21, 30, 40, 50}));
+  }
+  EXPECT_EQ(pool.pooledCount(), 0u);  // one stack throughout
+}
+
 /// Abandon an execution after exactly k events; used to sweep teardown
 /// through every possible prune depth.
 class AbandonAfter final : public runtime::Scheduler {
@@ -224,6 +278,29 @@ TEST(Runtime, TeardownSafeAtEveryDepth) {
     const Outcome outcome = exec.run(body, sched);
     EXPECT_TRUE(outcome == Outcome::Abandoned || outcome == Outcome::Terminal)
         << "k=" << k;
+  }
+
+  // The same sweep on one reused execution: reset() must leave nothing of
+  // a pruned run behind, in either teardown mode (immediate, or deferred
+  // to the reset for resumable executions).
+  for (const bool resumable : {false, true}) {
+    if (resumable && !Execution::checkpointingSupported()) continue;
+    StackPool reusedPool;
+    Execution exec(Config{}, reusedPool, nullptr);
+    for (std::size_t k = 0; k < 40; ++k) {
+      exec.reset();
+      if (resumable) exec.enableResumable();
+      AbandonAfter sched(k);
+      const Outcome outcome = exec.run(body, sched);
+      EXPECT_TRUE(outcome == Outcome::Abandoned || outcome == Outcome::Terminal)
+          << "k=" << k << (resumable ? " resumable" : "");
+      if (outcome == Outcome::Abandoned) {
+        EXPECT_EQ(exec.choices().size(), k);
+      }
+    }
+    // Fibers were recycled through the execution's free list, never
+    // returned to the pool.
+    EXPECT_EQ(reusedPool.pooledCount(), 0u);
   }
 }
 

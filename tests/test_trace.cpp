@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "explore/dfs_explorer.hpp"
+#include "explore/dpor_explorer.hpp"
 #include "explore/replay.hpp"
 #include "runtime/api.hpp"
 #include "test_helpers.hpp"
@@ -422,5 +423,96 @@ TEST(ValueFingerprint, IntermediateObservationsSplitWithinOneState) {
   EXPECT_LE(e.value.size(), e.lazy.size());
 }
 
-}  // namespace
+// --- clock consumers ----------------------------------------------------------
+// A relation's clock rows are built only for the callers that read them:
+// keepPredecessors (all three), detectRaces (Sync), fullClocks (Full — what
+// DPOR declares). Fingerprints never need them.
 
+/// A racy two-thread program with a lock and a spawn/join scaffold: every
+/// relation has inter-thread edges.
+void clockProgram() {
+  Shared<int> x{0, "x"};
+  Mutex m("m");
+  auto t = spawn([&] {
+    LockGuard guard(m);
+    x.store(x.load() + 1);
+  });
+  {
+    LockGuard guard(m);
+    x.store(x.load() + 2);
+  }
+  t.join();
+}
+
+/// Every event's clock row under `r`, flattened.
+std::vector<std::vector<std::uint32_t>> clockRows(const TraceRecorder& recorder, Relation r) {
+  std::vector<std::vector<std::uint32_t>> rows;
+  for (std::size_t i = 0; i < recorder.eventCount(); ++i) {
+    const trace::ClockView view = recorder.eventClock(r, static_cast<std::int32_t>(i));
+    rows.emplace_back(view.data(), view.data() + view.width());
+  }
+  return rows;
+}
+
+void recordClockProgram(TraceRecorder& recorder) {
+  runtime::StackPool pool;
+  runtime::Execution exec(runtime::Config{}, pool, &recorder);
+  explore::FixedScheduler scheduler({});
+  (void)exec.run(clockProgram, scheduler);
+}
+
+TEST(ClockConsumers, KeepPredecessorsRecorderAnswersAllThreeRelations) {
+  TraceRecorder recorder(TraceRecorder::Options{.keepPredecessors = true});
+  recordClockProgram(recorder);
+  ASSERT_GT(recorder.eventCount(), 4u);
+  for (const Relation r : {Relation::Sync, Relation::Full, Relation::Lazy}) {
+    EXPECT_EQ(clockRows(recorder, r).size(), recorder.eventCount()) << relationName(r);
+    EXPECT_GT(recorder.threadClock(r, 0).get(0), 0u) << relationName(r);
+  }
+}
+
+TEST(ClockConsumers, RowsBuiltAloneMatchRowsBuiltTogether) {
+  // The single-relation builds (DPOR's Full rows, the race detector's Sync
+  // rows) must produce exactly the rows the fused all-relation build does.
+  TraceRecorder all(TraceRecorder::Options{.keepPredecessors = true});
+  TraceRecorder fullOnly(TraceRecorder::Options{.fullClocks = true});
+  TraceRecorder syncOnly(TraceRecorder::Options{.detectRaces = true});
+  recordClockProgram(all);
+  recordClockProgram(fullOnly);
+  recordClockProgram(syncOnly);
+  EXPECT_EQ(clockRows(fullOnly, Relation::Full), clockRows(all, Relation::Full));
+  EXPECT_EQ(clockRows(syncOnly, Relation::Sync), clockRows(all, Relation::Sync));
+  // Fingerprints do not depend on which rows were built.
+  EXPECT_EQ(fullOnly.fingerprint(Relation::Lazy), all.fingerprint(Relation::Lazy));
+  EXPECT_EQ(syncOnly.fingerprint(Relation::Full), all.fingerprint(Relation::Full));
+}
+
+TEST(ClockConsumers, DporExplorerDeclaresItsFullClocks) {
+  // DPOR's race analysis reads eventClock/threadClock(Full) at every
+  // scheduling point with a conflict; a recorder without Full rows would
+  // fail its check and abort the exploration.
+  explore::ExplorerOptions options;
+  options.scheduleLimit = 1000;
+  explore::DporExplorer explorer(options);
+  const explore::ExplorationResult result = explorer.explore(clockProgram);
+  EXPECT_TRUE(result.complete);
+  EXPECT_GT(result.schedulesExecuted, 1u);  // the race was found and reversed
+}
+
+TEST(ClockConsumersDeathTest, RecorderWithoutRowsDiesOnClockReads) {
+  TraceRecorder plain;
+  recordClockProgram(plain);
+  ASSERT_GT(plain.eventCount(), 0u);
+  EXPECT_DEATH((void)plain.eventClock(Relation::Full, 0), "fullRows_");
+  EXPECT_DEATH((void)plain.threadClock(Relation::Full, 0), "fullRows_");
+  EXPECT_DEATH((void)plain.eventClock(Relation::Sync, 0), "syncRows_");
+  EXPECT_DEATH((void)plain.threadClock(Relation::Lazy, 0), "lazyRows_");
+
+  TraceRecorder fullOnly(TraceRecorder::Options{.fullClocks = true});
+  recordClockProgram(fullOnly);
+  EXPECT_GT(fullOnly.threadClock(Relation::Full, 0).get(0), 0u);
+  EXPECT_DEATH((void)fullOnly.eventClock(Relation::Lazy, 0), "lazyRows_");
+  EXPECT_DEATH((void)fullOnly.threadClock(Relation::Sync, 0), "syncRows_");
+}
+
+}  // namespace
