@@ -14,6 +14,8 @@
 // experimental §4 combination loses states (its caveat).
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "campaign/explorer_spec.hpp"
@@ -22,6 +24,7 @@ using namespace lazyhb;
 
 namespace {
 
+/// One variant's row, summed over its campaign cells.
 struct Totals {
   std::uint64_t schedules = 0;
   std::uint64_t lazyHbrs = 0;
@@ -51,50 +54,39 @@ constexpr Variant kVariants[] = {
 int main(int argc, char** argv) {
   auto options = bench::corpusOptions(
       "ablation_dpor", "explorer-variant ablation over the corpus");
-  // Six explorers over the whole corpus: default to a lighter budget than
-  // the figure benches (the regime comparison is identical).
   if (!options.parse(argc, argv)) return options.parseError() ? 1 : 0;
 
-  const auto corpus = bench::selectCorpus(options);
-  auto limit = static_cast<std::uint64_t>(options.getInt("limit"));
-  if (limit == 10000) limit = 2000;  // lighter default for 6x79 explorations
-  const auto maxEvents = static_cast<std::uint32_t>(options.getInt("max-events"));
-
-  std::printf("Explorer ablation, %llu-schedule budget per benchmark, %zu benchmarks\n\n",
-              static_cast<unsigned long long>(limit), corpus.size());
-
-  support::Table table({"explorer", "schedules(total)", "lazyHBRs(total)",
-                        "states(total)", "bug-benchmarks-caught", "exhausted"});
+  std::vector<campaign::ExplorerSpec> explorers;
   for (const Variant& variant : kVariants) {
     const auto parsed = campaign::parseExplorerSpec(variant.mode);
     if (!parsed) {
       std::fprintf(stderr, "unknown explorer mode '%s'\n", variant.mode);
       return 1;
     }
-    const campaign::ExplorerSpec& explorerSpec = *parsed;
-    const auto totalsPerBenchmark = bench::runCorpus<Totals>(
-        corpus, static_cast<int>(options.getInt("jobs")),
-        [&](const programs::ProgramSpec& spec) {
-          explore::ExplorerOptions exploreOptions;
-          exploreOptions.scheduleLimit = limit;
-          exploreOptions.maxEventsPerSchedule = maxEvents;
-          auto explorer = explorerSpec.create(exploreOptions, 42);
-          const auto result = explorer->explore(spec.body);
-          Totals t;
-          t.schedules = result.schedulesExecuted;
-          t.lazyHbrs = result.distinctLazyHbrs;
-          t.states = result.distinctStates;
-          t.violationsFound = result.foundViolation() ? 1 : 0;
-          t.complete = result.complete ? 1 : 0;
-          return t;
-        });
+    explorers.push_back(*parsed);
+  }
+  auto campaignOptions = bench::campaignOptions(options, std::move(explorers));
+  // Six explorers over the whole corpus: default to a lighter budget than
+  // the figure benches (the regime comparison is identical).
+  std::uint64_t& limit = campaignOptions.explorer.scheduleLimit;
+  if (limit == 10000) limit = 2000;
+
+  std::printf("Explorer ablation, %llu-schedule budget per benchmark, %zu benchmarks\n\n",
+              static_cast<unsigned long long>(limit),
+              campaignOptions.programs.size());
+  const campaign::CampaignResult result = campaign::runCampaign(campaignOptions);
+
+  support::Table table({"explorer", "schedules(total)", "lazyHBRs(total)",
+                        "states(total)", "bug-benchmarks-caught", "exhausted"});
+  for (const Variant& variant : kVariants) {
     Totals sum;
-    for (const Totals& t : totalsPerBenchmark) {
-      sum.schedules += t.schedules;
-      sum.lazyHbrs += t.lazyHbrs;
-      sum.states += t.states;
-      sum.violationsFound += t.violationsFound;
-      sum.complete += t.complete;
+    for (const campaign::CellResult& cell : result.cells) {
+      if (cell.explorer != variant.mode) continue;
+      sum.schedules += cell.stats.schedulesExecuted;
+      sum.lazyHbrs += cell.stats.distinctLazyHbrs;
+      sum.states += cell.stats.distinctStates;
+      sum.violationsFound += cell.stats.foundViolation() ? 1 : 0;
+      sum.complete += cell.stats.complete ? 1 : 0;
     }
     table.beginRow();
     table.cell(std::string(variant.label));

@@ -1,29 +1,23 @@
-// Shared driver for the figure/table reproduction benches: runs an explorer
-// over the benchmark corpus (optionally in parallel — explorations of
-// distinct benchmarks are independent), and prints aligned tables plus
-// optional CSV for external plotting.
+// Shared driver for the figure/table reproduction benches: the corpus
+// flags, the --only selection, and aligned tables plus optional CSV for
+// external plotting.
 //
-// Benches whose measurement is a plain (programs × explorers) matrix go
-// through the campaign layer (campaignOptions/maybeWriteReport below), so
-// their tables come from the same aggregator as `lazyhb bench` and they can
-// dump the same versioned BENCH_*.json via --out. Benches with bespoke
-// per-benchmark procedures (ablation_dpor, tab_inequality,
-// tab_theorem_check) use runCorpus, which fans them out on the campaign's
-// WorkStealingPool.
+// Benches whose measurement is a (programs × explorers) matrix go through
+// the campaign layer (campaignOptions/maybeWriteReport below), so their
+// tables come from the same runner as `lazyhb bench` and they can dump the
+// same versioned BENCH_*.json via --out. tab_theorem_check alone runs a
+// bespoke per-benchmark procedure (per-program random seeds) on the
+// campaign's WorkStealingPool directly.
 
 #pragma once
 
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/report.hpp"
-#include "campaign/work_stealing_pool.hpp"
-#include "explore/explorer.hpp"
 #include "programs/registry.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
@@ -50,22 +44,6 @@ inline std::vector<const programs::ProgramSpec*> selectCorpus(
     if (only.empty() || spec.name == only) selected.push_back(&spec);
   }
   return selected;
-}
-
-/// Run `explore(spec)` for every selected benchmark across `jobs` pool
-/// threads; results land in a vector parallel to the selection.
-template <typename Result>
-std::vector<Result> runCorpus(
-    const std::vector<const programs::ProgramSpec*>& corpus, int jobs,
-    const std::function<Result(const programs::ProgramSpec&)>& explore) {
-  std::vector<Result> results(corpus.size());
-  std::vector<campaign::WorkStealingPool::Task> tasks;
-  tasks.reserve(corpus.size());
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    tasks.push_back([&, i] { results[i] = explore(*corpus[i]); });
-  }
-  campaign::WorkStealingPool(jobs).run(std::move(tasks));
-  return results;
 }
 
 /// Build campaign options from the shared corpus flags for a matrix bench

@@ -20,7 +20,6 @@
 #include "support/rng.hpp"
 #include "trace/clock_arena.hpp"
 #include "trace/foata.hpp"
-#include "trace/vector_clock.hpp"
 
 namespace {
 
@@ -100,26 +99,9 @@ BENCHMARK(BM_DporExplorationComplete);
 
 // --- vector clocks ------------------------------------------------------------
 
-void BM_VectorClockJoin(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  trace::VectorClock a;
-  trace::VectorClock b;
-  support::Rng rng(7);
-  for (int i = 0; i < width; ++i) {
-    a.set(i, static_cast<std::uint32_t>(rng.below(1000)));
-    b.set(i, static_cast<std::uint32_t>(rng.below(1000)));
-  }
-  for (auto _ : state) {
-    a.joinWith(b);
-    benchmark::DoNotOptimize(a);
-  }
-}
-BENCHMARK(BM_VectorClockJoin)->Arg(4)->Arg(16)->Arg(64);
-
 void BM_ClockArenaJoin(benchmark::State& state) {
-  // The recorder's actual clock primitive: a branch-free span join between
-  // two arena rows (compare against BM_VectorClockJoin above, the owning
-  // fallback the Foata/test layers use).
+  // The recorder's clock primitive: a branch-free span join between two
+  // arena rows.
   const auto width = static_cast<std::uint32_t>(state.range(0));
   trace::ClockArena arena{width};
   support::Rng rng(7);

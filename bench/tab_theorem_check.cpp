@@ -14,9 +14,12 @@
 // each relation achieves: classes per state.
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "campaign/explorer_spec.hpp"
+#include "campaign/work_stealing_pool.hpp"
 
 using namespace lazyhb;
 
@@ -71,6 +74,21 @@ Row checkBenchmark(const programs::ProgramSpec& spec, std::uint64_t limit,
   return row;
 }
 
+/// Check every selected benchmark across `jobs` pool threads; rows land in
+/// a vector parallel to the selection.
+std::vector<Row> runCorpus(const std::vector<const programs::ProgramSpec*>& corpus,
+                           int jobs, std::uint64_t limit, std::uint32_t maxEvents) {
+  std::vector<Row> rows(corpus.size());
+  std::vector<campaign::WorkStealingPool::Task> tasks;
+  tasks.reserve(corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    tasks.push_back(
+        [&, i] { rows[i] = checkBenchmark(*corpus[i], limit, maxEvents); });
+  }
+  campaign::WorkStealingPool(jobs).run(std::move(tasks));
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,11 +105,8 @@ int main(int argc, char** argv) {
               "%llu-schedule budget\n\n",
               static_cast<unsigned long long>(limit));
 
-  const auto rows = bench::runCorpus<Row>(
-      corpus, static_cast<int>(options.getInt("jobs")),
-      [&](const programs::ProgramSpec& spec) {
-        return checkBenchmark(spec, limit, maxEvents);
-      });
+  const std::vector<Row> rows = runCorpus(
+      corpus, static_cast<int>(options.getInt("jobs")), limit, maxEvents);
 
   support::Table table({"id", "benchmark", "terminal-scheds", "HBR-classes",
                         "lazy-classes", "value-classes", "states",

@@ -33,6 +33,10 @@
 
 namespace lazyhb {
 
+namespace campaign {
+struct CampaignOptions;
+}  // namespace campaign
+
 inline constexpr const char* kTestReportSchemaName = "lazyhb-test-report";
 inline constexpr int kTestReportSchemaVersion = 2;
 
@@ -207,6 +211,11 @@ class Session {
   [[nodiscard]] static std::vector<std::string> strategies();
 
  private:
+  /// Maps these knobs onto the engine's per-cell options and seed — the
+  /// one mapping run(), Suite::run and `lazyhb bench` share (internal;
+  /// declared in api/session_options.hpp).
+  friend campaign::CampaignOptions sessionOptions(const Session& session);
+
   struct Config {
     std::string strategy = "caching-lazy";
     std::uint64_t scheduleLimit = 10'000;

@@ -34,11 +34,12 @@
 #include <vector>
 
 #include "lazyhb/progress.hpp"
+#include "lazyhb/session.hpp"
 
 namespace lazyhb {
 
 inline constexpr const char* kSuiteReportSchemaName = "lazyhb-bench-report";
-inline constexpr int kSuiteReportSchemaVersion = 5;
+inline constexpr int kSuiteReportSchemaVersion = 8;
 
 /// One (scenario, strategy) cell of the suite matrix — the public mirror of
 /// the campaign report's cell block.
@@ -96,9 +97,10 @@ struct SuiteReport {
     return inequalityViolations == 0;
   }
 
-  /// The versioned lazyhb-bench-report JSON document (schema v5,
-  /// newline-terminated) — the same document `lazyhb bench --out` writes,
-  /// accepted by `lazyhb merge` and tools/bench_diff.py.
+  /// The versioned lazyhb-bench-report JSON document (schema
+  /// kSuiteReportSchemaVersion, newline-terminated) — the same document
+  /// `lazyhb bench --out` writes, accepted by `lazyhb merge` and
+  /// tools/bench_diff.py.
   [[nodiscard]] const std::string& toJson() const noexcept { return json_; }
 
   /// One human-readable summary line (no trailing newline).
@@ -171,13 +173,10 @@ class Suite {
   struct Config {
     std::vector<std::string> selectors;
     std::vector<std::string> strategies;
-    std::uint64_t scheduleLimit = 10'000;
-    std::uint32_t maxEventsPerSchedule = 1u << 16;
-    std::uint64_t seed = 42;
-    bool incremental = true;
-    std::string memoryModel = "sc";
+    /// The per-cell knobs, held and mapped to the engine exactly as a
+    /// Session's are.
+    Session cell;
     int jobs = 0;
-    int workers = 1;
     int shardIndex = 0;
     int shardCount = 1;
     std::string checkpointDir;

@@ -1,7 +1,8 @@
 // Implementation of the public embedding facade (lazyhb/session.hpp).
 //
 // Session is a thin, loss-free adapter: run() maps the builder's config
-// onto ExplorerOptions, constructs the explorer through the same
+// onto ExplorerOptions (sessionOptions, the mapping Suite and the CLI's
+// bench share), constructs the explorer through the same
 // campaign::ExplorerSpec factory every other consumer uses, and copies the
 // ExplorationResult field-for-field into the public TestReport. No count is
 // computed differently from the direct construction path — the parity test
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "api/session_options.hpp"
 #include "campaign/explorer_spec.hpp"
 #include "explore/explorer.hpp"
 #include "explore/replay.hpp"
@@ -146,6 +148,24 @@ Session& Session::progressInterval(std::uint64_t schedules) {
   return *this;
 }
 
+campaign::CampaignOptions sessionOptions(const Session& session) {
+  const Session::Config& config = session.config_;
+  campaign::CampaignOptions options;
+  options.explorer.scheduleLimit = config.scheduleLimit;
+  options.explorer.maxEventsPerSchedule = config.maxEventsPerSchedule;
+  options.explorer.memoryModel = resolveMemoryModel(config.memoryModel);
+  options.explorer.detectRaces = config.detectRaces;
+  options.explorer.checkTheorems = config.checkTheorems;
+  options.explorer.stopOnFirstViolation = config.stopOnFirstViolation;
+  options.explorer.maxViolationsKept = config.maxViolationsKept;
+  options.explorer.incremental = config.incremental;
+  options.explorer.checkpointable = config.checkpointable;
+  options.explorer.workers = config.workers;
+  options.explorer.snapshotBudgetBytes = config.snapshotBudgetBytes;
+  options.seed = config.seed;
+  return options;
+}
+
 std::vector<std::string> Session::strategies() {
   std::vector<std::string> names;
   for (const campaign::ExplorerSpec& spec : campaign::allExplorers()) {
@@ -165,18 +185,8 @@ TestReport Session::run(const Program& program) const {
                                 campaign::explorerNamesHelp(true) + ")");
   }
 
-  explore::ExplorerOptions options;
-  options.scheduleLimit = config_.scheduleLimit;
-  options.maxEventsPerSchedule = config_.maxEventsPerSchedule;
-  options.memoryModel = resolveMemoryModel(config_.memoryModel);
-  options.detectRaces = config_.detectRaces;
-  options.checkTheorems = config_.checkTheorems;
-  options.stopOnFirstViolation = config_.stopOnFirstViolation;
-  options.maxViolationsKept = config_.maxViolationsKept;
-  options.incremental = config_.incremental;
-  options.checkpointable = config_.checkpointable;
-  options.workers = config_.workers;
-  options.snapshotBudgetBytes = config_.snapshotBudgetBytes;
+  const campaign::CampaignOptions cell = sessionOptions(*this);
+  explore::ExplorerOptions options = cell.explorer;
   if (config_.progress) {
     // Adapt the engine's raw schedule tick into the public ProgressEvent.
     // A non-null onScheduleTick also disqualifies the options from
@@ -200,7 +210,7 @@ TestReport Session::run(const Program& program) const {
     };
   }
 
-  const auto explorer = spec->create(options, config_.seed);
+  const auto explorer = spec->create(options, cell.seed);
   const auto start = std::chrono::steady_clock::now();
   const explore::ExplorationResult result = explorer->explore(program);
   const std::chrono::duration<double> elapsed =

@@ -12,10 +12,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "api/session_options.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/explorer_spec.hpp"
 #include "campaign/report.hpp"
-#include "memory/memory_model.hpp"
 #include "programs/registry.hpp"
 
 namespace lazyhb {
@@ -33,27 +33,27 @@ Suite& Suite::strategies(std::vector<std::string> names) {
 }
 
 Suite& Suite::schedules(std::uint64_t limit) {
-  config_.scheduleLimit = limit;
+  config_.cell.schedules(limit);
   return *this;
 }
 
 Suite& Suite::maxEventsPerSchedule(std::uint32_t events) {
-  config_.maxEventsPerSchedule = events;
+  config_.cell.maxEventsPerSchedule(events);
   return *this;
 }
 
 Suite& Suite::seed(std::uint64_t value) {
-  config_.seed = value;
+  config_.cell.seed(value);
   return *this;
 }
 
 Suite& Suite::incremental(bool on) {
-  config_.incremental = on;
+  config_.cell.incremental(on);
   return *this;
 }
 
 Suite& Suite::memoryModel(std::string model) {
-  config_.memoryModel = std::move(model);
+  config_.cell.memoryModel(std::move(model));
   return *this;
 }
 
@@ -63,7 +63,7 @@ Suite& Suite::jobs(int count) {
 }
 
 Suite& Suite::workers(int count) {
-  config_.workers = count;
+  config_.cell.workers(count);
   return *this;
 }
 
@@ -98,8 +98,11 @@ Suite& Suite::onProgress(ProgressCallback callback) {
   return *this;
 }
 
+static_assert(kSuiteReportSchemaVersion == campaign::kReportSchemaVersion,
+              "SuiteReport::toJson() is the campaign report document");
+
 SuiteReport Suite::run() const {
-  campaign::CampaignOptions options;
+  campaign::CampaignOptions options = sessionOptions(config_.cell);
 
   for (const std::string& name : config_.strategies) {
     const auto spec = campaign::parseExplorerSpec(name);
@@ -118,18 +121,6 @@ SuiteReport Suite::run() const {
                                 "(see lazyhb::scenarios())");
   }
 
-  options.explorer.scheduleLimit = config_.scheduleLimit;
-  options.explorer.maxEventsPerSchedule = config_.maxEventsPerSchedule;
-  options.explorer.incremental = config_.incremental;
-  const auto model = memory::parseMemoryModel(config_.memoryModel);
-  if (!model) {
-    throw std::invalid_argument("lazyhb: unknown memory model '" +
-                                config_.memoryModel + "' (expected one of: " +
-                                memory::memoryModelNamesHelp() + ")");
-  }
-  options.explorer.memoryModel = *model;
-  options.explorer.workers = config_.workers;
-  options.seed = config_.seed;
   options.jobs = config_.jobs;
   options.shardIndex = config_.shardIndex;
   options.shardCount = config_.shardCount;

@@ -221,14 +221,17 @@ CampaignResult runCampaign(const CampaignOptions& options) {
         " out of range for " + std::to_string(options.shardCount) + " shard(s)");
   }
 
-  std::vector<ExplorerSpec> explorers = options.explorers;
-  if (explorers.empty()) explorers = allExplorers();
-  std::vector<const programs::ProgramSpec*> corpus = options.programs;
-  if (corpus.empty()) {
+  // The matrix axes, defaults filled in: the journal's manifest records
+  // these resolved lists.
+  CampaignOptions resolved = options;
+  if (resolved.explorers.empty()) resolved.explorers = allExplorers();
+  if (resolved.programs.empty()) {
     for (const programs::ProgramSpec& spec : programs::all()) {
-      corpus.push_back(&spec);
+      resolved.programs.push_back(&spec);
     }
   }
+  const std::vector<ExplorerSpec>& explorers = resolved.explorers;
+  const std::vector<const programs::ProgramSpec*>& corpus = resolved.programs;
 
   int jobs = options.jobs;
   if (jobs <= 0) {
@@ -257,25 +260,7 @@ CampaignResult runCampaign(const CampaignOptions& options) {
   // config mismatch must fail the campaign up front, not after hours.
   std::unique_ptr<CampaignJournal> journal;
   if (!options.checkpointDir.empty()) {
-    JournalConfig config;
-    config.scheduleLimit = options.explorer.scheduleLimit;
-    config.maxEventsPerSchedule = options.explorer.maxEventsPerSchedule;
-    config.seed = options.seed;
-    config.incremental = options.explorer.incremental;
-    config.workers = options.explorer.workers;
-    config.snapshotBudgetBytes = options.explorer.snapshotBudgetBytes;
-    config.memoryModel = memory::memoryModelName(options.explorer.memoryModel);
-    config.detectRaces = options.explorer.detectRaces;
-    config.checkTheorems = options.explorer.checkTheorems;
-    config.stopOnFirstViolation = options.explorer.stopOnFirstViolation;
-    config.shardIndex = options.shardIndex;
-    config.shardCount = options.shardCount;
-    config.explorers = explorerNames;
-    for (const programs::ProgramSpec* spec : corpus) {
-      config.programs.push_back(spec->name);
-    }
-    journal = std::make_unique<CampaignJournal>(
-        options.checkpointDir, config, options.requireExistingJournal);
+    journal = std::make_unique<CampaignJournal>(resolved);
   }
 
   Aggregator aggregator(inShard, explorerNames);

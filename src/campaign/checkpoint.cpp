@@ -29,30 +29,25 @@ constexpr int kJournalSchemaVersion = 1;
   throw std::runtime_error("lazyhb: " + message);
 }
 
-/// The manifest document for `config`. Byte-stable for a given config, so
-/// the resume-time compatibility check is a byte comparison.
-std::string manifestDocument(const JournalConfig& config) {
+/// The manifest document for `options`. Byte-stable for a given
+/// configuration, so the resume-time compatibility check is a byte
+/// comparison.
+std::string manifestDocument(const CampaignOptions& options) {
   support::JsonWriter json;
   json.beginObject();
   json.field("schema", kJournalSchemaName);
   json.field("version", kJournalSchemaVersion);
-  json.field("limit", config.scheduleLimit);
-  json.field("max_events", static_cast<std::uint64_t>(config.maxEventsPerSchedule));
-  json.field("seed", config.seed);
-  json.field("incremental", config.incremental);
-  json.field("workers", static_cast<std::int64_t>(config.workers));
-  json.field("snapshot_budget", config.snapshotBudgetBytes);
-  json.field("memory_model", config.memoryModel);
-  json.field("detect_races", config.detectRaces);
-  json.field("check_theorems", config.checkTheorems);
-  json.field("stop_on_first_violation", config.stopOnFirstViolation);
-  json.field("shard_index", static_cast<std::int64_t>(config.shardIndex));
-  json.field("shard_count", static_cast<std::int64_t>(config.shardCount));
+  writeIdentityFields(json, makeReportConfig(options));
+  json.field("detect_races", options.explorer.detectRaces);
+  json.field("check_theorems", options.explorer.checkTheorems);
+  json.field("stop_on_first_violation", options.explorer.stopOnFirstViolation);
+  json.field("shard_index", options.shardIndex);
+  json.field("shard_count", options.shardCount);
   json.key("explorers").beginArray();
-  for (const std::string& name : config.explorers) json.value(name);
+  for (const ExplorerSpec& spec : options.explorers) json.value(spec.name);
   json.endArray();
   json.key("programs").beginArray();
-  for (const std::string& name : config.programs) json.value(name);
+  for (const programs::ProgramSpec* spec : options.programs) json.value(spec->name);
   json.endArray();
   json.endObject();
   return json.str() + "\n";
@@ -124,18 +119,16 @@ std::size_t cellIndexFromName(const std::string& name) {
 
 }  // namespace
 
-CampaignJournal::CampaignJournal(std::string directory,
-                                 const JournalConfig& config,
-                                 bool requireExisting)
-    : directory_(std::move(directory)) {
-  const std::string expectedManifest = manifestDocument(config);
+CampaignJournal::CampaignJournal(const CampaignOptions& options)
+    : directory_(options.checkpointDir) {
+  const std::string expectedManifest = manifestDocument(options);
   const fs::path dir(directory_);
   const fs::path manifestPath = dir / kManifestName;
 
   std::error_code ec;
   const bool haveManifest = fs::exists(manifestPath, ec);
   if (!haveManifest) {
-    if (requireExisting) {
+    if (options.requireExistingJournal) {
       raise("nothing to resume: '" + directory_ +
             "' holds no campaign journal (run without --resume to start one)");
     }
@@ -159,7 +152,8 @@ CampaignJournal::CampaignJournal(std::string directory,
           "start a fresh checkpoint directory");
   }
 
-  const std::size_t totalCells = config.programs.size() * config.explorers.size();
+  const std::size_t totalCells =
+      options.programs.size() * options.explorers.size();
   for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();

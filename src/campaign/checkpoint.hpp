@@ -22,37 +22,13 @@
 
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "campaign/campaign.hpp"
 
 namespace lazyhb::campaign {
-
-/// Everything that can change a cell's counts (plus the shard slice, so two
-/// shards never share a journal directory by accident). Field-for-field
-/// equality with the on-disk manifest gates a resume.
-struct JournalConfig {
-  std::uint64_t scheduleLimit = 0;
-  std::uint32_t maxEventsPerSchedule = 0;
-  std::uint64_t seed = 0;
-  bool incremental = true;
-  int workers = 1;
-  std::uint64_t snapshotBudgetBytes = 0;
-  std::string memoryModel = "sc";  ///< TSO and SC counts must never mix
-  bool detectRaces = false;
-  bool checkTheorems = false;
-  bool stopOnFirstViolation = false;
-  int shardIndex = 0;
-  int shardCount = 1;
-  /// Explorer / program name lists in matrix order — cell indices are only
-  /// meaningful relative to these.
-  std::vector<std::string> explorers;
-  std::vector<std::string> programs;
-};
 
 /// One campaign's journal directory. Construction opens an existing journal
 /// (verifying its manifest and loading every completed cell) or creates a
@@ -60,12 +36,16 @@ struct JournalConfig {
 /// after construction and need no locking from runCampaign's threads.
 class CampaignJournal {
  public:
-  /// Throws std::runtime_error when the directory cannot be created, when
-  /// an existing manifest does not match `config`, when a cell file is
-  /// unreadable, or when `requireExisting` and there is no manifest (the
-  /// CLI's --resume against an empty directory).
-  CampaignJournal(std::string directory, const JournalConfig& config,
-                  bool requireExisting);
+  /// Opens options.checkpointDir. The manifest holds the campaign identity
+  /// (makeReportConfig(options)) plus what else changes a cell's record:
+  /// the race, theorem and stop-on-violation toggles, the shard slice, and
+  /// the explorer and program lists in matrix order — cell indices only
+  /// mean something relative to these, so `options` must carry the
+  /// resolved, non-empty lists. Throws std::runtime_error when the
+  /// directory cannot be created, when an existing manifest differs, when a
+  /// cell file is unreadable, or when options.requireExistingJournal and
+  /// there is no manifest (the CLI's --resume against an empty directory).
+  explicit CampaignJournal(const CampaignOptions& options);
 
   [[nodiscard]] const std::string& directory() const noexcept {
     return directory_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "support/diagnostics.hpp"
@@ -48,24 +50,25 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
   if (config == nullptr || !config->isObject()) {
     raise(label, "missing config block");
   }
-  report.config.scheduleLimit = config->uintAt("limit");
-  report.config.maxEventsPerSchedule =
-      static_cast<std::uint32_t>(config->uintAt("max_events"));
-  report.config.seed = config->uintAt("seed");
+  forEachIdentityField(
+      [&](const char* key, auto& member) {
+        const support::JsonValue* value = config->find(key);
+        if (value == nullptr) {
+          raise(label, "config." + std::string(key) + " is missing");
+        }
+        using Field = std::decay_t<decltype(member)>;
+        if constexpr (std::is_same_v<Field, bool>) {
+          member = value->asBool();
+        } else if constexpr (std::is_same_v<Field, std::string>) {
+          member = value->asString();
+        } else if constexpr (std::is_signed_v<Field>) {
+          member = static_cast<Field>(value->asInt());
+        } else {
+          member = static_cast<Field>(value->asUint());
+        }
+      },
+      report.config);
   report.config.quick = config->boolAt("quick");
-  report.config.incremental = config->boolAt("incremental", true);
-  if (!config->has("workers")) {
-    raise(label, "config.workers is missing (mandatory since schema v4)");
-  }
-  report.config.workers = static_cast<int>(config->intAt("workers", 1));
-  if (!config->has("snapshot_budget")) {
-    raise(label, "config.snapshot_budget is missing (mandatory since schema v6)");
-  }
-  report.config.snapshotBudgetBytes = config->uintAt("snapshot_budget");
-  if (!config->has("memory_model")) {
-    raise(label, "config.memory_model is missing (mandatory since schema v8)");
-  }
-  report.config.memoryModel = config->stringAt("memory_model");
   if (const support::JsonValue* shard = config->find("shard")) {
     report.config.shardIndex = static_cast<int>(shard->intAt("index"));
     report.config.shardCount = static_cast<int>(shard->intAt("count", 1));
@@ -172,20 +175,12 @@ void checkConfigCompatible(const ParsedReport& base, const ParsedReport& other) 
         "': config." + field +
         " differs — merged counts would mix incomparable campaigns");
   };
-  if (other.config.scheduleLimit != base.config.scheduleLimit) mismatch("limit");
-  if (other.config.maxEventsPerSchedule != base.config.maxEventsPerSchedule) {
-    mismatch("max_events");
-  }
-  if (other.config.seed != base.config.seed) mismatch("seed");
+  forEachIdentityField(
+      [&](const char* key, const auto& a, const auto& b) {
+        if (a != b) mismatch(key);
+      },
+      other.config, base.config);
   if (other.config.quick != base.config.quick) mismatch("quick");
-  if (other.config.incremental != base.config.incremental) mismatch("incremental");
-  if (other.config.workers != base.config.workers) mismatch("workers");
-  if (other.config.snapshotBudgetBytes != base.config.snapshotBudgetBytes) {
-    mismatch("snapshot_budget");
-  }
-  if (other.config.memoryModel != base.config.memoryModel) {
-    mismatch("memory_model");
-  }
   if (other.explorers != base.explorers) mismatch("explorers");
 }
 

@@ -256,15 +256,9 @@ std::string writeReportJson(const CampaignResult& result,
   json.field("version", kReportSchemaVersion);
 
   json.key("config").beginObject();
-  json.field("limit", config.scheduleLimit);
-  json.field("max_events", static_cast<std::uint64_t>(config.maxEventsPerSchedule));
-  json.field("seed", config.seed);
+  writeIdentityFields(json, config);
   json.field("jobs", result.jobs);
-  json.field("workers", static_cast<std::int64_t>(config.workers));
   json.field("quick", config.quick);
-  json.field("incremental", config.incremental);
-  json.field("snapshot_budget", config.snapshotBudgetBytes);
-  json.field("memory_model", config.memoryModel);
   if (config.shardCount > 1) {
     json.key("shard").beginObject();
     json.field("index", static_cast<std::int64_t>(config.shardIndex));
@@ -342,6 +336,12 @@ std::string writeReportJson(const CampaignResult& result,
 
   json.endObject();
   return json.str() + "\n";
+}
+
+void writeIdentityFields(support::JsonWriter& json, const ReportConfig& config) {
+  forEachIdentityField(
+      [&json](const char* key, const auto& value) { json.field(key, value); },
+      config);
 }
 
 ReportConfig makeReportConfig(const CampaignOptions& options) {

@@ -60,9 +60,29 @@ struct ReportConfig {
 
 /// The config block of a campaign run with `options`: every field echoed
 /// from what the cells actually ran under (quick is the one caller-side
-/// label left at false). The CLI bench, Suite and the corpus benches all
-/// build their reports' config through this.
+/// label left at false). The CLI bench, Suite, the corpus benches and the
+/// campaign journal all build their config through this.
 [[nodiscard]] ReportConfig makeReportConfig(const CampaignOptions& options);
+
+/// The campaign identity: every ReportConfig field that can change a cell's
+/// counts, as (key, member) pairs. Calls `visit(key, config.member...)` once
+/// per field, passing that member of each of `configs`, in the key order
+/// the journal manifest pins. The report's config block, the journal
+/// manifest, and the merger's reader and compatibility check all walk this
+/// one list, so a new count-relevant knob is added here and nowhere else.
+template <typename Visit, typename... Configs>
+void forEachIdentityField(Visit&& visit, Configs&... configs) {
+  visit("limit", configs.scheduleLimit...);
+  visit("max_events", configs.maxEventsPerSchedule...);
+  visit("seed", configs.seed...);
+  visit("incremental", configs.incremental...);
+  visit("workers", configs.workers...);
+  visit("snapshot_budget", configs.snapshotBudgetBytes...);
+  visit("memory_model", configs.memoryModel...);
+}
+
+/// Write the identity fields of `config` into the open JSON object.
+void writeIdentityFields(support::JsonWriter& json, const ReportConfig& config);
 
 /// Where a merged report's cells came from: one entry per (transitively)
 /// merged input. Emitted as the top-level "merge" block; absent from

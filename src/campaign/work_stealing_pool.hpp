@@ -2,9 +2,8 @@
 //
 // The one thread pool of the code base: the executor behind the campaign
 // runner's (program × explorer) matrix, the parallel explorer's
-// intra-scenario frontier (explore/parallel_explorer.hpp) and the corpus
-// benches' runCorpus (bench/bench_common.hpp). A fixed set of
-// OS threads, one task deque per worker, with work stealing. Tasks vary
+// intra-scenario frontier (explore/parallel_explorer.hpp) and
+// bench/tab_theorem_check's per-benchmark runs. A fixed set of OS threads, one task deque per worker, with work stealing. Tasks vary
 // wildly in cost (a complete DFS of a 2-thread program vs. 100,000
 // schedules of a contended one), so a single shared queue serves long tasks
 // tail-heavy: the last big cell lands on one worker while the rest idle.

@@ -6,11 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "api/session_options.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/explorer_spec.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/report.hpp"
-#include "explore/explorer.hpp"
 #include "lazyhb/lazyhb.hpp"
 #include "memory/memory_model.hpp"
 #include "programs/registry.hpp"
@@ -63,45 +63,6 @@ const programs::ProgramSpec* resolveProgram(const std::string& name) {
   return spec;
 }
 
-/// Parse the --incremental on|off toggle into *enabled. Prints a usage
-/// error and returns false for anything else.
-bool parseIncremental(const support::Options& options, bool* enabled) {
-  const std::string value = options.getString("incremental");
-  if (value == "on") {
-    *enabled = true;
-    return true;
-  }
-  if (value == "off") {
-    *enabled = false;
-    return true;
-  }
-  std::fprintf(stderr, "lazyhb: --incremental expects 'on' or 'off', got '%s'\n",
-               value.c_str());
-  return false;
-}
-
-/// Parse --snapshot-budget into *bytes. -1 (the flag default) keeps the
-/// engine default (LAZYHB_SNAPSHOT_BUDGET or 256 MiB); 0 means unlimited.
-bool parseSnapshotBudget(const support::Options& options, std::uint64_t* bytes) {
-  const std::int64_t value = options.getInt("snapshot-budget");
-  if (value < -1) {
-    std::fprintf(stderr,
-                 "lazyhb: --snapshot-budget expects a byte count >= 0 "
-                 "(0: unlimited), got %lld\n",
-                 static_cast<long long>(value));
-    return false;
-  }
-  if (value >= 0) *bytes = static_cast<std::uint64_t>(value);
-  return true;
-}
-
-void addMemoryModelFlag(support::Options& options) {
-  options.addString("memory-model", "sc",
-                    "memory model to explore under: sc | tso (tso buffers "
-                    "writes per thread and adds scheduler-visible flush "
-                    "transitions; see docs/memory-models.md)");
-}
-
 /// Validate --memory-model into *name. Prints a usage error listing the
 /// valid set and returns false for anything else.
 bool parseMemoryModelFlag(const support::Options& options, std::string* name) {
@@ -113,14 +74,6 @@ bool parseMemoryModelFlag(const support::Options& options, std::string* name) {
   }
   *name = value;
   return true;
-}
-
-void addSnapshotBudgetFlag(support::Options& options) {
-  options.addInt("snapshot-budget", -1,
-                 "byte budget for staged rollback snapshots (0: unlimited; "
-                 "default: LAZYHB_SNAPSHOT_BUDGET or 256 MiB); over budget, "
-                 "the checkpoint furthest from the search frontier is "
-                 "evicted — counts stay byte-identical at any budget");
 }
 
 /// Write `document` to `path` ("-" means stdout). Returns false (with a
@@ -143,48 +96,90 @@ bool writeDocument(const std::string& path, const std::string& document) {
   return ok;
 }
 
-/// Build a Session from the shared explorer flags (strategy is set by the
-/// caller). Returns false after printing a usage error.
-bool sessionFrom(const support::Options& options, Session* session) {
-  bool incremental = true;
-  if (!parseIncremental(options, &incremental)) return false;
+/// The flags of every command that executes a program: replay takes just
+/// these, and addRunFlags builds on them.
+void addExecutionFlags(support::Options& options) {
+  options.addInt("max-events", 65536, "per-schedule event budget");
+  options.addString("memory-model", "sc",
+                    "memory model to explore under: sc | tso (tso buffers "
+                    "writes per thread and adds scheduler-visible flush "
+                    "transitions; see docs/memory-models.md)");
+}
+
+/// The run knobs explore, compare and bench share — declared here once and
+/// parsed once, by parseRunFlags.
+void addRunFlags(support::Options& options) {
+  options.addInt("limit", 10000,
+                 "schedule budget per program and explorer (paper: 100000)");
+  options.addInt("seed", 42, "random explorer seed");
+  options.addString("incremental", "on",
+                    "incremental prefix replay (checkpoint/rollback): on | off");
+  options.addInt("workers", 1,
+                 "shard each schedule tree across this many threads "
+                 "(dfs/caching-* only; counts stay byte-identical)");
+  options.addInt("snapshot-budget", -1,
+                 "byte budget for staged rollback snapshots (0: unlimited; "
+                 "default: LAZYHB_SNAPSHOT_BUDGET or 256 MiB); over budget, "
+                 "the checkpoint furthest from the search frontier is "
+                 "evicted — counts stay byte-identical at any budget");
+  addExecutionFlags(options);
+}
+
+/// Validate the addRunFlags flags and set them on `session`. Returns false
+/// after printing a usage error.
+bool parseRunFlags(const support::Options& options, Session* session) {
+  const std::string incremental = options.getString("incremental");
+  if (incremental != "on" && incremental != "off") {
+    std::fprintf(stderr,
+                 "lazyhb: --incremental expects 'on' or 'off', got '%s'\n",
+                 incremental.c_str());
+    return false;
+  }
   const int workers = static_cast<int>(options.getInt("workers"));
   if (workers < 1) {
     std::fprintf(stderr, "lazyhb: --workers expects a positive count, got %d\n",
                  workers);
     return false;
   }
-  std::uint64_t snapshotBudget = explore::defaultSnapshotBudgetBytes();
-  if (!parseSnapshotBudget(options, &snapshotBudget)) return false;
+  // -1 (the flag default) keeps the engine default; 0 means unlimited.
+  const std::int64_t snapshotBudget = options.getInt("snapshot-budget");
+  if (snapshotBudget < -1) {
+    std::fprintf(stderr,
+                 "lazyhb: --snapshot-budget expects a byte count >= 0 "
+                 "(0: unlimited), got %lld\n",
+                 static_cast<long long>(snapshotBudget));
+    return false;
+  }
   std::string memoryModel;
   if (!parseMemoryModelFlag(options, &memoryModel)) return false;
   session->schedules(static_cast<std::uint64_t>(options.getInt("limit")))
       .maxEventsPerSchedule(static_cast<std::uint32_t>(options.getInt("max-events")))
       .seed(static_cast<std::uint64_t>(options.getInt("seed")))
       .memoryModel(memoryModel)
-      .detectRaces(options.getFlag("races"))
-      .checkTheorems(options.getFlag("theorems"))
-      .stopOnFirstViolation(options.getFlag("stop-on-violation"))
-      .incremental(incremental)
-      .workers(workers)
-      .snapshotBudget(snapshotBudget);
+      .incremental(incremental == "on")
+      .workers(workers);
+  if (snapshotBudget >= 0) {
+    session->snapshotBudget(static_cast<std::uint64_t>(snapshotBudget));
+  }
   return true;
 }
 
+/// explore and compare: the run knobs plus the analysis toggles.
 void addExplorerFlags(support::Options& options) {
-  options.addInt("limit", 10000, "schedule budget (paper: 100000)");
-  options.addInt("max-events", 65536, "per-schedule event budget");
-  options.addInt("seed", 42, "random explorer seed");
-  options.addString("incremental", "on",
-                    "incremental prefix replay (checkpoint/rollback): on | off");
-  options.addInt("workers", 1,
-                 "shard the schedule tree across this many threads "
-                 "(dfs/caching-* only; counts stay byte-identical)");
-  addMemoryModelFlag(options);
-  addSnapshotBudgetFlag(options);
+  addRunFlags(options);
   options.addFlag("races", "run the sync-HB data-race detector");
   options.addFlag("theorems", "feed terminal schedules to the theorem checkers");
   options.addFlag("stop-on-violation", "stop at the first violation");
+}
+
+/// Build a Session from addExplorerFlags' flags (strategy is set by the
+/// caller). Returns false after printing a usage error.
+bool sessionFrom(const support::Options& options, Session* session) {
+  if (!parseRunFlags(options, session)) return false;
+  session->detectRaces(options.getFlag("races"))
+      .checkTheorems(options.getFlag("theorems"))
+      .stopOnFirstViolation(options.getFlag("stop-on-violation"));
+  return true;
 }
 
 void printViolations(std::FILE* out, const TestReport& report) {
@@ -477,16 +472,7 @@ int cmdBench(int argc, char** argv) {
                     "comma-separated program or family names (default: the "
                     "full corpus)");
   options.addInt("jobs", 0, "worker threads (0: one per hardware thread)");
-  options.addInt("workers", 1,
-                 "intra-cell worker threads sharding each scenario's schedule "
-                 "tree (dfs/caching-* only; counts stay byte-identical)");
-  options.addInt("limit", 10000, "schedule budget per cell (paper: 100000)");
-  options.addInt("max-events", 65536, "per-schedule event budget");
-  options.addInt("seed", 42, "random explorer seed (same in every cell)");
-  options.addString("incremental", "on",
-                    "incremental prefix replay (checkpoint/rollback): on | off");
-  addMemoryModelFlag(options);
-  addSnapshotBudgetFlag(options);
+  addRunFlags(options);
   options.addString("out", "",
                     "write the JSON report to this path ('-': stdout; empty: "
                     "no report file)");
@@ -527,7 +513,19 @@ int cmdBench(int argc, char** argv) {
     return kExitUsage;
   }
 
-  campaign::CampaignOptions campaignOptions;
+  const bool quick = options.getFlag("quick");
+  const bool paper = options.getFlag("paper");
+  if (quick && paper) {
+    std::fprintf(stderr, "lazyhb: --quick and --paper are mutually exclusive\n");
+    return kExitUsage;
+  }
+  Session knobs;
+  if (!parseRunFlags(options, &knobs)) return kExitUsage;
+  if ((quick || paper) && !options.wasSet("limit")) {
+    knobs.schedules(quick ? 200 : 100'000);
+  }
+
+  campaign::CampaignOptions campaignOptions = sessionOptions(knobs);
   campaignOptions.explorers = *explorers;
   if (!selectPrograms(options.getString("programs"), campaignOptions.programs,
                       &bad)) {
@@ -536,37 +534,6 @@ int cmdBench(int argc, char** argv) {
                  bad.c_str());
     return kExitUsage;
   }
-
-  const bool quick = options.getFlag("quick");
-  const bool paper = options.getFlag("paper");
-  if (quick && paper) {
-    std::fprintf(stderr, "lazyhb: --quick and --paper are mutually exclusive\n");
-    return kExitUsage;
-  }
-  std::uint64_t limit = static_cast<std::uint64_t>(options.getInt("limit"));
-  if (quick && !options.wasSet("limit")) limit = 200;
-  if (paper && !options.wasSet("limit")) limit = 100'000;
-  campaignOptions.explorer.scheduleLimit = limit;
-  if (!parseIncremental(options, &campaignOptions.explorer.incremental)) {
-    return kExitUsage;
-  }
-  campaignOptions.explorer.maxEventsPerSchedule =
-      static_cast<std::uint32_t>(options.getInt("max-events"));
-  const int workers = static_cast<int>(options.getInt("workers"));
-  if (workers < 1) {
-    std::fprintf(stderr, "lazyhb: --workers expects a positive count, got %d\n",
-                 workers);
-    return kExitUsage;
-  }
-  campaignOptions.explorer.workers = workers;
-  std::string memoryModel;
-  if (!parseMemoryModelFlag(options, &memoryModel)) return kExitUsage;
-  campaignOptions.explorer.memoryModel = *memory::parseMemoryModel(memoryModel);
-  if (!parseSnapshotBudget(options,
-                           &campaignOptions.explorer.snapshotBudgetBytes)) {
-    return kExitUsage;
-  }
-  campaignOptions.seed = static_cast<std::uint64_t>(options.getInt("seed"));
   campaignOptions.jobs = static_cast<int>(options.getInt("jobs"));
 
   if (!options.getString("shard").empty() &&
@@ -742,10 +709,11 @@ bool readDocument(const std::string& path, std::string* out) {
 int cmdMerge(int argc, char** argv) {
   support::Options options(
       "lazyhb merge [report.json ...]",
-      "merge shard/resume bench reports (schema v5) into one report: "
-      "disjoint cells union, identical duplicates dedupe, totals and the "
-      "section-3 check are recomputed from the merged cells; conflicting "
-      "duplicate counts are a hard error");
+      "merge shard/resume bench reports (schema v" +
+          std::to_string(campaign::kReportSchemaVersion) +
+          ") into one report: disjoint cells union, identical duplicates "
+          "dedupe, totals and the section-3 check are recomputed from the "
+          "merged cells; conflicting duplicate counts are a hard error");
   options.addString("out", "-",
                     "write the merged report to this path ('-': stdout)");
   if (!options.parse(argc, argv)) return options.parseError() ? kExitUsage : kExitOk;
@@ -823,8 +791,7 @@ int cmdReplay(int argc, char** argv) {
                     "comma-separated thread picks, e.g. 0,1,1,0 (empty: "
                     "first-enabled everywhere)");
   options.addString("relation", "full", "relation to render: sync | full | lazy");
-  addMemoryModelFlag(options);
-  options.addInt("max-events", 65536, "per-schedule event budget");
+  addExecutionFlags(options);
   options.addFlag("races", "run the sync-HB data-race detector");
   options.addFlag("no-trace", "skip the rendered trace, print fingerprints only");
   if (!options.parse(argc, argv)) return options.parseError() ? kExitUsage : kExitOk;

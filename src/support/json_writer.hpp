@@ -76,6 +76,7 @@ class JsonWriter {
   JsonWriter& value(const char* v) { return value(std::string(v)); }
   JsonWriter& value(bool v) { return raw(v ? "true" : "false"); }
   JsonWriter& value(std::uint64_t v) { return raw(std::to_string(v)); }
+  JsonWriter& value(std::uint32_t v) { return value(static_cast<std::uint64_t>(v)); }
   JsonWriter& value(std::int64_t v) { return raw(std::to_string(v)); }
   JsonWriter& value(int v) { return raw(std::to_string(v)); }
   JsonWriter& value(double v) {

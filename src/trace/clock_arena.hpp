@@ -1,11 +1,18 @@
 // lazyhb/trace/clock_arena.hpp
 //
-// A flat arena of vector-clock rows: one contiguous uint32 matrix with a
-// fixed row width (the execution's thread capacity), rows appended in event
-// order. This replaces one heap-allocated VectorClock per event per relation
-// in the recorder's hot loop with a bump append into pooled storage —
-// joining and copying become branch-free loops over raw spans the compiler
-// can vectorise, and the rows of consecutive events are cache-adjacent.
+// Vector clocks over execution-local thread indices, stored as a flat arena
+// of rows: one contiguous uint32 matrix with a fixed row width (the
+// execution's thread capacity), rows appended in event order. A clock maps
+// thread index -> number of that thread's events known to have happened
+// before (and including) the owning point; clocks are compared and joined
+// pointwise, a missing component is zero, and clocks are never compared
+// across executions (fingerprints are the cross-execution currency).
+//
+// The recorder's hot loop appends into pooled storage instead of
+// allocating a clock per event per relation — joining and copying become
+// branch-free loops over raw spans the compiler can vectorise, and the rows
+// of consecutive events are cache-adjacent. Readers get a ClockView: a
+// non-owning span over one row.
 //
 // The recorder keeps one arena per relation but fills only those with a
 // declared reader (TraceRecorder::Options: Sync for the race detector,
@@ -21,14 +28,57 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "support/diagnostics.hpp"
-#include "trace/vector_clock.hpp"
 
 namespace lazyhb::trace {
+
+/// Non-owning read view of one clock row. Components beyond `width` are zero
+/// by convention, so views of different widths interoperate. A
+/// default-constructed view is the zero clock.
+class ClockView {
+ public:
+  constexpr ClockView() = default;
+  constexpr ClockView(const std::uint32_t* data, std::uint32_t width) noexcept
+      : data_(data), width_(width) {}
+
+  /// Component for thread `tid` (zero if beyond the row's width).
+  [[nodiscard]] constexpr std::uint32_t get(int tid) const noexcept {
+    const auto i = static_cast<std::uint32_t>(tid);
+    return i < width_ ? data_[i] : 0;
+  }
+
+  [[nodiscard]] constexpr std::uint32_t width() const noexcept { return width_; }
+  [[nodiscard]] constexpr const std::uint32_t* data() const noexcept { return data_; }
+
+  /// True iff this clock is pointwise <= other.
+  [[nodiscard]] bool leq(ClockView other) const noexcept {
+    const std::uint32_t shared = std::min(width_, other.width_);
+    for (std::uint32_t i = 0; i < shared; ++i) {
+      if (data_[i] > other.data_[i]) return false;
+    }
+    for (std::uint32_t i = shared; i < width_; ++i) {
+      if (data_[i] != 0) return false;
+    }
+    return true;
+  }
+
+ private:
+  const std::uint32_t* data_ = nullptr;
+  std::uint32_t width_ = 0;
+};
+
+[[nodiscard]] inline bool operator==(ClockView a, ClockView b) noexcept {
+  const std::uint32_t n = std::max(a.width(), b.width());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (a.get(static_cast<int>(i)) != b.get(static_cast<int>(i))) return false;
+  }
+  return true;
+}
 
 /// Pointwise maximum of two equal-width raw clock spans, dst <- max(dst, src).
 inline void joinClockSpans(std::uint32_t* dst, const std::uint32_t* src,

@@ -51,8 +51,7 @@
 //   cold — EventRecords (consulted by DPOR's race analysis and the race
 //          reports, not by the fingerprint loop) and per-event predecessor
 //          lists, the latter populated only under keepPredecessors.
-// Clock accessors deal in ClockView spans; the owning VectorClock class
-// remains for the Foata/graph/test layers.
+// Clock accessors deal in ClockView spans over the arena rows.
 //
 // The recorder is an ExecutionObserver and is reset on every
 // onExecutionStart, so one instance can monitor millions of executions with
@@ -83,7 +82,6 @@
 #include "runtime/operation.hpp"
 #include "support/hash.hpp"
 #include "trace/clock_arena.hpp"
-#include "trace/vector_clock.hpp"
 
 namespace lazyhb::trace {
 

@@ -16,6 +16,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -89,25 +91,13 @@ void expectSameCounts(const campaign::CellResult& a,
   EXPECT_EQ(a.stats.complete, b.stats.complete) << label;
 }
 
-campaign::ReportConfig reportConfigFor(const campaign::CampaignOptions& options) {
-  campaign::ReportConfig config;
-  config.scheduleLimit = options.explorer.scheduleLimit;
-  config.maxEventsPerSchedule = options.explorer.maxEventsPerSchedule;
-  config.seed = options.seed;
-  config.incremental = options.explorer.incremental;
-  config.workers = options.explorer.workers;
-  config.shardIndex = options.shardIndex;
-  config.shardCount = options.shardCount;
-  return config;
-}
-
 /// Run one shard of the small campaign and render its v5 report.
 std::string shardDocument(int index, int count) {
   campaign::CampaignOptions options = smallCampaign(2);
   options.shardIndex = index;
   options.shardCount = count;
   const campaign::CampaignResult result = campaign::runCampaign(options);
-  return campaign::writeReportJson(result, reportConfigFor(options));
+  return campaign::writeReportJson(result, campaign::makeReportConfig(options));
 }
 
 /// A fabricated clean cell for merge-conflict tests (counts satisfy the §3
@@ -142,33 +132,18 @@ std::string fabricatedDocument(campaign::CellResult cell) {
 
 // --- journal -----------------------------------------------------------------
 
-campaign::JournalConfig journalConfigFor(const campaign::CampaignOptions& options) {
-  campaign::JournalConfig config;
-  config.scheduleLimit = options.explorer.scheduleLimit;
-  config.maxEventsPerSchedule = options.explorer.maxEventsPerSchedule;
-  config.seed = options.seed;
-  config.incremental = options.explorer.incremental;
-  config.workers = options.explorer.workers;
-  for (const campaign::ExplorerSpec& spec : options.explorers) {
-    config.explorers.push_back(spec.name);
-  }
-  for (const programs::ProgramSpec* spec : options.programs) {
-    config.programs.push_back(spec->name);
-  }
-  return config;
-}
-
 TEST(Journal, RecordsAndReloadsCells) {
   const TempDir dir;
-  const auto options = smallCampaign(1);
-  const auto config = journalConfigFor(options);
+  auto options = smallCampaign(1);
+  options.checkpointDir = dir.path();
   {
-    campaign::CampaignJournal journal(dir.path(), config, false);
+    campaign::CampaignJournal journal(options);
     EXPECT_EQ(journal.completedCount(), 0u);
     EXPECT_FALSE(journal.completed(3));
     journal.record(3, fabricatedCell(42));
   }
-  campaign::CampaignJournal reopened(dir.path(), config, true);
+  options.requireExistingJournal = true;
+  campaign::CampaignJournal reopened(options);
   EXPECT_EQ(reopened.completedCount(), 1u);
   ASSERT_TRUE(reopened.completed(3));
   EXPECT_FALSE(reopened.completed(2));
@@ -177,32 +152,30 @@ TEST(Journal, RecordsAndReloadsCells) {
 
 TEST(Journal, RejectsConfigMismatch) {
   const TempDir dir;
-  const auto options = smallCampaign(1);
-  const auto config = journalConfigFor(options);
-  { campaign::CampaignJournal journal(dir.path(), config, false); }
+  auto options = smallCampaign(1);
+  options.checkpointDir = dir.path();
+  { campaign::CampaignJournal journal(options); }
 
-  auto differentSeed = config;
+  auto differentSeed = options;
   differentSeed.seed = 7;
-  EXPECT_THROW(campaign::CampaignJournal(dir.path(), differentSeed, false),
-               std::runtime_error);
+  EXPECT_THROW(campaign::CampaignJournal{differentSeed}, std::runtime_error);
 
-  auto differentLimit = config;
-  differentLimit.scheduleLimit = 99;
-  EXPECT_THROW(campaign::CampaignJournal(dir.path(), differentLimit, false),
-               std::runtime_error);
+  auto differentLimit = options;
+  differentLimit.explorer.scheduleLimit = 99;
+  EXPECT_THROW(campaign::CampaignJournal{differentLimit}, std::runtime_error);
 
-  auto differentShard = config;
+  auto differentShard = options;
   differentShard.shardIndex = 1;
   differentShard.shardCount = 2;
-  EXPECT_THROW(campaign::CampaignJournal(dir.path(), differentShard, false),
-               std::runtime_error);
+  EXPECT_THROW(campaign::CampaignJournal{differentShard}, std::runtime_error);
 }
 
 TEST(Journal, RequireExistingRefusesEmptyDirectory) {
   const TempDir dir;
-  const auto config = journalConfigFor(smallCampaign(1));
-  EXPECT_THROW(campaign::CampaignJournal(dir.path(), config, true),
-               std::runtime_error);
+  auto options = smallCampaign(1);
+  options.checkpointDir = dir.path();
+  options.requireExistingJournal = true;
+  EXPECT_THROW(campaign::CampaignJournal{options}, std::runtime_error);
 }
 
 TEST(Journal, ResumeLoadsCompletedCellsInsteadOfRerunning) {
@@ -285,6 +258,94 @@ TEST(Journal, KillAndResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed.totalSchedules, direct.totalSchedules);
   EXPECT_EQ(resumed.totalEvents, direct.totalEvents);
   EXPECT_EQ(resumed.inequalityViolations, 0);
+}
+
+/// A two-cell campaign small enough to journal in milliseconds.
+campaign::CampaignOptions tinyCampaign(const std::string& checkpointDir) {
+  campaign::CampaignOptions options;
+  options.explorers = *campaign::parseExplorerList("dfs");
+  options.programs.push_back(programs::byName("disjoint-lock-2"));
+  options.programs.push_back(programs::byName("counter-lock-3"));
+  options.explorer.scheduleLimit = 20;
+  options.explorer.snapshotBudgetBytes = 0;  // independent of the environment
+  options.jobs = 1;
+  options.checkpointDir = checkpointDir;
+  return options;
+}
+
+// The manifest format is what lets a journal started by one build resume
+// under the next: pin it byte for byte.
+TEST(Journal, ManifestIsPinned) {
+  const TempDir dir;
+  campaign::CampaignOptions options = tinyCampaign(dir.path());
+  options.explorers = *campaign::parseExplorerList("dfs,caching-lazy");
+  options.seed = 7;
+  options.explorer.maxEventsPerSchedule = 4096;
+  options.explorer.incremental = false;
+  options.explorer.workers = 2;
+  options.explorer.snapshotBudgetBytes = 8192;
+  options.explorer.memoryModel = memory::MemoryModel::Tso;
+  options.explorer.detectRaces = true;
+  options.shardIndex = 1;
+  options.shardCount = 2;
+  (void)campaign::runCampaign(options);
+
+  std::ifstream in(fs::path(dir.path()) / "manifest.json");
+  const std::string manifest((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(manifest, R"({
+  "schema": "lazyhb-campaign-journal",
+  "version": 1,
+  "limit": 20,
+  "max_events": 4096,
+  "seed": 7,
+  "incremental": false,
+  "workers": 2,
+  "snapshot_budget": 8192,
+  "memory_model": "tso",
+  "detect_races": true,
+  "check_theorems": false,
+  "stop_on_first_violation": false,
+  "shard_index": 1,
+  "shard_count": 2,
+  "explorers": [
+    "dfs",
+    "caching-lazy"
+  ],
+  "programs": [
+    "disjoint-lock-2",
+    "counter-lock-3"
+  ]
+}
+)");
+}
+
+TEST(Journal, ResumeRejectsEveryJournalOnlyField) {
+  // Knobs the report does not echo still change what a cell records, so
+  // the journal keeps them; resuming with any one of them changed throws.
+  struct Case {
+    const char* field;
+    std::function<void(campaign::CampaignOptions&)> change;
+  };
+  const std::vector<Case> cases = {
+      {"detect_races", [](campaign::CampaignOptions& o) { o.explorer.detectRaces = true; }},
+      {"check_theorems", [](campaign::CampaignOptions& o) { o.explorer.checkTheorems = true; }},
+      {"stop_on_first_violation",
+       [](campaign::CampaignOptions& o) { o.explorer.stopOnFirstViolation = true; }},
+      {"shard", [](campaign::CampaignOptions& o) { o.shardCount = 2; }},
+      {"programs", [](campaign::CampaignOptions& o) { o.programs.pop_back(); }},
+  };
+  for (const Case& tc : cases) {
+    const TempDir dir;
+    (void)campaign::runCampaign(tinyCampaign(dir.path()));
+    campaign::CampaignOptions changed = tinyCampaign(dir.path());
+    tc.change(changed);
+    EXPECT_THROW((void)campaign::runCampaign(changed), std::runtime_error)
+        << tc.field;
+    // The unchanged configuration still resumes.
+    EXPECT_NO_THROW((void)campaign::runCampaign(tinyCampaign(dir.path())))
+        << tc.field;
+  }
 }
 
 // --- sharding ----------------------------------------------------------------
@@ -431,17 +492,65 @@ TEST(Merge, PrefersTheHealthyCopyOfATimedOutCell) {
 }
 
 TEST(Merge, RejectsIncompatibleConfigs) {
+  // Two reports that differ in exactly one identity field never merge, and
+  // the error names that field.
   const std::string base = fabricatedDocument(fabricatedCell(10));
-  std::vector<campaign::CellResult> cells;
-  cells.push_back(fabricatedCell(10));
-  const campaign::CampaignResult result =
-      campaign::foldCells(std::move(cells), {"dfs"});
-  campaign::ReportConfig config;
-  config.scheduleLimit = 999;  // differs from fabricatedDocument's 150
-  config.maxEventsPerSchedule = 1u << 16;
-  const std::string different = campaign::writeReportJson(result, config);
-  EXPECT_THROW((void)campaign::mergeReports({base, different}, {"a", "b"}),
-               std::runtime_error);
+  struct Case {
+    const char* field;
+    std::function<void(campaign::ReportConfig&)> change;
+    std::vector<std::string> explorers;
+  };
+  const std::vector<Case> cases = {
+      {"limit", [](campaign::ReportConfig& c) { c.scheduleLimit = 999; }, {"dfs"}},
+      {"max_events", [](campaign::ReportConfig& c) { c.maxEventsPerSchedule = 1000; }, {"dfs"}},
+      {"seed", [](campaign::ReportConfig& c) { c.seed = 7; }, {"dfs"}},
+      {"quick", [](campaign::ReportConfig& c) { c.quick = true; }, {"dfs"}},
+      {"incremental", [](campaign::ReportConfig& c) { c.incremental = false; }, {"dfs"}},
+      {"workers", [](campaign::ReportConfig& c) { c.workers = 4; }, {"dfs"}},
+      {"snapshot_budget", [](campaign::ReportConfig& c) { c.snapshotBudgetBytes = 4096; }, {"dfs"}},
+      {"memory_model", [](campaign::ReportConfig& c) { c.memoryModel = "tso"; }, {"dfs"}},
+      {"explorers", [](campaign::ReportConfig&) {}, {"dfs", "random"}},
+  };
+  for (const Case& tc : cases) {
+    std::vector<campaign::CellResult> cells;
+    cells.push_back(fabricatedCell(10));
+    const campaign::CampaignResult result =
+        campaign::foldCells(std::move(cells), tc.explorers);
+    campaign::ReportConfig config;
+    config.scheduleLimit = 150;
+    config.maxEventsPerSchedule = 1u << 16;
+    tc.change(config);
+    const std::string different = campaign::writeReportJson(result, config);
+    try {
+      (void)campaign::mergeReports({base, different}, {"a", "b"});
+      ADD_FAILURE() << "merged reports that differ in " << tc.field;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("config.") + tc.field),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(Merge, RejectsAReportMissingAnIdentityField) {
+  const std::string base = fabricatedDocument(fabricatedCell(10));
+  for (const char* key : {"limit", "max_events", "seed", "incremental",
+                          "workers", "snapshot_budget", "memory_model"}) {
+    // Drop the key's line from the config block (four-space indent).
+    const std::size_t at = base.find(std::string("\n    \"") + key + "\": ");
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::string missing =
+        base.substr(0, at) + base.substr(base.find('\n', at + 1));
+    try {
+      (void)campaign::mergeReports({base, missing}, {"a", "b"});
+      ADD_FAILURE() << "merged a report without config." << key;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find(std::string("config.") + key + " is missing"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // --- supervisor --------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include "explore/random_explorer.hpp"
 #include "lazyhb/lazyhb.hpp"
 #include "programs/registry.hpp"
+#include "support/json_reader.hpp"
 
 namespace {
 
@@ -256,6 +257,22 @@ TEST(Session, StopOnFirstViolationStopsEarly) {
   ASSERT_TRUE(first.foundViolation());
   EXPECT_LE(first.schedulesExecuted, all.schedulesExecuted);
   EXPECT_EQ(first.violations.size(), 1u);
+}
+
+// --- SuiteReport JSON --------------------------------------------------------
+
+TEST(SuiteReportJson, VersionMatchesThePublicSchemaConstant) {
+  const SuiteReport report = Suite()
+                                 .add("session-test-quiet")
+                                 .strategies({"dfs"})
+                                 .schedules(20)
+                                 .jobs(1)
+                                 .run();
+  std::string error;
+  const auto parsed = support::JsonValue::parse(report.toJson(), &error);
+  ASSERT_NE(parsed, nullptr) << error;
+  EXPECT_EQ(parsed->stringAt("schema"), kSuiteReportSchemaName);
+  EXPECT_EQ(parsed->intAt("version"), kSuiteReportSchemaVersion);
 }
 
 // --- TestReport JSON ---------------------------------------------------------
