@@ -5,14 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "explore/dfs_explorer.hpp"
 #include "explore/dpor_explorer.hpp"
 #include "explore/replay.hpp"
+#include "memory/memory_model.hpp"
+#include "programs/registry.hpp"
+#include "random_program_gen.hpp"
 #include "runtime/api.hpp"
 #include "test_helpers.hpp"
 #include "trace/clock_arena.hpp"
@@ -217,10 +223,197 @@ TEST(HbGraph, RenderContainsEventsAndDot) {
   });
 }
 
+// --- exact oracles -------------------------------------------------------------
 // The central canonicity property: across the ENTIRE schedule space of a
 // program, two schedules get the same incremental fingerprint iff they have
-// the same exact canonical form — for both relations, with the Foata normal
-// form and the clock-derived explicit relation as independent oracles.
+// the same exact canonical form. For Full and Lazy the Foata normal form and
+// the clock-derived explicit relation are independent oracles; for Value the
+// oracle is an exact, unhashed key of the value equivalence (below).
+
+/// Forwards every callback to a TraceRecorder and keeps the object
+/// registrations the exact value key needs (the recorder does not expose
+/// initial values). `afterEvent`, when set, runs after each forwarded event:
+/// the recorder then describes the prefix ending at that event.
+class OracleTee final : public runtime::ExecutionObserver {
+ public:
+  struct Registration {
+    runtime::Uid uid = 0;
+    runtime::ObjectKind kind = runtime::ObjectKind::Var;
+    std::uint64_t initialValueHash = 0;
+  };
+
+  explicit OracleTee(TraceRecorder& recorder) : recorder_(recorder) {}
+
+  void onExecutionStart(const runtime::Execution& exec) override {
+    registrations_.clear();
+    recorder_.onExecutionStart(exec);
+  }
+  void onObjectRegistered(const runtime::Execution& exec, std::int32_t index,
+                          runtime::Uid uid, runtime::ObjectKind kind,
+                          const std::string& name,
+                          std::uint64_t initialValueHash) override {
+    if (registrations_.size() <= static_cast<std::size_t>(index)) {
+      registrations_.resize(static_cast<std::size_t>(index) + 1);
+    }
+    registrations_[static_cast<std::size_t>(index)] = {uid, kind, initialValueHash};
+    recorder_.onObjectRegistered(exec, index, uid, kind, name, initialValueHash);
+  }
+  void onEvent(const runtime::Execution& exec, const runtime::EventRecord& ev) override {
+    recorder_.onEvent(exec, ev);
+    if (afterEvent) afterEvent();
+  }
+  void onExecutionEnd(const runtime::Execution& exec, runtime::Outcome outcome) override {
+    recorder_.onExecutionEnd(exec, outcome);
+  }
+
+  [[nodiscard]] const std::vector<Registration>& registrations() const noexcept {
+    return registrations_;
+  }
+
+  std::function<void()> afterEvent;
+
+ private:
+  TraceRecorder& recorder_;
+  std::vector<Registration> registrations_;
+};
+
+/// The exact key of the Value equivalence, by its definition rather than by
+/// the recorder's hashing:
+///   * the sorted multiset of (exact label tuple, observed value) — the
+///     observed value is the read's own value, or an RMW's pre-value, and 0
+///     for every other label;
+///   * the final (var uid, value) set;
+///   * each condvar's FIFO wait queue, as thread uids in arrival order.
+/// Final values and queues come from replaying the event stream over the
+/// registrations; `memoryOut` receives the replayed values, which the caller
+/// cross-checks against a terminal execution's own.
+std::vector<std::uint64_t> exactValueKey(
+    const TraceRecorder& recorder,
+    const std::vector<OracleTee::Registration>& registrations,
+    std::map<runtime::Uid, std::uint64_t>* memoryOut = nullptr) {
+  using runtime::OpKind;
+  std::map<runtime::Uid, std::uint64_t> memory;
+  std::map<runtime::Uid, std::vector<runtime::Uid>> queues;
+  for (const OracleTee::Registration& r : registrations) {
+    if (r.kind == runtime::ObjectKind::Var) memory[r.uid] = r.initialValueHash;
+    if (r.kind == runtime::ObjectKind::CondVar) queues[r.uid];
+  }
+  std::vector<std::array<std::uint64_t, 7>> observations;
+  for (std::size_t i = 0; i < recorder.eventCount(); ++i) {
+    const runtime::EventRecord& ev = recorder.eventRecord(static_cast<std::int32_t>(i));
+    std::uint64_t observed = 0;
+    if (ev.kind == OpKind::Read) observed = ev.valueHash;
+    if (ev.kind == OpKind::Rmw) observed = memory.at(ev.objectUid);
+    const bool lands = ev.kind == OpKind::Rmw || ev.kind == OpKind::Flush ||
+                       (ev.kind == OpKind::Write && ev.aux == 0);
+    if (lands) memory[ev.objectUid] = ev.valueHash;
+    if (ev.kind == OpKind::Wait) queues.at(ev.objectUid).push_back(ev.threadUid);
+    if (ev.kind == OpKind::Signal && !queues.at(ev.objectUid).empty()) {
+      queues.at(ev.objectUid).erase(queues.at(ev.objectUid).begin());
+    }
+    if (ev.kind == OpKind::Broadcast) queues.at(ev.objectUid).clear();
+    observations.push_back({ev.threadUid, ev.indexInThread,
+                            static_cast<std::uint64_t>(ev.kind), ev.objectUid,
+                            ev.mutexUid, ev.aux, observed});
+  }
+  std::sort(observations.begin(), observations.end());
+  std::vector<std::uint64_t> key;
+  for (const auto& o : observations) key.insert(key.end(), o.begin(), o.end());
+  key.push_back(~0ULL);
+  for (const auto& [uid, value] : memory) {  // std::map: sorted by uid
+    key.push_back(uid);
+    key.push_back(value);
+  }
+  for (const auto& [uid, queue] : queues) {
+    key.push_back(~0ULL);
+    key.push_back(uid);
+    key.insert(key.end(), queue.begin(), queue.end());
+  }
+  if (memoryOut != nullptr) *memoryOut = std::move(memory);
+  return key;
+}
+
+/// Records (exact form, fingerprint) pairs and checks that the two induce
+/// the same partition: equal forms have equal fingerprints and equal
+/// fingerprints have equal forms.
+class PartitionCheck {
+ public:
+  explicit PartitionCheck(std::string what) : what_(std::move(what)) {}
+
+  void add(const std::vector<std::uint64_t>& form, support::Hash128 fp) {
+    const auto byForm = formToFp_.emplace(form, fp).first;
+    EXPECT_EQ(byForm->second, fp) << "same " << what_ << ", different fingerprint";
+    const auto byFp = fpToForm_.emplace(std::pair{fp.lo, fp.hi}, form).first;
+    EXPECT_TRUE(byFp->second == form) << "same fingerprint, different " << what_;
+  }
+
+  [[nodiscard]] std::size_t classes() const noexcept { return formToFp_.size(); }
+
+ private:
+  std::string what_;
+  std::map<std::vector<std::uint64_t>, support::Hash128> formToFp_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<std::uint64_t>> fpToForm_;
+};
+
+/// Enumerate every schedule of `program` (at most `cap`) under `model` and
+/// check the Full, Lazy and Value fingerprints against their exact forms at
+/// the end of each schedule — every end counts, deadlocks included — and,
+/// with `everyPrefix`, after every event: the prefixes are what the caches
+/// key on, and only they hold condvar queues with several waiters. Returns
+/// the number of schedules, or 0 when the space exceeds `cap`.
+std::uint64_t checkExactOracles(const explore::Program& program, std::uint64_t cap,
+                                bool everyPrefix = false,
+                                memory::MemoryModel model = memory::MemoryModel::Sc) {
+  TraceRecorder recorder(TraceRecorder::Options{.keepPredecessors = true});
+  OracleTee tee(recorder);
+  runtime::StackPool pool;
+  explore::TreeSearchState state;
+  PartitionCheck foata[2] = {PartitionCheck("full Foata NF"), PartitionCheck("lazy Foata NF")};
+  PartitionCheck exact[2] = {PartitionCheck("full explicit relation"),
+                             PartitionCheck("lazy explicit relation")};
+  PartitionCheck value("exact value key");
+  std::map<runtime::Uid, std::uint64_t> memory;
+  const auto checkPrefix = [&] {
+    for (const Relation relation : {Relation::Full, Relation::Lazy}) {
+      const int r = relation == Relation::Full ? 0 : 1;
+      const support::Hash128 fp = recorder.fingerprint(relation);
+      foata[r].add(trace::foataNormalForm(recorder, relation), fp);
+      exact[r].add(trace::explicitRelation(recorder, relation), fp);
+    }
+    value.add(exactValueKey(recorder, tee.registrations(), &memory),
+              recorder.fingerprint(Relation::Value));
+  };
+  if (everyPrefix) tee.afterEvent = checkPrefix;
+  std::uint64_t schedules = 0;
+  for (;;) {
+    if (schedules == cap) return 0;
+    runtime::Config config;
+    config.memoryModel = model;
+    runtime::Execution exec(config, pool, &tee);
+    explore::TreeScheduler scheduler(state);
+    const runtime::Outcome outcome = exec.run(program, scheduler);
+    ++schedules;
+    checkPrefix();
+    if (outcome == runtime::Outcome::Terminal) {
+      // The replayed final values are the execution's own (a terminal run
+      // tears nothing down, so its memory is final).
+      for (int i = 0; i < exec.objectCount(); ++i) {
+        const runtime::ObjectInfo& obj = exec.object(i);
+        if (obj.kind == runtime::ObjectKind::Var) {
+          EXPECT_EQ(memory.at(obj.uid), obj.valueHash) << "var " << obj.name;
+        }
+      }
+    }
+    if (!state.advance()) break;
+  }
+  // The two exact forms of each relation agree on the class count too.
+  EXPECT_EQ(foata[0].classes(), exact[0].classes());
+  EXPECT_EQ(foata[1].classes(), exact[1].classes());
+  // The §3 chain: value classes never outnumber lazy classes.
+  EXPECT_LE(value.classes(), exact[1].classes());
+  return schedules;
+}
+
 class FingerprintCanonicity : public ::testing::TestWithParam<int> {};
 
 TEST_P(FingerprintCanonicity, FingerprintEqualsIffExactFormEqual) {
@@ -254,53 +447,99 @@ TEST_P(FingerprintCanonicity, FingerprintEqualsIffExactFormEqual) {
           t1.join();
           t2.join();
         };
+      case 3:
+        return [] {  // two waiters queue in either order; one signal
+          Mutex m("m");
+          CondVar cv("cv");
+          Shared<int> woken{0, "woken"};
+          auto waiter = [&] {
+            LockGuard guard(m);
+            cv.wait(m);
+            woken.store(woken.load() + 1);
+          };
+          auto t1 = spawn(waiter);
+          auto t2 = spawn(waiter);
+          {
+            LockGuard guard(m);
+            cv.signal();
+          }
+          cv.broadcast();
+          t1.join();
+          t2.join();
+        };
       default:
         return [] {};
     }
   }();
-
-  // Enumerate every schedule; for each terminal one, record (fingerprint,
-  // exact form) pairs per relation and check the bijection.
-  TraceRecorder recorder(TraceRecorder::Options{true, false});
-  runtime::StackPool pool;
-  explore::TreeSearchState state;
-  std::map<std::vector<std::uint64_t>, support::Hash128> foataToFp[2];
-  std::map<std::vector<std::uint64_t>, support::Hash128> explicitToFp[2];
-  std::map<support::Hash128, std::vector<std::uint64_t>,
-           decltype([](const support::Hash128& a, const support::Hash128& b) {
-             return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-           })>
-      fpToFoata[2];
-  int schedules = 0;
-  for (;;) {
-    runtime::Execution exec(runtime::Config{}, pool, &recorder);
-    explore::TreeScheduler scheduler(state);
-    const auto outcome = exec.run(program, scheduler);
-    ++schedules;
-    ASSERT_LT(schedules, 100000) << "space too large for the test";
-    if (outcome == runtime::Outcome::Terminal) {
-      for (const auto relation : {Relation::Full, Relation::Lazy}) {
-        const int r = relation == Relation::Full ? 0 : 1;
-        const auto fp = recorder.fingerprint(relation);
-        const auto foata = trace::foataNormalForm(recorder, relation);
-        const auto exact = trace::explicitRelation(recorder, relation);
-        auto [itF, insertedF] = foataToFp[r].emplace(foata, fp);
-        EXPECT_EQ(itF->second, fp) << "same Foata NF, different fingerprint";
-        auto [itE, insertedE] = explicitToFp[r].emplace(exact, fp);
-        EXPECT_EQ(itE->second, fp) << "same explicit relation, different fingerprint";
-        auto [itR, insertedR] = fpToFoata[r].emplace(fp, foata);
-        EXPECT_EQ(itR->second, foata) << "same fingerprint, different Foata NF";
-      }
-    }
-    if (!state.advance()) break;
-  }
-  // Foata NF and the explicit relation must agree on the class count too.
-  EXPECT_EQ(foataToFp[0].size(), explicitToFp[0].size());
-  EXPECT_EQ(foataToFp[1].size(), explicitToFp[1].size());
-  EXPECT_GT(schedules, 1);
+  EXPECT_GT(checkExactOracles(program, 100000, /*everyPrefix=*/true), 1u)
+      << "space too large for the test";
 }
 
-INSTANTIATE_TEST_SUITE_P(SmallPrograms, FingerprintCanonicity, ::testing::Range(0, 3));
+INSTANTIATE_TEST_SUITE_P(SmallPrograms, FingerprintCanonicity, ::testing::Range(0, 4));
+
+/// The RandomProgramSweep seeds whose naive space is under the sweep's cap
+/// (the other fourteen are theorem-checked only there).
+class RandomProgramOracles : public ::testing::TestWithParam<int> {};
+
+TEST_P(RandomProgramOracles, FingerprintEqualsIffExactFormEqual) {
+  const explore::Program program = lazyhb::testing::materialize(
+      lazyhb::testing::generate(lazyhb::testing::sweepSeed(GetParam())));
+  EXPECT_GT(checkExactOracles(program, lazyhb::testing::kSweepCap), 1u)
+      << "seed space exceeds the sweep cap";
+}
+
+INSTANTIATE_TEST_SUITE_P(SweepSeedsUnderCap, RandomProgramOracles,
+                         ::testing::Values(1, 2, 4, 6, 7, 8, 9, 10, 11, 13, 15, 18, 20,
+                                           22, 23, 25, 26, 27, 31, 32, 33, 34, 35, 37,
+                                           38, 39),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+std::string programNameParam(const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+/// Small corpus programs covering what the generator does not: condvars
+/// (signal, broadcast, a deadlock with a parked waiter), semaphores, RMWs,
+/// spawn trees and lock-erased lazy classes.
+class CorpusOracles : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CorpusOracles, FingerprintEqualsIffExactFormEqual) {
+  const programs::ProgramSpec* spec = programs::byName(GetParam());
+  ASSERT_NE(spec, nullptr);
+  EXPECT_GT(checkExactOracles(spec->body, 20000, /*everyPrefix=*/true), 0u)
+      << "space too large for the test";
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, CorpusOracles,
+                         ::testing::Values("disjoint-lock-2", "barrier-work-2",
+                                           "prodcons-1x1", "barrier-2", "lost-signal",
+                                           "sem-handoff-2", "trylock-fallback-2",
+                                           "consensus-2", "racy-counter-3",
+                                           "check-then-act", "deadlock-ab", "litmus-sb",
+                                           "fork-tree"),
+                         programNameParam);
+
+/// Store-buffer programs under TSO: buffered writes land with their Flush
+/// events, and a read may observe its own thread's buffered value.
+class TsoCorpusOracles : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(TsoCorpusOracles, FingerprintEqualsIffExactFormEqual) {
+  const programs::ProgramSpec* spec = programs::byName(GetParam());
+  ASSERT_NE(spec, nullptr);
+  EXPECT_GT(checkExactOracles(spec->body, 20000, /*everyPrefix=*/true,
+                              memory::MemoryModel::Tso),
+            0u)
+      << "space too large for the test";
+}
+
+INSTANTIATE_TEST_SUITE_P(Weakmem, TsoCorpusOracles,
+                         ::testing::Values("sb-unfenced", "sb-fenced", "dekker-unfenced",
+                                           "store-forwarding", "seqlock-fenced"),
+                         programNameParam);
 
 // --- value-class fingerprints ------------------------------------------------
 
