@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the substrate the experiments
 // stand on: fiber context switches, controlled-execution throughput, vector
-// clock operations, incremental fingerprint maintenance, exact Foata
-// canonicalisation and cache lookups. These quantify the "executions per
-// second" budget that makes 100k-schedule explorations practical.
+// clock operations, per-event fingerprint kernels and their incremental
+// maintenance, exact Foata canonicalisation and cache lookups. These
+// quantify the "executions per second" budget that makes 100k-schedule
+// explorations practical.
 
 #include <benchmark/benchmark.h>
 
@@ -182,6 +183,48 @@ void BM_MultisetHashAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultisetHashAdd);
+
+/// The per-event fingerprint kernels TraceRecorder::onEvent runs: the label
+/// hash of an EventRecord, the causal combine of a label with `preds`
+/// predecessor hashes (support::CausalSum), and the pair hash behind the
+/// (uid, value) state. Each iteration feeds the previous result into the
+/// next input, so the figure is the kernel's latency — the recorder chains
+/// them the same way (label, then causal hash, then prefix accumulator).
+enum class Kernel { Label, Causal, Pair };
+
+void BM_FingerprintKernels(benchmark::State& state, Kernel kernel, int preds) {
+  runtime::EventRecord ev;
+  ev.threadUid = runtime::deriveUid(runtime::kRootThreadUid, 1, runtime::ObjectKind::Thread);
+  ev.objectUid = runtime::deriveUid(runtime::kRootThreadUid, 2, runtime::ObjectKind::Var);
+  ev.kind = runtime::OpKind::Read;
+  const support::Hash128 predHashes[4] = {support::hash128(1), support::hash128(2),
+                                          support::hash128(3), support::hash128(4)};
+  const support::Hash128 salt = support::hash128(5);
+  support::Hash128 h = support::hash128(6);
+  for (auto _ : state) {
+    switch (kernel) {
+      case Kernel::Label:
+        ev.indexInThread = static_cast<std::uint32_t>(h.lo);
+        h = ev.labelHash();
+        break;
+      case Kernel::Causal: {
+        support::CausalSum acc;
+        for (int p = 0; p < preds; ++p) acc.add(predHashes[p]);
+        h = acc.finish(h, salt);
+        break;
+      }
+      case Kernel::Pair:
+        h = support::hash128(h.lo, h.hi);
+        break;
+    }
+    benchmark::DoNotOptimize(h);
+  }
+}
+BENCHMARK_CAPTURE(BM_FingerprintKernels, label, Kernel::Label, 0);
+BENCHMARK_CAPTURE(BM_FingerprintKernels, causal_1pred, Kernel::Causal, 1);
+BENCHMARK_CAPTURE(BM_FingerprintKernels, causal_2preds, Kernel::Causal, 2);
+BENCHMARK_CAPTURE(BM_FingerprintKernels, causal_4preds, Kernel::Causal, 4);
+BENCHMARK_CAPTURE(BM_FingerprintKernels, pair, Kernel::Pair, 0);
 
 void BM_HbrCacheCheckAndInsert(benchmark::State& state) {
   core::HbrCache cache;

@@ -57,6 +57,7 @@ void Execution::reset(const Config& config, ExecutionObserver* observer) {
   observer_ = observer;
   tso_ = config.memoryModel == memory::MemoryModel::Tso;
   currentThread_ = -1;
+  pickEnabledValid_ = false;
   ran_ = false;
   done_ = false;
   abandoning_ = false;
@@ -152,7 +153,7 @@ void Execution::driveLoop(Scheduler& scheduler) {
       outcome_ = Outcome::EventLimit;
       break;
     }
-    const support::ThreadSet enabledSet = enabled();
+    const support::ThreadSet enabledSet = computeEnabled();
     if (enabledSet.empty()) {
       if (allFinished()) {
         outcome_ = Outcome::Terminal;
@@ -169,7 +170,12 @@ void Execution::driveLoop(Scheduler& scheduler) {
       }
       break;
     }
+    // enabled() serves enabledSet for the span of the pick call (reset()
+    // and rollbackTo() drop it too, should pick throw out of the loop).
+    pickEnabled_ = enabledSet;
+    pickEnabledValid_ = true;
     const int pick = scheduler.pick(*this);
+    pickEnabledValid_ = false;
     if (pick == Scheduler::kAbandon) {
       outcome_ = Outcome::Abandoned;
       break;
@@ -292,6 +298,7 @@ void Execution::rollbackTo(std::size_t depth) {
   }
   LAZYHB_CHECK(!snapshots_.empty() && snapshots_.back().depth == depth);
   const ExecSnapshot& s = snapshots_.back();
+  pickEnabledValid_ = false;
 
   // Store buffers roll back before the thread truncation below: an undo
   // entry can name a thread spawned past the checkpoint, whose rec must
@@ -505,6 +512,14 @@ std::int32_t Execution::recordEvent(OpKind kind, std::int32_t object,
 }
 
 support::ThreadSet Execution::enabled() const {
+  if (pickEnabledValid_) {
+    LAZYHB_ASSERT(pickEnabled_ == computeEnabled());
+    return pickEnabled_;
+  }
+  return computeEnabled();
+}
+
+support::ThreadSet Execution::computeEnabled() const {
   support::ThreadSet result;
   for (int tid = 0; tid < threadCount(); ++tid) {
     const ThreadRec& t = threads_[static_cast<std::size_t>(tid)];

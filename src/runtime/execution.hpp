@@ -214,7 +214,10 @@ class Execution {
   /// (memory::kFlushPickOffset + t) per thread with a non-empty store
   /// buffer. Flush picks ignore the owning thread's status: a thread may
   /// finish, park or block with stores still buffered, and those stores
-  /// must still be able to drain.
+  /// must still be able to drain. Inside Scheduler::pick this returns the
+  /// set the scheduling loop already computed for that point (nothing a
+  /// scheduler may do there changes it); everywhere else it is computed
+  /// live.
   [[nodiscard]] support::ThreadSet enabled() const;
 
   /// Number of threads created so far (indices are [0, threadCount())).
@@ -539,6 +542,8 @@ class Execution {
   void logObjectUndo(std::int32_t index, const ObjectInfo& o);
 
   [[nodiscard]] bool isEnabled(const ThreadRec& t) const;
+  /// The live computation behind enabled().
+  [[nodiscard]] support::ThreadSet computeEnabled() const;
   [[nodiscard]] bool allFinished() const;
   [[nodiscard]] support::Hash128 computeStateFingerprint() const;
   void teardownUnfinished();
@@ -569,6 +574,10 @@ class Execution {
   Outcome outcome_ = Outcome::Terminal;
   Violation violation_;
   support::Hash128 finalFingerprint_;
+  /// driveLoop's enabled set, served by enabled() while pickEnabledValid_
+  /// (the span of one Scheduler::pick call).
+  support::ThreadSet pickEnabled_;
+  bool pickEnabledValid_ = false;
 
   // Staged rollback points (resumable mode), shallow -> deep (eviction may
   // leave depth gaps); entries are pooled so their vectors keep capacity

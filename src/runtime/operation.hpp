@@ -131,13 +131,23 @@ struct EventRecord {
   std::uint64_t valueHash = 0;
 
   /// Schedule-invariant label hash: identifies *which* operation this is
-  /// independently of where in the schedule it ran.
+  /// independently of where in the schedule it ran. Two mixes: the label
+  /// is packed into two words, each field entering through an injective
+  /// map (xor with a uid, or a multiply by an odd constant),
+  ///   x = threadUid ^ (indexInThread, kind)·k1
+  ///   y = objectUid ^ mutexUid·k2 ^ aux·k3
+  /// and hash128(x, y) is a bijection of (x, y). So two labels collide iff
+  /// their packed words do: never when they differ in one field only;
+  /// otherwise only when the (uniform) uids satisfy a 64-bit linear
+  /// relation, probability 2^-64 per label pair. (Three uids do not fit
+  /// into 128 bits, so some such relation is unavoidable at this width.)
   [[nodiscard]] support::Hash128 labelHash() const noexcept {
-    const std::uint64_t a =
-        threadUid ^ support::mix64((static_cast<std::uint64_t>(indexInThread) << 16) |
-                                   (static_cast<std::uint64_t>(kind) << 8));
-    const std::uint64_t b = objectUid ^ support::mix64(aux + 0x51ULL) ^ mutexUid;
-    return support::hash128(a, b);
+    const std::uint64_t op = (static_cast<std::uint64_t>(indexInThread) << 16) |
+                             (static_cast<std::uint64_t>(kind) << 8);
+    const std::uint64_t x = threadUid ^ (op * 0x9e3779b97f4a7c15ULL);
+    const std::uint64_t y = objectUid ^ (mutexUid * 0xc2b2ae3d27d4eb4fULL) ^
+                            (aux * 0x165667b19e3779f9ULL);
+    return support::hash128(x, y);
   }
 };
 

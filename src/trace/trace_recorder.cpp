@@ -26,10 +26,22 @@ namespace {
 /// Salt separating the value-equivalence hash domain from the Full/Lazy ones.
 constexpr std::uint64_t kValueDomain = 0x3c4dULL;
 
-/// One value-observation contribution: hash of an observed value, salted
-/// away from every other 64-bit quantity the fingerprints mix.
-[[nodiscard]] support::Hash128 observedValueHash(std::uint64_t value) noexcept {
-  return support::hash128(value ^ 0x0b5e55edULL, kValueDomain);
+/// Per-relation salts of the causal hashes (support::CausalSum::finish).
+constexpr support::Hash128 kFullSalt{0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL};
+constexpr support::Hash128 kLazySalt{0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL};
+constexpr support::Hash128 kValueSalt{0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL};
+
+/// One event's value-equivalence contribution: its label folded with the
+/// value it observed (0 for events that observe none — the label's kind
+/// already tells those apart from reads), one mix per lane. For one label,
+/// observed ↦ observed·k is a bijection (k odd), so distinct observations
+/// differ in both lanes' pre-mix words and never collide; distinct labels
+/// collide only if both lanes' sums meet, probability 2^-128.
+[[nodiscard]] support::Hash128 valueContribution(support::Hash128 label,
+                                                 std::uint64_t observed) noexcept {
+  return support::Hash128{
+      support::mix64((label.lo ^ kValueSalt.lo) + observed * 0xff51afd7ed558ccdULL),
+      support::mix64((label.hi ^ kValueSalt.hi) + observed * 0xc4ceb9fe1a85ec53ULL)};
 }
 
 }  // namespace
@@ -539,43 +551,40 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
     checkRace(exec, ev, index);
   }
 
-  // Causal hashes: label mixed with the multiset of direct predecessors'
-  // hashes under each relation.
+  // Causal hashes: label combined with the set of direct predecessors'
+  // hashes under each relation (both lists are deduplicated above).
   const support::Hash128 label = ev.labelHash();
   {
-    support::MultisetHash acc;
+    support::CausalSum acc;
     for (const std::int32_t p : scratchFull_) {
       acc.add(fullHash_[static_cast<std::size_t>(p)]);
     }
-    fullHash_.push_back(label.mixedWith(acc.digest()));
+    fullHash_.push_back(acc.finish(label, kFullSalt));
     prefixFull_.add(fullHash_.back());
   }
   {
-    support::MultisetHash acc;
+    support::CausalSum acc;
     for (const std::int32_t p : lazyPreds) {
       acc.add(lazyHash_[static_cast<std::size_t>(p)]);
     }
-    lazyHash_.push_back(
-        label.mixedWith(acc.digest()).mixedWith(support::hash128(0x1a2bULL)));
+    lazyHash_.push_back(acc.finish(label, kLazySalt));
     prefixLazy_.add(lazyHash_.back());
   }
   {
     // Value-equivalence contribution: the label alone — no causal mixing;
     // forgetting who produced an observed value is the whole coarsening —
-    // plus, for reads and RMWs, the value observed (the variable's
-    // pre-value; Execution commits an RMW's post-value before recording, so
-    // the recorder's own mirror is consulted, not the execution's).
-    support::Hash128 vh = label.mixedWith(support::hash128(kValueDomain));
+    // plus, for reads and RMWs, the value observed. A read's own valueHash
+    // is that value — under SC the variable's pre-value, under TSO possibly
+    // one forwarded from the reader's own store buffer, which the memory
+    // mirror cannot know. An RMW's is its post-value (Execution commits it
+    // before recording), so the recorder's pre-value mirror is consulted.
+    std::uint64_t observed = 0;
     if (ev.kind == OpKind::Read) {
-      // The event's own valueHash is the value the read observed — under
-      // SC the variable's pre-value (identical to the mirror consulted for
-      // RMWs), under TSO possibly a value forwarded from the reader's own
-      // store buffer, which the memory mirror cannot know.
-      vh = vh.mixedWith(observedValueHash(ev.valueHash));
+      observed = ev.valueHash;
     } else if (ev.kind == OpKind::Rmw) {
-      vh = vh.mixedWith(observedValueHash(history(ev.objectIndex).valueHash));
+      observed = history(ev.objectIndex).valueHash;
     }
-    prefixValue_.add(vh);
+    prefixValue_.add(valueContribution(label, observed));
   }
 
   if (options_.keepPredecessors) {

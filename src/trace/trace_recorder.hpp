@@ -35,6 +35,31 @@
 // HBR caching key on, and what the terminal-HBR counts of Figures 2 and 3
 // de-duplicate by.
 //
+// The per-event kernels (support/hash.hpp and EventRecord::labelHash) spend
+// one mix per 64-bit output lane — eleven per event with the accumulator
+// adds below, since this loop runs once per committed event of every
+// explored schedule:
+//   label  — the label's fields packed into two words through injective
+//            maps, then the pair hash, a bijection of those words: labels
+//            collide only when their uids satisfy a 64-bit relation.
+//   causal — support::CausalSum per relation: lane-wise sums of the
+//            deduplicated predecessors' hashes plus their count, finished
+//            with one mix per lane keyed by the label and a per-relation
+//            salt. Equal predecessor sets with different labels never
+//            collide (the finish is a bijection per lane); different sets
+//            collide only if a sum of independent uniform hashes hits a
+//            fixed value in both lanes, 2^-128 — deduplication keeps every
+//            coefficient of that sum at 1.
+//   value  — the label xor a salt, plus the observed value times an odd
+//            constant, one mix per lane: for one label, distinct observed
+//            values differ in both pre-mix words, so never collide.
+//   state  — (uid, value) pairs through the pair hash, a bijection: two
+//            distinct pairs never collide.
+// Each kernel's contribution then enters its prefix accumulator
+// (support::MultisetHash: one mix per add), whose digest is computed only
+// when a fingerprint is read. tests/test_trace.cpp checks every fingerprint
+// against an exact form over whole schedule spaces.
+//
 // Storage is structure-of-arrays, sized for the per-event loop that runs
 // once per committed event of every explored schedule:
 //   hot  — per-event causal hashes (one flat array per relation) and the

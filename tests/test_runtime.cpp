@@ -346,6 +346,98 @@ TEST(Runtime, EnabledSetTracksBlocking) {
   EXPECT_TRUE(sched.sawBlockedLock);
 }
 
+TEST(Runtime, EnabledOutsidePickIsLive) {
+  // Inside Scheduler::pick, enabled() serves the set the scheduling loop
+  // computed for that point; everywhere else it must be computed live. An
+  // observer reading it on the Unlock event — after the pick that granted
+  // the unlock, when the cached set still had the child blocked — must see
+  // the waiting locker enabled.
+  struct UnlockProbe final : runtime::ExecutionObserver {
+    std::vector<support::ThreadSet> atUnlock;
+    void onEvent(const Execution& e, const runtime::EventRecord& ev) override {
+      if (ev.kind == runtime::OpKind::Unlock && ev.threadIndex == 0) {
+        atUnlock.push_back(e.enabled());
+      }
+    }
+  } probe;
+  struct Recorder final : runtime::Scheduler {
+    std::vector<support::ThreadSet> sets;
+    int pick(Execution& e) override {
+      sets.push_back(e.enabled());
+      return e.enabled().first();  // main first whenever it can run
+    }
+  } sched;
+  StackPool pool;
+  Execution exec(Config{}, pool, &probe);
+  const Outcome outcome = exec.run(
+      [] {
+        Mutex m("m");
+        m.lock();
+        auto t = spawn([&] {
+          m.lock();
+          m.unlock();
+        });
+        yield();  // the child publishes its lock and blocks on m
+        m.unlock();
+        t.join();
+      },
+      sched);
+  EXPECT_EQ(outcome, Outcome::Terminal);
+  ASSERT_EQ(probe.atUnlock.size(), 1u);
+  EXPECT_TRUE(probe.atUnlock[0].contains(1)) << "the blocked locker is enabled after the unlock";
+  // The pick that granted the unlock saw the child blocked.
+  bool sawChildBlocked = false;
+  for (const support::ThreadSet set : sched.sets) {
+    sawChildBlocked = sawChildBlocked || (set.contains(0) && !set.contains(1));
+  }
+  EXPECT_TRUE(sawChildBlocked);
+}
+
+TEST(Runtime, EnabledAroundCheckpointInsidePick) {
+  // A resumable scheduler stages a checkpoint inside pick: staging changes
+  // nothing enabled() reports. After a rollback, enabled() outside pick is
+  // the restored point's set, not a cached one from the deeper run.
+  if (!Execution::checkpointingSupported()) {
+    GTEST_SKIP() << "resumable executions need fiber snapshots";
+  }
+  struct Stager final : runtime::Scheduler {
+    std::vector<support::ThreadSet> sets;  // per depth, first run
+    int pick(Execution& e) override {
+      const support::ThreadSet before = e.enabled();
+      e.checkpoint();
+      const support::ThreadSet after = e.enabled();
+      EXPECT_EQ(before, after) << "depth " << e.events().size();
+      if (sets.size() == e.events().size()) sets.push_back(after);
+      EXPECT_EQ(sets[e.events().size()], after) << "depth " << e.events().size();
+      return after.first();
+    }
+  } sched;
+  StackPool pool;
+  Execution exec(Config{}, pool, nullptr);
+  exec.enableResumable();
+  const auto body = [] {
+    Mutex m("m");
+    Shared<int> x{0, "x"};
+    auto t = spawn([&] {
+      LockGuard guard(m);
+      x.store(1);
+    });
+    {
+      LockGuard guard(m);
+      x.store(2);
+    }
+    t.join();
+  };
+  ASSERT_EQ(exec.run(body, sched), Outcome::Terminal);
+  ASSERT_GE(sched.sets.size(), 4u);
+  EXPECT_TRUE(exec.enabled().empty());  // a finished run has nothing enabled
+  for (std::size_t depth = sched.sets.size(); depth-- > 0;) {
+    exec.rollbackTo(depth);
+    EXPECT_EQ(exec.enabled(), sched.sets[depth]) << "depth " << depth;
+    ASSERT_EQ(exec.resume(sched), Outcome::Terminal);
+  }
+}
+
 TEST(Runtime, ViolationSchedulesReplayExactly) {
   auto body = [] {
     Shared<int> x{0, "x"};
