@@ -15,10 +15,7 @@
 //     (default 1024); campaign events once per lifecycle transition.
 //   * reentrancy — the callback must not call back into the emitting
 //     Session/Suite, and should return quickly (it blocks the exploration).
-//   * parallelism — a Session-level ScheduleTick callback forces the
-//     exploration sequential (ticks from racing shard workers would
-//     interleave nondeterministically); campaign-level events are
-//     unaffected by --jobs/--workers.
+//   * parallelism — campaign-level events are unaffected by --jobs.
 
 #pragma once
 

@@ -172,28 +172,18 @@ class Session {
   /// ScenarioTraits::checkpointable); enables full runtime rollback.
   /// run(name) inherits this from the scenario's registered traits.
   Session& checkpointable(bool on = true);
-  /// Shard the scenario's schedule tree across this many OS threads
-  /// (default 1 = sequential). Only the tree searches with
-  /// order-independent counts shard ("dfs", "caching-full", "caching-lazy",
-  /// "caching-value"); other strategies — and order-sensitive option
-  /// combinations such as stopOnFirstViolation or checkTheorems — run
-  /// sequentially whatever this is set to. Every count in the TestReport is
-  /// byte-identical at any worker count.
-  Session& workers(int count);
   /// Byte budget for staged incremental-replay snapshots (0 = unlimited;
   /// default: the LAZYHB_SNAPSHOT_BUDGET environment variable, else
   /// 256 MiB). When staging would exceed it, the engine evicts the staged
   /// checkpoint furthest from the search frontier and later rollbacks into
   /// the evicted region replay from the deepest surviving shallower stage.
   /// Counts are byte-identical at any budget; only wall time and memory
-  /// change. With workers(N), the budget is split evenly per worker.
+  /// change.
   Session& snapshotBudget(std::uint64_t bytes);
   /// Progress hook: a ProgressEvent of kind ScheduleTick every
   /// progressInterval() executed schedules, synchronously on the exploring
   /// thread (lazyhb/progress.hpp documents the full callback contract).
-  /// Setting a callback forces the exploration sequential even when
-  /// workers(N > 1) was requested — ticks from racing shard workers would
-  /// interleave nondeterministically. Counts are unaffected.
+  /// Counts are unaffected.
   Session& onProgress(ProgressCallback callback);
   /// Schedules between ScheduleTick events (default 1024; 0 is clamped
   /// to 1). Only meaningful together with onProgress().
@@ -228,7 +218,6 @@ class Session {
     std::uint32_t maxViolationsKept = 16;
     bool incremental = true;
     bool checkpointable = false;
-    int workers = 1;
     /// Set to defaultSnapshotBudgetBytes() by the Session constructor.
     std::uint64_t snapshotBudgetBytes = 0;
     ProgressCallback progress;

@@ -142,9 +142,6 @@ class Suite {
   /// Campaign worker threads fanning cells out (<= 0: one per hardware
   /// thread). Counts are byte-identical at any value.
   Suite& jobs(int count);
-  /// Intra-cell worker threads sharding each scenario's schedule tree
-  /// (dfs/caching-* only; counts stay byte-identical).
-  Suite& workers(int count);
   /// Run only this 0-based slice of the cell matrix (cells with
   /// index % count == index_). Shard reports merge back to the unsharded
   /// count set via `lazyhb merge`. Validated at run().

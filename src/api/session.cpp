@@ -128,11 +128,6 @@ Session& Session::checkpointable(bool on) {
   return *this;
 }
 
-Session& Session::workers(int count) {
-  config_.workers = count;
-  return *this;
-}
-
 Session& Session::snapshotBudget(std::uint64_t bytes) {
   config_.snapshotBudgetBytes = bytes;
   return *this;
@@ -160,7 +155,6 @@ campaign::CampaignOptions sessionOptions(const Session& session) {
   options.explorer.maxViolationsKept = config.maxViolationsKept;
   options.explorer.incremental = config.incremental;
   options.explorer.checkpointable = config.checkpointable;
-  options.explorer.workers = config.workers;
   options.explorer.snapshotBudgetBytes = config.snapshotBudgetBytes;
   options.seed = config.seed;
   return options;
@@ -189,9 +183,6 @@ TestReport Session::run(const Program& program) const {
   explore::ExplorerOptions options = cell.explorer;
   if (config_.progress) {
     // Adapt the engine's raw schedule tick into the public ProgressEvent.
-    // A non-null onScheduleTick also disqualifies the options from
-    // parallel sharding (ParallelExplorer::shardable), keeping the tick
-    // stream deterministic.
     const ProgressCallback callback = config_.progress;
     const std::string scenarioLabel = config_.scenarioLabel;
     const std::string strategyName = config_.strategy;

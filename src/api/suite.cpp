@@ -62,11 +62,6 @@ Suite& Suite::jobs(int count) {
   return *this;
 }
 
-Suite& Suite::workers(int count) {
-  config_.cell.workers(count);
-  return *this;
-}
-
 Suite& Suite::shard(int index, int count) {
   config_.shardIndex = index;
   config_.shardCount = count;

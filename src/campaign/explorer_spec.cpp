@@ -2,43 +2,24 @@
 
 #include "explore/dfs_explorer.hpp"
 #include "explore/dpor_explorer.hpp"
-#include "explore/parallel_explorer.hpp"
 #include "explore/random_explorer.hpp"
 #include "support/diagnostics.hpp"
 #include "support/options.hpp"
 
 namespace lazyhb::campaign {
 
-namespace {
-
-/// The tree explorer keyed on `relation` (nullopt: plain DFS), sharded
-/// across options.workers threads when the options allow it. Counts are
-/// byte-identical either way, so the choice is an implementation detail.
-std::unique_ptr<explore::Explorer> treeExplorer(
-    const explore::ExplorerOptions& options,
-    std::optional<trace::Relation> relation, std::uint64_t seed) {
-  if (explore::ParallelExplorer::shardable(options)) {
-    return std::make_unique<explore::ParallelExplorer>(options, relation, seed);
-  }
-  return std::make_unique<explore::TreeExplorer>(options, relation);
-}
-
-}  // namespace
-
 std::unique_ptr<explore::Explorer> ExplorerSpec::create(
     const explore::ExplorerOptions& options, std::uint64_t seed) const {
-  // Only the tree searches shard; random's RNG stream and DPOR's
-  // visit-ordered backtrack sets keep their sequential explorer regardless
-  // of the requested worker count.
+  LAZYHB_CHECK(options.workers == 1);
   switch (kind) {
     case Kind::Dfs:
-      return treeExplorer(options, std::nullopt, seed);
+      return std::make_unique<explore::TreeExplorer>(options);
     case Kind::CachingFull:
-      return treeExplorer(options, trace::Relation::Full, seed);
+      return std::make_unique<explore::TreeExplorer>(options, trace::Relation::Full);
     case Kind::CachingLazy:
-      return treeExplorer(options, trace::Relation::Lazy, seed);
+      return std::make_unique<explore::TreeExplorer>(options, trace::Relation::Lazy);
     case Kind::CachingValue:
-      return treeExplorer(options, trace::Relation::Value, seed);
+      return std::make_unique<explore::TreeExplorer>(options, trace::Relation::Value);
     case Kind::Random:
       return std::make_unique<explore::RandomExplorer>(options, seed);
     case Kind::Dpor:

@@ -40,15 +40,10 @@ struct ExplorerSpec {
   Kind kind = Kind::Dfs;
   std::string name;  ///< canonical mode name, e.g. "caching-lazy"
 
-  /// Build a fresh single-use explorer. `seed` affects Kind::Random and,
-  /// when `options.workers >= 2`, the parallel frontier pool's per-worker
-  /// victim-selection RNGs. The tree searches — dfs, caching-full,
-  /// caching-lazy and caching-value — are one TreeExplorer keyed on no
-  /// relation or on Full / Lazy / Value; with workers >= 2 they come back
-  /// as a ParallelExplorer. The order-sensitive strategies and option
-  /// combinations fall back to their sequential explorer — counts are
-  /// byte-identical either way, so the fallback is an implementation
-  /// detail, not a behaviour change.
+  /// Build a fresh single-use explorer. `seed` affects Kind::Random only.
+  /// The tree searches — dfs, caching-full, caching-lazy and caching-value —
+  /// are one TreeExplorer keyed on no relation or on Full / Lazy / Value.
+  /// `options.workers` must be 1.
   [[nodiscard]] std::unique_ptr<explore::Explorer> create(
       const explore::ExplorerOptions& options, std::uint64_t seed) const;
 };

@@ -139,25 +139,6 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
                static_cast<std::uint64_t>(cell.stats.maxBufferedStores));
     json.endObject();
   }
-  if (cell.stats.parallel.workers > 0) {
-    // Schema v4: how the cell's intra-scenario sharding distributed work.
-    // All *count* fields above are byte-identical to a sequential run; this
-    // block carries only the parallel-only diagnostics.
-    const explore::ParallelStats& par = cell.stats.parallel;
-    json.key("parallel").beginObject();
-    json.field("workers", static_cast<std::int64_t>(par.workers));
-    json.field("frontier_jobs", par.frontierJobs);
-    json.field("fell_back_sequential", par.fellBackSequential);
-    json.key("by_worker").beginArray();
-    for (const explore::WorkerShare& share : par.byWorker) {
-      json.beginObject();
-      json.field("schedules_visited", share.schedulesVisited);
-      json.field("tasks_stolen", share.tasksStolen);
-      json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-  }
   json.endObject();
 }
 
@@ -229,20 +210,6 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
     cell->stats.fenceEvents = tso->uintAt("fence_events");
     cell->stats.maxBufferedStores =
         static_cast<std::uint32_t>(tso->uintAt("max_buffered_stores"));
-  }
-  if (const support::JsonValue* parallel = value.find("parallel")) {
-    cell->stats.parallel.workers = static_cast<int>(parallel->intAt("workers"));
-    cell->stats.parallel.frontierJobs = parallel->uintAt("frontier_jobs");
-    cell->stats.parallel.fellBackSequential =
-        parallel->boolAt("fell_back_sequential");
-    if (const support::JsonValue* byWorker = parallel->find("by_worker")) {
-      for (const support::JsonValue& share : byWorker->items()) {
-        explore::WorkerShare ws;
-        ws.schedulesVisited = share.uintAt("schedules_visited");
-        ws.tasksStolen = share.uintAt("tasks_stolen");
-        cell->stats.parallel.byWorker.push_back(ws);
-      }
-    }
   }
   return true;
 }

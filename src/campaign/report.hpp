@@ -37,14 +37,15 @@ struct ReportConfig {
   std::uint64_t seed = 0;
   bool quick = false;
   bool incremental = true;  ///< --incremental toggle the campaign ran with
-  /// Intra-scenario worker threads per cell (--workers). Mandatory in a
-  /// v4+ config block: tools/bench_diff.py rejects such reports without it,
-  /// so a report can never silently hide the parallelism it ran with.
+  /// Intra-scenario worker threads per cell: always 1, since every cell is
+  /// explored on one thread. Echoed because a v4+ config block must carry
+  /// it (tools/bench_diff.py rejects such reports without it) and reports
+  /// from builds that sharded cells across threads carry other values.
   int workers = 1;
   /// Snapshot byte budget per cell (--snapshot-budget, 0 = unlimited).
-  /// Mandatory in a v6 config block, for the same reason as workers: a
-  /// budget small enough to force evictions changes wall time, so two
-  /// reports are only comparable with it in view.
+  /// Mandatory in a v6 config block: a budget small enough to force
+  /// evictions changes wall time, so two reports are only comparable with
+  /// it in view.
   std::uint64_t snapshotBudgetBytes = 0;
   /// Memory model every cell ran under ("sc" or "tso"). Mandatory in a v8
   /// config block: two reports are only count-comparable under the same

@@ -8,28 +8,20 @@ namespace lazyhb::campaign {
 
 namespace {
 
-// Which pool (if any) the calling thread serves, and at which index.
-// A thread is a worker of at most one pool — nested pools (a campaign task
-// spinning up a parallel explorer) run their workers on fresh threads, each
-// with its own binding.
-struct WorkerBinding {
-  const WorkStealingPool* pool = nullptr;
-  int index = -1;
-};
-thread_local WorkerBinding tlsBinding;
+/// Roots the per-worker victim-selection RNGs.
+constexpr std::uint64_t kVictimSeed = 0x5ca1ab1e0ddba11ULL;
 
 }  // namespace
 
-WorkStealingPool::WorkStealingPool(int workers, std::uint64_t seed) {
+WorkStealingPool::WorkStealingPool(int workers) {
   const int n = std::max(1, workers);
   deques_.resize(static_cast<std::size_t>(n));
-  stealsByWorker_.assign(static_cast<std::size_t>(n), 0);
   rngs_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     // Distinct deterministic stream per worker: splitmix inside Rng spreads
     // the (seed, index) pair, so adjacent indices don't correlate.
-    rngs_.emplace_back(seed + 0x9e3779b97f4a7c15ULL *
-                                  static_cast<std::uint64_t>(i + 1));
+    rngs_.emplace_back(kVictimSeed + 0x9e3779b97f4a7c15ULL *
+                                         static_cast<std::uint64_t>(i + 1));
   }
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -44,7 +36,6 @@ WorkStealingPool::~WorkStealingPool() {
     shuttingDown_ = true;
   }
   batchStart_.notify_all();
-  frontier_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
   }
@@ -65,46 +56,6 @@ void WorkStealingPool::run(std::vector<Task> tasks) {
   batchDone_.wait(lock, [this] { return remaining_ == 0; });
 }
 
-void WorkStealingPool::submit(Task task) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  LAZYHB_CHECK(remaining_ > 0);  // only legal inside an active batch
-  if (tlsBinding.pool == this) {
-    // Worker-submitted: own deque front, so the submitter (or a thief, in
-    // stack-splitting order from the back) continues depth-first.
-    deques_[static_cast<std::size_t>(tlsBinding.index)].push_front(
-        std::move(task));
-  } else {
-    auto shortest = std::min_element(
-        deques_.begin(), deques_.end(),
-        [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    shortest->push_back(std::move(task));
-  }
-  ++remaining_;
-  frontier_.notify_all();
-}
-
-int WorkStealingPool::currentWorkerIndex() const noexcept {
-  return tlsBinding.pool == this ? tlsBinding.index : -1;
-}
-
-bool WorkStealingPool::hungry() const {
-  const std::lock_guard<std::mutex> guard(mutex_);
-  if (remaining_ == 0) return false;
-  std::size_t queued = 0;
-  for (const std::deque<Task>& d : deques_) {
-    if (d.empty()) return true;
-    queued += d.size();
-  }
-  // All deques non-empty but fewer queued tasks than workers: someone will
-  // go idle as soon as the queued tail drains.
-  return queued < deques_.size();
-}
-
-std::vector<std::uint64_t> WorkStealingPool::stealsByWorker() const {
-  const std::lock_guard<std::mutex> guard(mutex_);
-  return stealsByWorker_;
-}
-
 bool WorkStealingPool::popTask(std::size_t self, Task& task) {
   std::deque<Task>& mine = deques_[self];
   if (!mine.empty()) {
@@ -116,7 +67,7 @@ bool WorkStealingPool::popTask(std::size_t self, Task& task) {
   // back holds the tasks its owner would reach last, so stealing there
   // minimises interleaving with the victim's own pops). The scan starts at
   // a per-worker seeded random offset, which breaks length ties without a
-  // shared RNG — reproducible for a fixed (pool seed, worker, call count).
+  // shared RNG — reproducible for a fixed (worker, call count).
   const std::size_t n = deques_.size();
   const std::size_t offset = n > 1 ? rngs_[self].below(n) : 0;
   std::size_t victim = n;
@@ -129,16 +80,14 @@ bool WorkStealingPool::popTask(std::size_t self, Task& task) {
       victim = i;
     }
   }
-  if (victim == n) return false;  // frontier empty everywhere
+  if (victim == n) return false;  // every deque is empty
   task = std::move(deques_[victim].back());
   deques_[victim].pop_back();
   tasksStolen_.fetch_add(1, std::memory_order_relaxed);
-  ++stealsByWorker_[self];
   return true;
 }
 
 void WorkStealingPool::workerLoop(std::size_t self) {
-  tlsBinding = {this, static_cast<int>(self)};
   std::uint64_t seenGeneration = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -148,30 +97,15 @@ void WorkStealingPool::workerLoop(std::size_t self) {
     if (shuttingDown_) return;
     seenGeneration = generation_;
 
-    // Batch loop: run tasks until the whole frontier — initial deal plus
-    // everything submit()ted along the way — has finished. Empty deques
-    // alone don't end the batch; in-flight tasks may still submit.
-    while (remaining_ != 0) {
-      Task task;
-      if (popTask(self, task)) {
-        lock.unlock();
-        task();  // noexcept contract: a throwing task terminates
-        task = nullptr;  // destroy captures outside the lock
-        lock.lock();
-        if (--remaining_ == 0) {
-          batchDone_.notify_all();
-          frontier_.notify_all();  // release workers parked below
-        }
-        continue;
-      }
-      frontier_.wait(lock, [this, self] {
-        if (shuttingDown_ || remaining_ == 0) return true;
-        for (std::size_t i = 0; i < deques_.size(); ++i) {
-          if (!deques_[i].empty()) return true;
-        }
-        return false;
-      });
-      if (shuttingDown_) return;
+    // A batch is dealt in full before any worker wakes, so once every deque
+    // is empty this worker has nothing left to do until the next batch.
+    Task task;
+    while (popTask(self, task)) {
+      lock.unlock();
+      task();  // noexcept contract: a throwing task terminates
+      task = nullptr;  // destroy captures outside the lock
+      lock.lock();
+      if (--remaining_ == 0) batchDone_.notify_all();
     }
   }
 }

@@ -1,29 +1,16 @@
 // lazyhb/campaign/work_stealing_pool.hpp
 //
 // The one thread pool of the code base: the executor behind the campaign
-// runner's (program × explorer) matrix, the parallel explorer's
-// intra-scenario frontier (explore/parallel_explorer.hpp) and
-// bench/tab_theorem_check's per-benchmark runs. A fixed set of OS threads, one task deque per worker, with work stealing. Tasks vary
-// wildly in cost (a complete DFS of a 2-thread program vs. 100,000
-// schedules of a contended one), so a single shared queue serves long tasks
-// tail-heavy: the last big cell lands on one worker while the rest idle.
-// Dealing round-robin and letting idle workers steal from the *back* of a
-// victim's deque keeps every hardware thread busy until the frontier drains.
-//
-// Two behaviours the frontier use case added:
-//
-//   * dynamic submission — a running task may call submit() to enqueue more
-//     work into the same batch (new frontier nodes discovered mid-subtree).
-//     Worker-submitted tasks go to the submitter's own deque front (LIFO,
-//     so the frontier explores depth-first and stays small); run() returns
-//     only when every task, including all transitively submitted ones, has
-//     finished. Idle workers therefore park on a condition variable instead
-//     of exiting when the deques look empty but tasks are still in flight.
-//   * seeded victim selection — each worker breaks steal-victim ties with
-//     its own deterministic RNG, seeded from (pool seed, worker index), so
-//     pool behaviour is reproducible run-to-run under any --jobs/--workers
-//     (a shared or unseeded RNG would make steal patterns — and with them
-//     any order-sensitive downstream state — drift between runs).
+// runner's (program × explorer) matrix and bench/tab_theorem_check's
+// per-benchmark runs. A fixed set of OS threads, one task deque per worker,
+// with work stealing. Tasks vary wildly in cost (a complete DFS of a
+// 2-thread program vs. 100,000 schedules of a contended one), so a single
+// shared queue serves long tasks tail-heavy: the last big cell lands on one
+// worker while the rest idle. Dealing round-robin and letting idle workers
+// steal from the *back* of a victim's deque keeps every hardware thread
+// busy until the batch drains. Each worker breaks steal-victim ties with
+// its own deterministic RNG, so steal patterns are reproducible run-to-run
+// (a shared or unseeded RNG would make them drift between runs).
 //
 // Tasks are independent and must not throw: an experiment harness has no
 // meaningful recovery from a lost result, so an escaping exception
@@ -57,11 +44,7 @@ class WorkStealingPool {
 
   /// Create `workers` OS threads (values < 1 clamp to 1). Threads persist
   /// across run() batches and park on a condition variable between them.
-  /// `seed` roots the per-worker victim-selection RNGs: worker i draws from
-  /// Rng(seed ^ mixed(i)), so the whole pool's steal behaviour is a pure
-  /// function of (seed, worker count, task timing).
-  explicit WorkStealingPool(int workers,
-                            std::uint64_t seed = kDefaultSeed);
+  explicit WorkStealingPool(int workers);
 
   /// Joins all workers. Must not be called while run() is in flight.
   ~WorkStealingPool();
@@ -69,31 +52,10 @@ class WorkStealingPool {
   WorkStealingPool(const WorkStealingPool&) = delete;
   WorkStealingPool& operator=(const WorkStealingPool&) = delete;
 
-  /// Execute every task in `tasks` — plus everything submit()ted while the
-  /// batch runs — blocking until all have finished. Initial tasks are dealt
-  /// round-robin across the worker deques; idle workers steal from the back
-  /// of the longest victim deque. Not reentrant.
+  /// Execute every task in `tasks`, blocking until all have finished.
+  /// Tasks are dealt round-robin across the worker deques; idle workers
+  /// steal from the back of the longest victim deque. Not reentrant.
   void run(std::vector<Task> tasks);
-
-  /// Enqueue one more task into the batch currently in flight. Legal only
-  /// while a batch is running (i.e. from inside a task, or from another
-  /// thread racing run() — the caller must know a batch is active). When
-  /// called on a worker thread the task lands at the *front* of that
-  /// worker's own deque (depth-first); otherwise at the back of the
-  /// shortest deque.
-  void submit(Task task);
-
-  /// Index of the calling pool worker in [0, workerCount()), or -1 when the
-  /// calling thread is not one of this pool's workers. Lets tasks address
-  /// per-worker state (accumulators, recorders) without locking.
-  [[nodiscard]] int currentWorkerIndex() const noexcept;
-
-  /// True when some deque is empty while the batch still has unfinished
-  /// tasks — a cheap "someone is (about to be) idle" signal that long
-  /// tasks poll to decide whether splitting off a subtask would feed a
-  /// starving worker. Racy by nature; both false positives and negatives
-  /// only cost granularity, never correctness.
-  [[nodiscard]] bool hungry() const;
 
   [[nodiscard]] int workerCount() const noexcept {
     return static_cast<int>(deques_.size());
@@ -105,13 +67,6 @@ class WorkStealingPool {
     return tasksStolen_.load(std::memory_order_relaxed);
   }
 
-  /// Per-worker steal counts (same accumulation as tasksStolen(), attributed
-  /// to the stealing worker). Index = worker. Snapshot; call between
-  /// batches for exact values.
-  [[nodiscard]] std::vector<std::uint64_t> stealsByWorker() const;
-
-  static constexpr std::uint64_t kDefaultSeed = 0x5ca1ab1e0ddba11ULL;
-
  private:
   void workerLoop(std::size_t self);
 
@@ -121,14 +76,12 @@ class WorkStealingPool {
   bool popTask(std::size_t self, Task& task);
 
   std::vector<std::deque<Task>> deques_;
-  std::vector<support::Rng> rngs_;             ///< per-worker, deterministic
-  std::vector<std::uint64_t> stealsByWorker_;
+  std::vector<support::Rng> rngs_;  ///< per-worker, deterministic
   std::vector<std::thread> workers_;
 
   mutable std::mutex mutex_;  ///< guards deques_, rngs_, counters, lifecycle
   std::condition_variable batchStart_;
   std::condition_variable batchDone_;
-  std::condition_variable frontier_;  ///< signalled on submit / batch end
   std::uint64_t generation_ = 0;      ///< bumped once per run() batch
   std::size_t remaining_ = 0;         ///< tasks not yet finished this batch
   bool shuttingDown_ = false;

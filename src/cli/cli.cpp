@@ -114,9 +114,6 @@ void addRunFlags(support::Options& options) {
   options.addInt("seed", 42, "random explorer seed");
   options.addString("incremental", "on",
                     "incremental prefix replay (checkpoint/rollback): on | off");
-  options.addInt("workers", 1,
-                 "shard each schedule tree across this many threads "
-                 "(dfs/caching-* only; counts stay byte-identical)");
   options.addInt("snapshot-budget", -1,
                  "byte budget for staged rollback snapshots (0: unlimited; "
                  "default: LAZYHB_SNAPSHOT_BUDGET or 256 MiB); over budget, "
@@ -135,12 +132,6 @@ bool parseRunFlags(const support::Options& options, Session* session) {
                  incremental.c_str());
     return false;
   }
-  const int workers = static_cast<int>(options.getInt("workers"));
-  if (workers < 1) {
-    std::fprintf(stderr, "lazyhb: --workers expects a positive count, got %d\n",
-                 workers);
-    return false;
-  }
   // -1 (the flag default) keeps the engine default; 0 means unlimited.
   const std::int64_t snapshotBudget = options.getInt("snapshot-budget");
   if (snapshotBudget < -1) {
@@ -156,8 +147,7 @@ bool parseRunFlags(const support::Options& options, Session* session) {
       .maxEventsPerSchedule(static_cast<std::uint32_t>(options.getInt("max-events")))
       .seed(static_cast<std::uint64_t>(options.getInt("seed")))
       .memoryModel(memoryModel)
-      .incremental(incremental == "on")
-      .workers(workers);
+      .incremental(incremental == "on");
   if (snapshotBudget >= 0) {
     session->snapshotBudget(static_cast<std::uint64_t>(snapshotBudget));
   }

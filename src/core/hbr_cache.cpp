@@ -1,217 +1,59 @@
-// lazyhb/core/hbr_cache.cpp — concurrent open-addressing fingerprint store.
-//
-// See the header for the slot protocol. Invariants the code below leans on:
-//
-//   * Slots are claimed (CAS lo: 0 -> kBusy) and published (store hi, then
-//     release-store lo) entirely inside the accessor epoch, without
-//     blocking, so kBusy is always transient: any spinner is waiting on a
-//     writer that is between two plain stores.
-//   * Growth drains the epoch (accessors_ == 0) before touching the table,
-//     so the rehash loop sees only empty or fully published slots — never
-//     kBusy — and no concurrent probe can observe the swap mid-way.
-//   * Published slots are immutable (the cache never erases), so once a
-//     probe entered the epoch its table cannot be retired under it, and a
-//     probe against the new table sees a superset of the old keys.
-
 #include "core/hbr_cache.hpp"
-
-#include <thread>
 
 namespace lazyhb::core {
 
 namespace {
 
-/// Grow once table occupancy reaches 70% (same policy as the sequential
-/// seed: `size * 10 >= capacity * 7`).
+/// Grow once table occupancy reaches 70%.
 bool overLoadFactor(std::size_t used, std::size_t capacity) noexcept {
   return used * 10 >= capacity * 7;
 }
 
 }  // namespace
 
-HbrCache::HbrCache() : table_(new std::vector<Slot>(kInitialCapacity)) {}
-
-HbrCache::~HbrCache() {
-  delete table_.load(std::memory_order_relaxed);
-  for (std::vector<Slot>* t : retired_) delete t;
-}
-
-std::vector<HbrCache::Slot>* HbrCache::enterEpoch() const noexcept {
-  for (;;) {
-    // Stand aside while a grower is draining, or we would starve it.
-    while (resizing_.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    // The increment and the re-check form one half of a Dekker (store-
-    // buffering) handshake with maybeGrow's resizing_ store + accessors_
-    // drain load. Both halves must be seq_cst: with acq/rel only, each side
-    // may read the stale value (we miss resizing_, the grower misses our
-    // increment) and a probe would race the rehash.
-    accessors_.fetch_add(1, std::memory_order_seq_cst);
-    if (!resizing_.load(std::memory_order_seq_cst)) {
-      // Any grower that sets resizing_ after this load will see our
-      // increment and wait for us; table_ is now stable for this operation.
-      return table_.load(std::memory_order_acquire);
-    }
-    // Lost the race against a starting grower: back out and retry.
-    accessors_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
-void HbrCache::leaveEpoch() const noexcept {
-  accessors_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
 bool HbrCache::insertUncounted(support::Hash128 fingerprint) {
-  if (outOfBand(fingerprint)) return insertOutOfBand(fingerprint);
-
-  std::vector<Slot>* table = enterEpoch();
-  const std::size_t mask = table->size() - 1;
+  if (fingerprint.lo == 0) return zeroLoKeys_.insert(fingerprint.hi).second;
+  const std::size_t mask = table_.size() - 1;
   std::size_t index = static_cast<std::size_t>(fingerprint.lo) & mask;
-
-  bool inserted = false;
   for (;;) {
-    Slot& slot = (*table)[index];
-    std::uint64_t lo = slot.lo.load(std::memory_order_acquire);
-
-    if (lo == 0) {
-      std::uint64_t expected = 0;
-      if (slot.lo.compare_exchange_strong(expected, kBusy,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        slot.hi.store(fingerprint.hi, std::memory_order_relaxed);
-        slot.lo.store(fingerprint.lo, std::memory_order_release);
-        tableUsed_.fetch_add(1, std::memory_order_relaxed);
-        size_.fetch_add(1, std::memory_order_release);
-        inserted = true;
-        break;
-      }
-      lo = expected;  // CAS lost: re-examine what the winner put here.
-    }
-
-    while (lo == kBusy) {
-      // Another writer claimed this slot and is mid-publication (two plain
-      // stores away from done); its key might be ours, so wait it out.
-      std::this_thread::yield();
-      lo = slot.lo.load(std::memory_order_acquire);
-    }
-
-    if (lo == fingerprint.lo &&
-        slot.hi.load(std::memory_order_relaxed) == fingerprint.hi) {
-      break;  // already present
-    }
+    support::Hash128& slot = table_[index];
+    if (slot.lo == 0) break;
+    if (slot == fingerprint) return false;
     index = (index + 1) & mask;  // collision: linear probe
   }
-  leaveEpoch();
-
-  if (inserted && overLoadFactor(tableUsed_.load(std::memory_order_relaxed),
-                                 mask + 1)) {
-    maybeGrow();
-  }
-  return inserted;
-}
-
-bool HbrCache::insertOutOfBand(support::Hash128 fingerprint) {
-  std::lock_guard<std::mutex> lock(oobMutex_);
-  const bool inserted = oobKeys_.emplace(fingerprint.lo, fingerprint.hi).second;
-  if (inserted) size_.fetch_add(1, std::memory_order_release);
-  return inserted;
+  table_[index] = fingerprint;
+  if (overLoadFactor(++tableUsed_, table_.size())) grow();
+  return true;
 }
 
 bool HbrCache::contains(support::Hash128 fingerprint) const {
-  if (outOfBand(fingerprint)) {
-    std::lock_guard<std::mutex> lock(oobMutex_);
-    return oobKeys_.count({fingerprint.lo, fingerprint.hi}) != 0;
+  if (fingerprint.lo == 0) return zeroLoKeys_.count(fingerprint.hi) != 0;
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t index = static_cast<std::size_t>(fingerprint.lo) & mask;;
+       index = (index + 1) & mask) {
+    const support::Hash128& slot = table_[index];
+    if (slot.lo == 0) return false;  // empty slot terminates the probe chain
+    if (slot == fingerprint) return true;
   }
-
-  std::vector<Slot>* table = enterEpoch();
-  const std::size_t mask = table->size() - 1;
-  std::size_t index = static_cast<std::size_t>(fingerprint.lo) & mask;
-
-  bool found = false;
-  for (;;) {
-    const Slot& slot = (*table)[index];
-    std::uint64_t lo = slot.lo.load(std::memory_order_acquire);
-    while (lo == kBusy) {
-      std::this_thread::yield();
-      lo = slot.lo.load(std::memory_order_acquire);
-    }
-    if (lo == 0) break;  // empty slot terminates the probe chain
-    if (lo == fingerprint.lo &&
-        slot.hi.load(std::memory_order_relaxed) == fingerprint.hi) {
-      found = true;
-      break;
-    }
-    index = (index + 1) & mask;
-  }
-  leaveEpoch();
-  return found;
 }
 
-void HbrCache::maybeGrow() {
-  std::lock_guard<std::mutex> lock(growMutex_);
-  std::vector<Slot>* old = table_.load(std::memory_order_acquire);
-  // Another grower may have run between our check and the lock.
-  if (!overLoadFactor(tableUsed_.load(std::memory_order_relaxed),
-                      old->size())) {
-    return;
+void HbrCache::grow() {
+  std::vector<support::Hash128> bigger(table_.size() * 2);
+  const std::size_t mask = bigger.size() - 1;
+  for (const support::Hash128& slot : table_) {
+    if (slot.lo == 0) continue;
+    std::size_t index = static_cast<std::size_t>(slot.lo) & mask;
+    while (bigger[index].lo != 0) index = (index + 1) & mask;
+    bigger[index] = slot;
   }
-
-  // Drain: no operation may be mid-probe while the pointer swaps. New
-  // arrivals see resizing_ and hold off in enterEpoch. This is the grower's
-  // half of the Dekker handshake (see enterEpoch): both the flag store and
-  // the drain load must be seq_cst so that either the accessor sees
-  // resizing_ and backs out, or we see its increment and wait for it.
-  resizing_.store(true, std::memory_order_seq_cst);
-  while (accessors_.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
-  }
-
-  auto* bigger = new std::vector<Slot>(old->size() * 2);
-  const std::size_t mask = bigger->size() - 1;
-  for (const Slot& slot : *old) {
-    const std::uint64_t lo = slot.lo.load(std::memory_order_relaxed);
-    if (lo == 0) continue;  // drained epoch: kBusy cannot appear
-    const std::uint64_t hi = slot.hi.load(std::memory_order_relaxed);
-    std::size_t index = static_cast<std::size_t>(lo) & mask;
-    while ((*bigger)[index].lo.load(std::memory_order_relaxed) != 0) {
-      index = (index + 1) & mask;
-    }
-    (*bigger)[index].hi.store(hi, std::memory_order_relaxed);
-    (*bigger)[index].lo.store(lo, std::memory_order_relaxed);
-  }
-
-  table_.store(bigger, std::memory_order_release);
-  retired_.push_back(old);
-  resizing_.store(false, std::memory_order_release);
-}
-
-std::size_t HbrCache::approxMemoryBytes() const {
-  // growMutex_ keeps a concurrent maybeGrow from swapping table_ or
-  // appending to retired_ mid-iteration.
-  std::lock_guard<std::mutex> lock(growMutex_);
-  std::size_t bytes =
-      table_.load(std::memory_order_acquire)->size() * sizeof(Slot);
-  // Retired generations sum to at most one current-table's worth.
-  for (const std::vector<Slot>* t : retired_) bytes += t->size() * sizeof(Slot);
-  return bytes;
+  table_.swap(bigger);
 }
 
 void HbrCache::clear() {
-  delete table_.load(std::memory_order_relaxed);
-  for (std::vector<Slot>* t : retired_) delete t;
-  retired_.clear();
-  table_.store(new std::vector<Slot>(kInitialCapacity),
-               std::memory_order_relaxed);
-  size_.store(0, std::memory_order_relaxed);
-  tableUsed_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(oobMutex_);
-    oobKeys_.clear();
-  }
-  stats_.lookups.store(0, std::memory_order_relaxed);
-  stats_.hits.store(0, std::memory_order_relaxed);
-  stats_.insertions.store(0, std::memory_order_relaxed);
+  table_ = std::vector<support::Hash128>(kInitialCapacity);
+  tableUsed_ = 0;
+  zeroLoKeys_.clear();
+  stats_ = Stats{};
 }
 
 }  // namespace lazyhb::core

@@ -13,36 +13,15 @@
 // tombstone-free linear probing (the cache only ever grows; nothing is
 // erased). A lookup is one cache line in the common case: the fingerprints
 // are already uniformly distributed, so the low word is the probe start as
-// is — no re-hashing, no per-entry nodes, no pointer chase.
-//
-// Since PR 6 the cache is *concurrency-safe*: N exploration workers sharing
-// one cache (explore/parallel_explorer.hpp) means a prefix pruned by any
-// worker is pruned for all. The design follows LTSmin's lockless state
-// database (dbs-ll): CAS-based claiming over the flat table, memoized-hash
-// probing (the key's own low word), with growth coordinated by a lock plus
-// an accessor epoch so the table pointer can be swapped while no operation
-// is mid-probe. Per-slot protocol:
-//
-//   empty slot        lo == 0 (hi is then meaningless)
-//   claimed, pending  lo == kBusy   (writer has won the CAS, hi not yet out)
-//   published         lo == key.lo  (hi carries key.hi; released by the
-//                                    lo store, acquired by the reader load)
-//
-// Keys whose low word collides with the two sentinels (lo == 0 or
-// lo == kBusy; probability 2^-63 together, but cheap to be exact about) are
-// kept out of band under a small mutex, like the seed kept the all-zero key.
-//
-// checkAndInsert is linearizable: when two workers race on the same new
-// fingerprint, exactly one observes an insert and the other a hit — no
-// lost inserts, no double counting (tests/test_core.cpp pins this against
-// a mutex-guarded reference cache).
+// is — no re-hashing, no per-entry nodes, no pointer chase. A slot whose low
+// word is 0 is empty; keys whose low word is 0 (probability 2^-64, but cheap
+// to be exact about) are kept in a small side set instead. Single-threaded:
+// each explorer owns its cache.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "support/hash.hpp"
@@ -57,115 +36,60 @@ class HbrCache {
     std::uint64_t insertions = 0;
   };
 
-  HbrCache();
-  ~HbrCache();
+  HbrCache() : table_(kInitialCapacity) {}
 
   HbrCache(const HbrCache&) = delete;
   HbrCache& operator=(const HbrCache&) = delete;
 
   /// Look up `fingerprint`; if absent, insert it. Returns true on a hit
   /// (the prefix was seen before and the caller should prune).
-  /// Linearizable: concurrent callers with equal fingerprints see exactly
-  /// one miss.
   bool checkAndInsert(support::Hash128 fingerprint) {
-    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lookups;
     if (insertUncounted(fingerprint)) {
-      stats_.insertions.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.insertions;
       return false;
     }
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.hits;
     return true;
   }
 
   /// Insert without counting a lookup (used to seed replayed prefixes).
   void insert(support::Hash128 fingerprint) {
-    if (insertUncounted(fingerprint)) {
-      stats_.insertions.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (insertUncounted(fingerprint)) ++stats_.insertions;
   }
 
   [[nodiscard]] bool contains(support::Hash128 fingerprint) const;
 
   [[nodiscard]] std::size_t size() const noexcept {
-    return size_.load(std::memory_order_acquire);
+    return tableUsed_ + zeroLoKeys_.size();
   }
 
-  /// Snapshot of the (atomically maintained) counters. Exact whenever no
-  /// operation is concurrently in flight — i.e. at merge/report time.
-  [[nodiscard]] Stats stats() const noexcept {
-    Stats out;
-    out.lookups = stats_.lookups.load(std::memory_order_relaxed);
-    out.hits = stats_.hits.load(std::memory_order_relaxed);
-    out.insertions = stats_.insertions.load(std::memory_order_relaxed);
-    return out;
-  }
+  [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
   /// Approximate heap footprint in bytes: the flat slot array (the table is
   /// the storage — there are no per-entry nodes). Deliberately ignores
   /// allocator overhead — this is a growth signal for campaign reports, not
-  /// a memory audit. Thread-safe (takes the growth lock).
-  [[nodiscard]] std::size_t approxMemoryBytes() const;
+  /// a memory audit.
+  [[nodiscard]] std::size_t approxMemoryBytes() const noexcept {
+    return table_.size() * sizeof(support::Hash128);
+  }
 
-  /// Reset to the empty initial-capacity state. NOT thread-safe: callers
-  /// must guarantee no concurrent operation (tests and single-threaded
-  /// reuse only).
+  /// Reset to the empty initial-capacity state.
   void clear();
 
  private:
-  // One table slot. `lo` doubles as the publication word (see file comment);
-  // `hi` is released by the `lo` store and acquired by the `lo` load, so it
-  // needs atomicity only to keep the data race formally defined.
-  struct Slot {
-    std::atomic<std::uint64_t> lo{0};
-    std::atomic<std::uint64_t> hi{0};
-  };
-
-  struct AtomicStats {
-    std::atomic<std::uint64_t> lookups{0};
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> insertions{0};
-  };
-
   static constexpr std::size_t kInitialCapacity = 512;  // power of two
-  /// Claim sentinel for a slot whose publication store is still pending.
-  static constexpr std::uint64_t kBusy = ~std::uint64_t{0};
-
-  /// True when `lo` cannot live in the table (collides with a sentinel).
-  [[nodiscard]] static bool outOfBand(support::Hash128 fp) noexcept {
-    return fp.lo == 0 || fp.lo == kBusy;
-  }
 
   /// True when the fingerprint was newly inserted, false when present.
   bool insertUncounted(support::Hash128 fingerprint);
-  bool insertOutOfBand(support::Hash128 fingerprint);
 
-  /// Enter/leave the accessor epoch that growth drains before swapping the
-  /// table. enterEpoch returns the table current for this operation.
-  std::vector<Slot>* enterEpoch() const noexcept;
-  void leaveEpoch() const noexcept;
+  /// Double the table and rehash every slot into it.
+  void grow();
 
-  /// Double the table if the load factor crossed the threshold; serialized
-  /// by growMutex_, drains the accessor epoch before swapping.
-  void maybeGrow();
-
-  // The current table, swapped wholesale on growth. Retired tables are kept
-  // until destruction/clear (their memory is a strict fraction of the live
-  // table's, and freeing them safely would need a full epoch handshake on
-  // the read path).
-  std::atomic<std::vector<Slot>*> table_;
-  std::vector<std::vector<Slot>*> retired_;
-
-  mutable std::atomic<std::uint64_t> accessors_{0};  ///< operations in flight
-  std::atomic<bool> resizing_{false};  ///< set while growth awaits the drain
-  mutable std::mutex growMutex_;       ///< serializes growers and retired_
-
-  std::atomic<std::size_t> size_{0};  ///< resident fingerprints (all paths)
-  std::atomic<std::size_t> tableUsed_{0};  ///< published in-table slots
-
-  mutable std::mutex oobMutex_;  ///< guards the sentinel-colliding keys
-  std::set<std::pair<std::uint64_t, std::uint64_t>> oobKeys_;
-
-  AtomicStats stats_;
+  std::vector<support::Hash128> table_;  ///< lo == 0 marks an empty slot
+  std::size_t tableUsed_ = 0;            ///< occupied slots
+  std::unordered_set<std::uint64_t> zeroLoKeys_;  ///< hi of keys with lo == 0
+  Stats stats_;
 };
 
 }  // namespace lazyhb::core

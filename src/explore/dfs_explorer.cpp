@@ -59,22 +59,18 @@ int TreeScheduler::pick(runtime::Execution& exec) {
 }
 
 void TreeExplorer::runSearch(const Program& program) {
-  TreeSearchState state;
-  if (searchSubtree(program, state, 0)) markComplete();
-}
-
-bool TreeExplorer::searchSubtree(const Program& program, TreeSearchState& state,
-                                 std::size_t startDepth) {
   std::function<bool()> prune;
   if (cachesPrefixes()) prune = [this] { return prefixCached(); };
+  TreeSearchState state;
+  std::size_t startDepth = 0;
   for (;;) {
-    if (!mayRunSchedule()) return false;
+    if (!mayRunSchedule()) return;
     TreeScheduler scheduler(state, prune, &prefixEngine(), startDepth);
     (void)executeSchedule(program, scheduler);
-    scheduleDone(state);
-    if (!state.advance()) return true;
+    if (!state.advance()) break;
     startDepth = prefixEngine().prepareNext(state.checkFromDepth);
   }
+  markComplete();
 }
 
 }  // namespace lazyhb::explore

@@ -92,27 +92,15 @@ class TreeScheduler final : public runtime::Scheduler {
 /// the limit): the baseline every reduction is measured against, and the
 /// oracle the property tests compare DPOR and the caching searches to.
 /// With one (Full, Lazy or Value) it prunes on the prefix cache keyed by
-/// that relation. ParallelExplorer's workers are tree explorers too: they
-/// run searchSubtree() on frontier jobs against one shared cache.
+/// that relation.
 class TreeExplorer : public ExplorerBase {
  public:
   explicit TreeExplorer(ExplorerOptions options,
-                        std::optional<trace::Relation> relation = std::nullopt,
-                        core::HbrCache* sharedCache = nullptr)
-      : ExplorerBase(options, relation, sharedCache) {}
+                        std::optional<trace::Relation> relation = std::nullopt)
+      : ExplorerBase(options, relation) {}
 
  protected:
   void runSearch(const Program& program) override;
-
-  /// Walk the subtree `state` spans depth-first, the first schedule
-  /// resuming at `startDepth`, until advance() exhausts it (returns true)
-  /// or mayRunSchedule() stops the search (returns false).
-  bool searchSubtree(const Program& program, TreeSearchState& state,
-                     std::size_t startDepth);
-
-  /// Called after every schedule with the live search stack (default: no
-  /// action). Parallel workers split off subtrees here.
-  virtual void scheduleDone(TreeSearchState& /*state*/) {}
 };
 
 }  // namespace lazyhb::explore

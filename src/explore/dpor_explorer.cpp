@@ -208,7 +208,7 @@ class DporScheduler final : public runtime::Scheduler {
 };
 
 DporExplorer::DporExplorer(ExplorerOptions options, DporOptions dpor)
-    : ExplorerBase(options, dpor.cachePrefixes, nullptr, /*fullClocks=*/true),
+    : ExplorerBase(options, dpor.cachePrefixes, /*fullClocks=*/true),
       dpor_(dpor) {}
 
 bool DporExplorer::advance() {

@@ -27,7 +27,7 @@ std::uint64_t defaultSnapshotBudgetBytes() noexcept {
 
 ExplorerBase::ExplorerBase(ExplorerOptions options,
                            std::optional<trace::Relation> cacheRelation,
-                           core::HbrCache* sharedCache, bool fullClocks)
+                           bool fullClocks)
     : options_(options),
       recorder_(trace::TraceRecorder::Options{options.keepPredecessors,
                                               options.detectRaces, fullClocks}),
@@ -40,8 +40,7 @@ ExplorerBase::ExplorerBase(ExplorerOptions options,
     LAZYHB_CHECK(*cacheRelation_ == trace::Relation::Full ||
                  *cacheRelation_ == trace::Relation::Lazy ||
                  *cacheRelation_ == trace::Relation::Value);
-    if (sharedCache == nullptr) ownCache_ = std::make_unique<core::HbrCache>();
-    cache_ = sharedCache != nullptr ? sharedCache : ownCache_.get();
+    cache_ = std::make_unique<core::HbrCache>();
   }
 }
 

@@ -16,8 +16,6 @@
 //   DporExplorer     — Flanagan–Godefroid dynamic partial-order reduction
 //                      with optional sleep sets (explore/dpor_explorer.hpp).
 //   RandomExplorer   — uniform random walks (explore/random_explorer.hpp).
-//   ParallelExplorer — the tree explorer sharded across OS threads
-//                      (explore/parallel_explorer.hpp).
 
 #pragma once
 
@@ -94,17 +92,12 @@ struct ExplorerOptions {
   /// walk — and later divergences into the evicted region fall back to
   /// replaying from the deepest surviving shallower stage (or a full
   /// restart). Counts are byte-identical at any budget; only wall time
-  /// and memory change. ParallelExplorer splits this evenly across its
-  /// workers so the scenario-wide footprint stays bounded.
+  /// and memory change.
   std::uint64_t snapshotBudgetBytes = defaultSnapshotBudgetBytes();
-  /// Shard the schedule tree of this one scenario across this many OS
-  /// threads (explore/parallel_explorer.hpp). 1 = classic sequential
-  /// search. Only the tree searches with order-independent counts support
-  /// sharding (dfs and the caching explorers); for other strategies — or
-  /// option combinations that are inherently order-sensitive
-  /// (stopOnFirstViolation, checkTheorems) — the factory falls back to the
-  /// sequential explorer and this field is advisory. All observable counts
-  /// are byte-identical at any worker count.
+  /// Always 1: every search runs on the calling thread (campaigns
+  /// parallelise across cells with --jobs and --shard). Kept so report
+  /// configs can still echo it; ExplorerSpec::create rejects any other
+  /// value.
   int workers = 1;
   /// Memory model every execution runs under (memory/memory_model.hpp).
   /// Sc is the default and leaves all behaviour — counts, fingerprints,
@@ -116,14 +109,11 @@ struct ExplorerOptions {
   /// Checked at schedule boundaries; on expiry the search stops and the
   /// result is marked timedOut — its counts are then a wall-clock-dependent
   /// prefix, so report consumers (bench_diff, the merger) treat timed-out
-  /// cells as incomparable. A nonzero timeout is order-sensitive and
-  /// disables intra-scenario sharding (ParallelExplorer::shardable).
+  /// cells as incomparable.
   double wallTimeoutSeconds = 0.0;
   /// Progress hook: invoked synchronously on the exploring thread after
   /// every tickIntervalSchedules-th schedule with the running schedule
-  /// count. Must not re-enter the explorer. Order-sensitive for sharding
-  /// purposes (ticks from racing workers would interleave), so a set
-  /// callback also disables intra-scenario sharding.
+  /// count. Must not re-enter the explorer.
   std::function<void(std::uint64_t schedulesExecuted)> onScheduleTick;
   std::uint64_t tickIntervalSchedules = 0;  ///< 0 disables progress ticks
 };
@@ -163,28 +153,6 @@ struct CheckpointStats {
   std::uint64_t replayFallbacks = 0;
 };
 
-/// Per-worker share of a parallel exploration (explore/parallel_explorer.hpp):
-/// how many schedules the worker ran and how many frontier tasks it stole.
-/// The campaign report (schema v4) surfaces these so load imbalance is
-/// visible per cell.
-struct WorkerShare {
-  std::uint64_t schedulesVisited = 0;
-  std::uint64_t tasksStolen = 0;
-};
-
-/// How a parallel exploration distributed its work. `workers == 0` means
-/// the search ran sequentially (no pool was involved at all).
-struct ParallelStats {
-  int workers = 0;
-  std::uint64_t frontierJobs = 0;  ///< subtree tasks executed across the pool
-  /// The schedule budget bit mid-flight: parallel order would then decide
-  /// *which* schedules fit the budget, so the run was aborted and redone
-  /// sequentially (whether the budget bites at all is order-independent,
-  /// so this fallback triggers identically at any worker count).
-  bool fellBackSequential = false;
-  std::vector<WorkerShare> byWorker;
-};
-
 struct ExplorationResult {
   std::uint64_t schedulesExecuted = 0;
   std::uint64_t terminalSchedules = 0;
@@ -218,21 +186,19 @@ struct ExplorationResult {
   std::vector<trace::RaceReport> races;
   /// TSO store-buffer activity across all schedules (all zero under SC):
   /// flush events committed, fence events committed, and the deepest any
-  /// thread's buffer got. Deterministic at any worker count / replay mode.
+  /// thread's buffer got. Deterministic in every replay mode.
   std::uint64_t flushEvents = 0;
   std::uint64_t fenceEvents = 0;
   std::uint32_t maxBufferedStores = 0;
   PrefixCacheStats cacheStats;  ///< zero unless the strategy uses an HbrCache
   CheckpointStats checkpointStats;  ///< zero unless incremental replay ran
-  ParallelStats parallel;       ///< zero-workers unless sharded (see above)
 
   [[nodiscard]] bool foundViolation() const noexcept { return !violations.empty(); }
 };
 
 /// The exploration interface: run a program's schedule space once, return
-/// the accumulated statistics. Sequential strategies implement it through
-/// ExplorerBase below; ParallelExplorer implements it directly (its result
-/// is a merge of per-worker ExplorerBase tallies).
+/// the accumulated statistics. Every strategy implements it through
+/// ExplorerBase below.
 class Explorer {
  public:
   virtual ~Explorer() = default;
@@ -257,21 +223,19 @@ struct TerminalClasses {
   Hash128Set states;
 };
 
-/// Shared plumbing for the sequential explorers: owns the stack pool, the
+/// Shared plumbing for the explorers: owns the stack pool, the
 /// trace recorder, the optional HBR-prefix cache and the statistics, and
 /// runs one schedule at a time.
 class ExplorerBase : public Explorer {
  public:
   /// `cacheRelation`, when set, keys a prefix cache on that relation (Full,
   /// Lazy or Value): strategies probe it through prefixCached(), and every
-  /// schedule that is not abandoned seeds its final prefix. The cache is
-  /// `*sharedCache` when given (ParallelExplorer's workers share one),
-  /// otherwise the explorer's own. `fullClocks` declares that the strategy
-  /// reads Full-relation vector clocks from recorder() (DPOR); without it
-  /// the recorder builds clock rows only for keepPredecessors/detectRaces.
+  /// schedule that is not abandoned seeds its final prefix. `fullClocks`
+  /// declares that the strategy reads Full-relation vector clocks from
+  /// recorder() (DPOR); without it the recorder builds clock rows only for
+  /// keepPredecessors/detectRaces.
   explicit ExplorerBase(ExplorerOptions options,
                         std::optional<trace::Relation> cacheRelation = std::nullopt,
-                        core::HbrCache* sharedCache = nullptr,
                         bool fullClocks = false);
 
   /// Run the full exploration. May be called once per explorer instance.
@@ -288,7 +252,7 @@ class ExplorerBase : public Explorer {
   /// Gate checked before every schedule of a systematic search: false once
   /// the budget (or the wall-clock deadline) is spent — which also marks
   /// hitScheduleLimit — or the search should stop for a found violation.
-  virtual bool mayRunSchedule();
+  bool mayRunSchedule();
 
   /// Execute one schedule under `scheduler`, updating all statistics and,
   /// when caching, seeding the cache with the schedule's final prefix. In
@@ -349,8 +313,7 @@ class ExplorerBase : public Explorer {
   core::EquivalenceChecker thmValue_;
   core::RaceAggregator raceAggregator_;
   std::optional<trace::Relation> cacheRelation_;
-  std::unique_ptr<core::HbrCache> ownCache_;  ///< unless a shared one is used
-  core::HbrCache* cache_ = nullptr;           ///< null: no prefix caching
+  std::unique_ptr<core::HbrCache> cache_;  ///< null: no prefix caching
   PrefixReplayEngine engine_;  ///< after stackPool_/recorder_: destroyed first
   bool explored_ = false;
 };

@@ -1,15 +1,9 @@
-// Unit tests for the core module: the HBR prefix cache (including its
-// concurrency properties), the theorem checkers, the Figure 2/3 summary
-// aggregation and race aggregation.
+// Unit tests for the core module: the HBR prefix cache, the theorem
+// checkers, the Figure 2/3 summary aggregation and race aggregation.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <set>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/equivalence.hpp"
@@ -73,6 +67,28 @@ TEST(HbrCache, ZeroFingerprintIsAValidKey) {
   EXPECT_EQ(cache.size(), 1u);
   cache.clear();
   EXPECT_FALSE(cache.contains(zero));
+
+  // Every key whose low word is 0 (the empty-slot marker) or all ones,
+  // inserted interleaved with ordinary keys: membership and size stay
+  // exact, and no key of one class shadows another.
+  constexpr std::uint64_t kPerClass = 64;
+  constexpr std::uint64_t kOnes = ~std::uint64_t{0};
+  for (std::uint64_t j = 0; j < kPerClass; ++j) {
+    EXPECT_FALSE(cache.checkAndInsert(support::Hash128{0, j})) << j;
+    EXPECT_FALSE(cache.checkAndInsert(support::Hash128{kOnes, j})) << j;
+    EXPECT_FALSE(cache.checkAndInsert(support::Hash128{j + 1, j})) << j;
+  }
+  for (std::uint64_t j = 0; j < kPerClass; ++j) {
+    EXPECT_TRUE(cache.checkAndInsert(support::Hash128{0, j})) << j;
+    EXPECT_TRUE(cache.contains(support::Hash128{kOnes, j})) << j;
+    EXPECT_TRUE(cache.contains(support::Hash128{j + 1, j})) << j;
+  }
+  EXPECT_EQ(cache.size(), 3 * kPerClass);
+  EXPECT_EQ(cache.stats().insertions, 3 * kPerClass);
+  EXPECT_EQ(cache.stats().hits, kPerClass);
+  EXPECT_FALSE(cache.contains(support::Hash128{0, kPerClass}));
+  EXPECT_FALSE(cache.contains(support::Hash128{kOnes, kPerClass}));
+  EXPECT_FALSE(cache.contains(support::Hash128{1, 1}));
 }
 
 TEST(HbrCache, CollidingProbeStartsChainCorrectly) {
@@ -87,169 +103,6 @@ TEST(HbrCache, CollidingProbeStartsChainCorrectly) {
   for (const auto& h : cluster) EXPECT_TRUE(cache.contains(h));
   EXPECT_EQ(cache.size(), cluster.size());
   EXPECT_FALSE(cache.contains(support::Hash128{0x40, 0x9999}));
-}
-
-// --- concurrent properties ---------------------------------------------------
-//
-// Since PR 6 the cache is shared by N exploration workers
-// (explore/parallel_explorer.hpp); its contract there is linearizability of
-// the miss: for every distinct fingerprint, exactly one concurrent
-// checkAndInsert observes the insert and every other call a hit, with no
-// fingerprint ever lost. These tests hammer that contract from
-// std::thread's (real OS threads — the fiber runtime is not involved, so
-// the interleavings are genuinely nondeterministic) and are half of the
-// ThreadSanitizer CI leg alongside tests/test_parallel.cpp.
-
-TEST(HbrCacheConcurrent, NoLostInsertAgainstMutexGuardedReference) {
-  // Eight threads draw overlapping pseudorandom keys from a small universe,
-  // mirroring every draw into a mutex-guarded reference set. Afterwards the
-  // lock-free table and the reference must agree exactly, and the misses
-  // recorded across all threads must cover each distinct key exactly once.
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kUniverse = 2048;
-  constexpr int kOpsPerThread = 20000;
-  core::HbrCache cache;
-  std::mutex referenceMutex;
-  std::set<std::uint64_t> reference;
-  std::vector<std::vector<std::uint64_t>> missedBy(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::uint64_t x = 0x9e3779b97f4a7c15ULL * (t + 1);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        x ^= x << 13;  // xorshift64: cheap, deterministic per thread
-        x ^= x >> 7;
-        x ^= x << 17;
-        const std::uint64_t key = x % kUniverse;
-        if (!cache.checkAndInsert(hash128(key))) missedBy[t].push_back(key);
-        const std::lock_guard<std::mutex> lock(referenceMutex);
-        reference.insert(key);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  EXPECT_EQ(cache.size(), reference.size());
-  for (const std::uint64_t key : reference) {
-    EXPECT_TRUE(cache.contains(hash128(key))) << key;
-  }
-  // Exactly-one-miss per distinct key, across all threads together.
-  std::set<std::uint64_t> missed;
-  std::size_t totalMisses = 0;
-  for (const auto& perThread : missedBy) {
-    totalMisses += perThread.size();
-    for (const std::uint64_t key : perThread) {
-      EXPECT_TRUE(missed.insert(key).second)
-          << "fingerprint " << key << " was inserted twice";
-    }
-  }
-  EXPECT_EQ(totalMisses, reference.size());
-  EXPECT_EQ(missed, reference);
-  // The atomically maintained counters balance: every operation was either
-  // the one insert of its key or a hit.
-  EXPECT_EQ(cache.stats().lookups,
-            static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(cache.stats().insertions, reference.size());
-  EXPECT_EQ(cache.stats().hits, cache.stats().lookups - reference.size());
-}
-
-TEST(HbrCacheConcurrent, CollidingLoWordsUnderContention) {
-  // Every key shares one probe start (identical .lo), so all eight threads
-  // fight over a single linear-probe cluster — claim/publish races on the
-  // very same slots, plus reads of half-published entries. Each thread
-  // walks the key set in a different order to maximize overlap.
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kKeys = 256;
-  core::HbrCache cache;
-  std::atomic<std::uint64_t> misses{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::uint64_t local = 0;
-      const std::uint64_t stride = 2 * t + 1;  // odd => coprime with 256
-      for (std::uint64_t i = 0; i < kKeys; ++i) {
-        const std::uint64_t hi = 0x1000 + (i * stride) % kKeys;
-        if (!cache.checkAndInsert(support::Hash128{0x40, hi})) ++local;
-      }
-      misses.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  EXPECT_EQ(misses.load(), kKeys);
-  EXPECT_EQ(cache.size(), kKeys);
-  for (std::uint64_t i = 0; i < kKeys; ++i) {
-    EXPECT_TRUE(cache.contains(support::Hash128{0x40, 0x1000 + i})) << i;
-  }
-  EXPECT_FALSE(cache.contains(support::Hash128{0x40, 0x9999}));
-}
-
-TEST(HbrCacheConcurrent, GrowthUnderContention) {
-  // Disjoint per-thread key ranges big enough to force many doublings of
-  // the 512-slot initial table while inserts are in flight: the
-  // accessor-epoch drain must let no insert land in a table about to be
-  // retired and no fingerprint vanish across a swap.
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPerThread = 8000;
-  core::HbrCache cache;
-  const std::size_t initialFootprint = cache.approxMemoryBytes();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        EXPECT_FALSE(cache.checkAndInsert(hash128(t * kPerThread + i)));
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  constexpr std::uint64_t kTotal = kThreads * kPerThread;
-  EXPECT_EQ(cache.size(), kTotal);
-  EXPECT_EQ(cache.stats().insertions, kTotal);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  for (std::uint64_t i = 0; i < kTotal; ++i) {
-    ASSERT_TRUE(cache.contains(hash128(i))) << i;
-  }
-  EXPECT_FALSE(cache.contains(hash128(kTotal)));
-  EXPECT_GT(cache.approxMemoryBytes(), initialFootprint);
-}
-
-TEST(HbrCacheConcurrent, SentinelCollidingKeysStayExact) {
-  // Fingerprints whose low word collides with the empty (0) or
-  // claim-pending (~0) slot sentinels take the out-of-band path; hammered
-  // from all threads alongside in-table keys, they must obey the same
-  // exactly-one-miss contract and never corrupt the table proper.
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPerClass = 64;
-  constexpr std::uint64_t kBusy = ~std::uint64_t{0};
-  core::HbrCache cache;
-  std::atomic<std::uint64_t> misses{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::uint64_t local = 0;
-      for (std::uint64_t i = 0; i < kPerClass; ++i) {
-        // Interleave the three key classes so sentinel and normal inserts
-        // race each other, not just themselves.
-        const std::uint64_t j = (i + t) % kPerClass;
-        if (!cache.checkAndInsert(support::Hash128{0, j})) ++local;
-        if (!cache.checkAndInsert(support::Hash128{kBusy, j})) ++local;
-        if (!cache.checkAndInsert(support::Hash128{j + 1, j})) ++local;
-      }
-      misses.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  EXPECT_EQ(misses.load(), 3 * kPerClass);
-  EXPECT_EQ(cache.size(), 3 * kPerClass);
-  for (std::uint64_t j = 0; j < kPerClass; ++j) {
-    EXPECT_TRUE(cache.contains(support::Hash128{0, j})) << j;
-    EXPECT_TRUE(cache.contains(support::Hash128{kBusy, j})) << j;
-    EXPECT_TRUE(cache.contains(support::Hash128{j + 1, j})) << j;
-  }
-  EXPECT_FALSE(cache.contains(support::Hash128{0, kPerClass}));
-  EXPECT_FALSE(cache.contains(support::Hash128{kBusy, kPerClass}));
 }
 
 TEST(EquivalenceChecker, DetectsTheoremConflicts) {

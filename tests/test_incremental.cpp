@@ -25,7 +25,6 @@
 #include "explore/dfs_explorer.hpp"
 #include "memory/memory_model.hpp"
 #include "explore/dpor_explorer.hpp"
-#include "explore/parallel_explorer.hpp"
 #include "explore/prefix_replay.hpp"
 #include "explore/replay.hpp"
 #include "programs/registry.hpp"
@@ -431,10 +430,10 @@ TEST(IncrementalReplay, TsoTracesIdenticalUnderSnapshotBudgetEviction) {
 }
 
 TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
-  // The golden 8-program matrix crossed with undo-log on/off, snapshot
-  // budget {tiny, engine default, unlimited} and workers {1, 4}. The
-  // incremental-off sequential run is the one baseline; every other mode
-  // must reproduce its counts byte-for-byte.
+  // The golden 8-program matrix crossed with undo-log on/off and snapshot
+  // budget {tiny, engine default, unlimited}. The incremental-off run is
+  // the one baseline; every other mode must reproduce its counts
+  // byte-for-byte.
   const char* names[] = {
       "disjoint-lock-2", "noisy-counter-3x1", "prodcons-1x1", "trylock-vs-lock",
       "sem-rendezvous",  "racy-counter-3",    "pingpong-2",   "deadlock-ab",
@@ -446,22 +445,11 @@ TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
     explore::TreeExplorer off(optionsFor(false, false));
     const explore::ExplorationResult baseline = off.explore(spec->body);
     for (const std::uint64_t budget : budgets) {
-      for (const int workers : {1, 4}) {
-        explore::ExplorerOptions options = optionsFor(true, spec->checkpointable);
-        options.snapshotBudgetBytes = budget;
-        options.workers = workers;
-        const std::string label = std::string(name) + " budget " +
-                                  std::to_string(budget) + " workers " +
-                                  std::to_string(workers);
-        if (workers == 1) {
-          explore::TreeExplorer on(options);
-          expectSameCounts(baseline, on.explore(spec->body), label);
-        } else {
-          ASSERT_TRUE(explore::ParallelExplorer::shardable(options)) << label;
-          explore::ParallelExplorer on(options, std::nullopt, /*seed=*/42);
-          expectSameCounts(baseline, on.explore(spec->body), label);
-        }
-      }
+      explore::ExplorerOptions options = optionsFor(true, spec->checkpointable);
+      options.snapshotBudgetBytes = budget;
+      explore::TreeExplorer on(options);
+      expectSameCounts(baseline, on.explore(spec->body),
+                       std::string(name) + " budget " + std::to_string(budget));
     }
   }
 }

@@ -8,13 +8,15 @@
 //     still theorem-checked, just not completeness-compared);
 //   * Theorems 2.1 and 2.2 must hold over every terminal schedule;
 //   * the section-3 counting chain must hold;
-//   * DPOR (with and without sleep sets) and both caching explorers must
-//     reach exactly the same distinct terminal states (and lazy HBRs) as
-//     naive enumeration — the soundness property of every reduction;
-//   * deadlocks found by naive search must also be found by DPOR.
+//   * DPOR (with and without sleep sets, and with the lazy-HBR prefix
+//     cache) and the three caching explorers must reach exactly the same
+//     distinct terminal states as naive enumeration — the soundness
+//     property of every reduction — and find a violation exactly when
+//     naive search does; the Full and Lazy caches must also keep every
+//     lazy HBR, and the Value cache every value class.
 //
 // This is the suite that caught the subtle bugs during development; 40
-// seeds x 6 explorers keeps it strong without dominating test time.
+// seeds x 8 explorers keeps it strong without dominating test time.
 
 #include <gtest/gtest.h>
 
@@ -62,14 +64,32 @@ TEST_P(RandomProgramSweep, AllExplorersAgree) {
     EXPECT_EQ(dpor.theorem22.conflicts, 0u);
   }
 
-  for (const auto relation : {trace::Relation::Full, trace::Relation::Lazy}) {
+  {
+    explore::DporOptions lazyCache;
+    lazyCache.cachePrefixes = trace::Relation::Lazy;
+    explore::DporExplorer explorer(lazyhb::testing::smallOptions(kCap), lazyCache);
+    const auto dpor = explorer.explore(program);
+    ASSERT_TRUE(dpor.complete) << "seed " << seed;
+    EXPECT_EQ(dpor.distinctStates, naive.distinctStates)
+        << "seed " << seed << " dpor-lazy-cache";
+    EXPECT_EQ(dpor.foundViolation(), naive.foundViolation())
+        << "seed " << seed << " dpor-lazy-cache";
+  }
+
+  for (const auto relation :
+       {trace::Relation::Full, trace::Relation::Lazy, trace::Relation::Value}) {
     const auto cached = lazyhb::testing::runCaching(program, relation, kCap);
-    ASSERT_TRUE(cached.complete) << "seed " << seed;
-    EXPECT_EQ(cached.distinctStates, naive.distinctStates)
-        << "seed " << seed << " relation=" << trace::relationName(relation);
-    EXPECT_EQ(cached.distinctLazyHbrs, naive.distinctLazyHbrs)
-        << "seed " << seed << " relation=" << trace::relationName(relation);
-    EXPECT_LE(cached.schedulesExecuted, naive.schedulesExecuted);
+    const std::string label =
+        "seed " + std::to_string(seed) + " relation=" + trace::relationName(relation);
+    ASSERT_TRUE(cached.complete) << label;
+    EXPECT_EQ(cached.distinctStates, naive.distinctStates) << label;
+    if (relation == trace::Relation::Value) {
+      EXPECT_EQ(cached.distinctValueClasses, naive.distinctValueClasses) << label;
+    } else {
+      EXPECT_EQ(cached.distinctLazyHbrs, naive.distinctLazyHbrs) << label;
+    }
+    EXPECT_EQ(cached.foundViolation(), naive.foundViolation()) << label;
+    EXPECT_LE(cached.schedulesExecuted, naive.schedulesExecuted) << label;
   }
 }
 

@@ -282,7 +282,6 @@ TEST(Journal, ManifestIsPinned) {
   options.seed = 7;
   options.explorer.maxEventsPerSchedule = 4096;
   options.explorer.incremental = false;
-  options.explorer.workers = 2;
   options.explorer.snapshotBudgetBytes = 8192;
   options.explorer.memoryModel = memory::MemoryModel::Tso;
   options.explorer.detectRaces = true;
@@ -300,7 +299,7 @@ TEST(Journal, ManifestIsPinned) {
   "max_events": 4096,
   "seed": 7,
   "incremental": false,
-  "workers": 2,
+  "workers": 1,
   "snapshot_budget": 8192,
   "memory_model": "tso",
   "detect_races": true,
@@ -744,7 +743,6 @@ TEST(SessionProgress, CallbackForcesSequentialButKeepsCounts) {
   const TestReport ticked = Session()
                                 .strategy("caching-lazy")
                                 .schedules(200)
-                                .workers(4)
                                 .onProgress([&](const ProgressEvent&) { ++ticks; })
                                 .progressInterval(1)
                                 .run("peterson");
