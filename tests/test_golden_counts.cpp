@@ -7,13 +7,13 @@
 // moves. This suite pins that contract in two ways:
 //
 //   * a golden snapshot: a diverse slice of the corpus explored by the five
-//     canonical explorers plus caching-value and dpor-lazy-cache at a small
+//     canonical explorers plus caching-value and dpor-nosleep at a small
 //     budget, with every count the campaign reports (schedules / terminal /
 //     pruned / violations / distinct HBRs / lazy HBRs / value classes /
 //     states) asserted against values captured from the seed implementation
 //     (heap VectorClock per event, std::unordered_set cache; value-class
 //     counts captured when the observation fingerprint landed; the
-//     dpor-lazy-cache rows captured later, see below). Any drift here
+//     dpor-nosleep rows captured later, see below). Any drift here
 //     means fingerprints or scheduling changed, not just performance.
 //
 //   * permutation properties: schedules that are linearizations of the same
@@ -111,17 +111,16 @@ const GoldenCell kGolden[] = {
     {"sem-handoff-1", "caching-full", 1, 1, 0, 0, 1, 1, 1, 1},
     {"sem-handoff-1", "caching-lazy", 1, 1, 0, 0, 1, 1, 1, 1},
     {"sem-handoff-1", "caching-value", 1, 1, 0, 0, 1, 1, 1, 1},
-    // The experimental §4 DPOR + lazy-HBR-cache ablation (dpor-lazy-cache),
-    // captured before the tree explorers were folded into one: its cache
-    // probe and terminal seed are the ones the caching explorers use.
-    {"disjoint-lock-2", "dpor-lazy-cache", 2, 1, 1, 0, 1, 1, 1, 1},
-    {"noisy-counter-3x2", "dpor-lazy-cache", 200, 9, 191, 0, 9, 9, 5, 3},
-    {"prodcons-1x1", "dpor-lazy-cache", 8, 8, 0, 0, 8, 8, 8, 1},
-    {"trylock-vs-lock", "dpor-lazy-cache", 4, 3, 1, 0, 3, 3, 3, 3},
-    {"cas-counter-3", "dpor-lazy-cache", 200, 136, 64, 0, 136, 136, 94, 2},
-    {"deadlock-ab", "dpor-lazy-cache", 2, 1, 0, 1, 1, 1, 1, 1},
-    {"lost-signal", "dpor-lazy-cache", 2, 1, 0, 1, 1, 1, 1, 1},
-    {"sem-handoff-1", "dpor-lazy-cache", 1, 1, 0, 0, 1, 1, 1, 1},
+    // dpor-nosleep (Flanagan–Godefroid backtracking without sleep sets),
+    // captured before DPOR was folded into the tree search.
+    {"disjoint-lock-2", "dpor-nosleep", 2, 2, 0, 0, 2, 1, 1, 1},
+    {"noisy-counter-3x2", "dpor-nosleep", 200, 200, 0, 0, 48, 4, 3, 2},
+    {"prodcons-1x1", "dpor-nosleep", 8, 8, 0, 0, 8, 8, 8, 1},
+    {"trylock-vs-lock", "dpor-nosleep", 4, 4, 0, 0, 3, 3, 3, 3},
+    {"cas-counter-3", "dpor-nosleep", 200, 200, 0, 0, 25, 25, 25, 1},
+    {"deadlock-ab", "dpor-nosleep", 2, 1, 0, 1, 1, 1, 1, 1},
+    {"lost-signal", "dpor-nosleep", 2, 1, 0, 1, 1, 1, 1, 1},
+    {"sem-handoff-1", "dpor-nosleep", 1, 1, 0, 0, 1, 1, 1, 1},
 };
 
 // The TSO golden matrix: the full weak-memory family under
@@ -182,15 +181,15 @@ const GoldenCell kGoldenTso[] = {
     {"store-forwarding", "caching-full", 26, 6, 20, 0, 6, 6, 3, 3},
     {"store-forwarding", "caching-lazy", 26, 6, 20, 0, 6, 6, 3, 3},
     {"store-forwarding", "caching-value", 21, 3, 18, 0, 3, 3, 3, 3},
-    // dpor-lazy-cache under TSO, captured alongside the SC rows above.
-    {"sb-unfenced", "dpor-lazy-cache", 10, 3, 6, 1, 3, 3, 3, 3},
-    {"sb-fenced", "dpor-lazy-cache", 7, 3, 4, 0, 3, 3, 3, 3},
-    {"dekker-unfenced", "dpor-lazy-cache", 8, 3, 4, 1, 3, 3, 3, 3},
-    {"dekker-fenced", "dpor-lazy-cache", 5, 3, 2, 0, 3, 3, 3, 3},
-    {"peterson-unfenced", "dpor-lazy-cache", 36, 15, 18, 3, 15, 15, 7, 6},
-    {"peterson-fenced", "dpor-lazy-cache", 12, 6, 6, 0, 6, 6, 6, 4},
-    {"seqlock-fenced", "dpor-lazy-cache", 10, 3, 7, 0, 3, 3, 3, 1},
-    {"store-forwarding", "dpor-lazy-cache", 11, 6, 5, 0, 6, 6, 3, 3},
+    // dpor-nosleep under TSO, captured alongside the SC rows above.
+    {"sb-unfenced", "dpor-nosleep", 24, 18, 0, 6, 3, 3, 3, 3},
+    {"sb-fenced", "dpor-nosleep", 9, 9, 0, 0, 3, 3, 3, 3},
+    {"dekker-unfenced", "dpor-nosleep", 17, 11, 0, 6, 3, 3, 3, 3},
+    {"dekker-fenced", "dpor-nosleep", 5, 5, 0, 0, 3, 3, 3, 3},
+    {"peterson-unfenced", "dpor-nosleep", 200, 176, 0, 24, 28, 28, 8, 6},
+    {"peterson-fenced", "dpor-nosleep", 17, 17, 0, 0, 6, 6, 6, 4},
+    {"seqlock-fenced", "dpor-nosleep", 200, 200, 0, 0, 5, 5, 5, 1},
+    {"store-forwarding", "dpor-nosleep", 16, 16, 0, 0, 6, 6, 3, 3},
 };
 
 // The three incremental-replay configurations every golden cell must agree
