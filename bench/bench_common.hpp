@@ -6,8 +6,8 @@
 // the campaign layer (campaignOptions/maybeWriteReport below), so their
 // tables come from the same runner as `lazyhb bench` and they can dump the
 // same versioned BENCH_*.json via --out. tab_theorem_check alone runs a
-// bespoke per-benchmark procedure (per-program random seeds) on the
-// campaign's WorkStealingPool directly.
+// bespoke per-benchmark procedure (per-program random seeds) through the
+// campaign's runTasks directly.
 
 #pragma once
 

@@ -12,7 +12,6 @@
 
 #include "core/hbr_cache.hpp"
 #include "explore/dfs_explorer.hpp"
-#include "explore/dpor_explorer.hpp"
 #include "explore/random_explorer.hpp"
 #include "explore/replay.hpp"
 #include "memory/memory_model.hpp"
@@ -92,7 +91,7 @@ void BM_DporExplorationComplete(benchmark::State& state) {
   for (auto _ : state) {
     explore::ExplorerOptions options;
     options.scheduleLimit = 1u << 20;
-    explore::DporExplorer explorer(options);
+    explore::TreeExplorer explorer(options, explore::DporOptions{});
     benchmark::DoNotOptimize(explorer.explore(incrementProgram));
   }
 }

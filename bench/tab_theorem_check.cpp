@@ -14,12 +14,12 @@
 // each relation achieves: classes per state.
 
 #include <cstdio>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "campaign/explorer_spec.hpp"
-#include "campaign/work_stealing_pool.hpp"
 
 using namespace lazyhb;
 
@@ -74,18 +74,18 @@ Row checkBenchmark(const programs::ProgramSpec& spec, std::uint64_t limit,
   return row;
 }
 
-/// Check every selected benchmark across `jobs` pool threads; rows land in
-/// a vector parallel to the selection.
+/// Check every selected benchmark across `jobs` threads; rows land in a
+/// vector parallel to the selection.
 std::vector<Row> runCorpus(const std::vector<const programs::ProgramSpec*>& corpus,
                            int jobs, std::uint64_t limit, std::uint32_t maxEvents) {
   std::vector<Row> rows(corpus.size());
-  std::vector<campaign::WorkStealingPool::Task> tasks;
+  std::vector<std::function<void()>> tasks;
   tasks.reserve(corpus.size());
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     tasks.push_back(
         [&, i] { rows[i] = checkBenchmark(*corpus[i], limit, maxEvents); });
   }
-  campaign::WorkStealingPool(jobs).run(std::move(tasks));
+  campaign::runTasks(std::move(tasks), jobs);
   return rows;
 }
 

@@ -1,12 +1,13 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "campaign/checkpoint.hpp"
-#include "campaign/work_stealing_pool.hpp"
 #include "support/diagnostics.hpp"
 
 namespace lazyhb::campaign {
@@ -211,6 +212,17 @@ CampaignResult Aggregator::finish() {
   return foldCells(std::move(cells), explorerNames_);
 }
 
+void runTasks(std::vector<std::function<void()>> tasks, int jobs) {
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&]() noexcept {
+    for (std::size_t i = next++; i < tasks.size(); i = next++) tasks[i]();
+  };
+  const std::size_t count = std::min<std::size_t>(
+      static_cast<std::size_t>(std::max(jobs, 1)), tasks.size());
+  std::vector<std::jthread> threads;  // joined on every exit path
+  for (std::size_t t = 0; t < count; ++t) threads.emplace_back(drain);
+}
+
 CampaignResult runCampaign(const CampaignOptions& options) {
   const auto campaignStart = Clock::now();
 
@@ -298,7 +310,7 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     ++cellsDone;
   };
 
-  std::vector<WorkStealingPool::Task> tasks;
+  std::vector<std::function<void()>> tasks;
   tasks.reserve(shardCells);
   const int maxAttempts = 1 + (options.cellRetries > 0 ? options.cellRetries : 0);
   for (std::size_t p = 0; p < corpus.size(); ++p) {
@@ -422,13 +434,11 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     }
   }
 
-  WorkStealingPool pool(jobs);
-  pool.run(std::move(tasks));
+  runTasks(std::move(tasks), jobs);
 
   CampaignResult result = aggregator.finish();
   result.wallSeconds = secondsSince(campaignStart);
-  result.tasksStolen = pool.tasksStolen();
-  result.jobs = pool.workerCount();
+  result.jobs = jobs;
   result.shardIndex = options.shardIndex;
   result.shardCount = options.shardCount;
 

@@ -5,7 +5,7 @@
 // §3 chain #states ≤ #lazyHBRs ≤ #HBRs ≤ #schedules, the Figure 2/3
 // redundancy gaps) emerging only from the aggregate. This layer owns the
 // (program × explorer) matrix: it fans the cells out across hardware
-// threads (WorkStealingPool), times each cell, feeds a thread-safe
+// threads (runTasks), times each cell, feeds a thread-safe
 // Aggregator, and folds the cells into per-program and per-explorer
 // summaries plus campaign totals.
 //
@@ -143,7 +143,6 @@ struct CampaignResult {
   int inequalityViolations = 0;  ///< cells whose §3 chain failed (expect 0)
   double wallSeconds = 0.0;      ///< end-to-end campaign wall time
   double cpuSeconds = 0.0;       ///< sum of per-cell wall times
-  std::uint64_t tasksStolen = 0; ///< work-stealing load-balance diagnostic
   int jobs = 1;                  ///< worker threads actually used
 
   // Sharding: this run executed the cells with index % shardCount ==
@@ -246,6 +245,13 @@ class Aggregator {
   std::vector<bool> filled_;
   std::mutex mutex_;
 };
+
+/// Run every task once on min(jobs, tasks.size()) new threads (jobs < 1
+/// counts as 1) and return when all have finished. Each thread takes the next task from one shared index: the
+/// whole batch is known up front, so this is greedy list scheduling, which
+/// is all the balancing independent cells need. Tasks must not throw: an
+/// escaping exception terminates the process.
+void runTasks(std::vector<std::function<void()>> tasks, int jobs);
 
 /// Run the full (programs × explorers) matrix. The campaign entry point for
 /// the CLI's `bench` subcommand and the figure benches.

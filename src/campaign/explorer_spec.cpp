@@ -1,7 +1,6 @@
 #include "campaign/explorer_spec.hpp"
 
 #include "explore/dfs_explorer.hpp"
-#include "explore/dpor_explorer.hpp"
 #include "explore/random_explorer.hpp"
 #include "support/diagnostics.hpp"
 #include "support/options.hpp"
@@ -23,17 +22,10 @@ std::unique_ptr<explore::Explorer> ExplorerSpec::create(
     case Kind::Random:
       return std::make_unique<explore::RandomExplorer>(options, seed);
     case Kind::Dpor:
-      return std::make_unique<explore::DporExplorer>(options);
-    case Kind::DporNoSleep: {
-      explore::DporOptions dpor;
-      dpor.sleepSets = false;
-      return std::make_unique<explore::DporExplorer>(options, dpor);
-    }
-    case Kind::DporLazyCache: {
-      explore::DporOptions dpor;
-      dpor.cachePrefixes = trace::Relation::Lazy;
-      return std::make_unique<explore::DporExplorer>(options, dpor);
-    }
+      return std::make_unique<explore::TreeExplorer>(options, explore::DporOptions{});
+    case Kind::DporNoSleep:
+      return std::make_unique<explore::TreeExplorer>(
+          options, explore::DporOptions{.sleepSets = false});
   }
   LAZYHB_UNREACHABLE("unhandled ExplorerSpec::Kind");
 }
@@ -52,7 +44,6 @@ const std::vector<ExplorerSpec>& allExplorers() {
 const std::vector<ExplorerSpec>& extendedExplorers() {
   static const std::vector<ExplorerSpec> specs = {
       {ExplorerSpec::Kind::DporNoSleep, "dpor-nosleep"},
-      {ExplorerSpec::Kind::DporLazyCache, "dpor-lazy-cache"},
       {ExplorerSpec::Kind::CachingValue, "caching-value"},
   };
   return specs;

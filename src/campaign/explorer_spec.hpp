@@ -9,8 +9,8 @@
 //
 // The mode names are the strings the CLI accepts for --explorer /
 // --explorers: the five canonical modes dfs, random, dpor, caching-full,
-// caching-lazy, plus the extended caching-value, dpor-nosleep and
-// dpor-lazy-cache.
+// caching-lazy, plus the extended caching-value and dpor-nosleep. Every
+// mode but random is one TreeExplorer search.
 
 #pragma once
 
@@ -32,17 +32,17 @@ struct ExplorerSpec {
     CachingFull,
     CachingLazy,
     // Ablation variants (parseable, but not part of allExplorers()):
-    DporNoSleep,    ///< Flanagan–Godefroid backtracking without sleep sets
-    DporLazyCache,  ///< EXPERIMENTAL §4: DPOR + lazy-HBR prefix cache
-    CachingValue,   ///< value-class caching (coarser than caching-lazy)
+    DporNoSleep,   ///< Flanagan–Godefroid backtracking without sleep sets
+    CachingValue,  ///< value-class caching (coarser than caching-lazy)
   };
 
   Kind kind = Kind::Dfs;
   std::string name;  ///< canonical mode name, e.g. "caching-lazy"
 
   /// Build a fresh single-use explorer. `seed` affects Kind::Random only.
-  /// The tree searches — dfs, caching-full, caching-lazy and caching-value —
-  /// are one TreeExplorer keyed on no relation or on Full / Lazy / Value.
+  /// The tree searches are one TreeExplorer: dfs and caching-full /
+  /// caching-lazy / caching-value keyed on no relation or on Full / Lazy /
+  /// Value, dpor and dpor-nosleep built from DporOptions (no cache).
   /// `options.workers` must be 1.
   [[nodiscard]] std::unique_ptr<explore::Explorer> create(
       const explore::ExplorerOptions& options, std::uint64_t seed) const;
@@ -51,9 +51,8 @@ struct ExplorerSpec {
 /// The five canonical explorer modes, in the order tables print them.
 [[nodiscard]] const std::vector<ExplorerSpec>& allExplorers();
 
-/// The ablation variants ("dpor-nosleep", "dpor-lazy-cache") and the
-/// observation-centric "caching-value" explorer: constructible through the
-/// same factory, excluded from the default campaign matrix so historical
+/// The ablation variant "dpor-nosleep" and the observation-centric
+/// "caching-value" explorer: constructible through the same factory, excluded from the default campaign matrix so historical
 /// reports stay comparable cell-for-cell. Select with --explorers.
 [[nodiscard]] const std::vector<ExplorerSpec>& extendedExplorers();
 

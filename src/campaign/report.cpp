@@ -265,7 +265,7 @@ std::string writeReportJson(const CampaignResult& result,
   json.field("cpu_seconds", result.cpuSeconds);
   json.field("events_per_second", result.eventsPerSecond);
   json.field("executed_events_per_second", result.executedEventsPerSecond);
-  json.field("tasks_stolen", result.tasksStolen);
+  json.field("tasks_stolen", std::uint64_t{0});  // no longer measured; schema v8 keeps it
   json.field("inequality_violations",
              static_cast<std::int64_t>(result.inequalityViolations));
   // Schema v5 supervisor/durability tallies, off-default only.

@@ -247,8 +247,7 @@ int cmdExplore(int argc, char** argv) {
   options.addString("program", "", "program name (see `lazyhb list`)");
   options.addString("explorer", "dfs",
                     "dfs | random | dpor | caching-full | caching-lazy "
-                    "(also the extended variants dpor-nosleep, "
-                    "dpor-lazy-cache, caching-value)");
+                    "(also the extended variants dpor-nosleep, caching-value)");
   addExplorerFlags(options);
   options.addString("out", "",
                     "write the lazyhb-test-report JSON to this path ('-': "
@@ -592,11 +591,9 @@ int cmdBench(int argc, char** argv) {
     table.cell(static_cast<double>(t.cacheApproxBytes) / (1024.0 * 1024.0));
     table.cell(t.wallSeconds);
   }
-  std::printf("campaign: %zu programs x %zu explorers = %zu cells, "
-              "%d job(s), %llu task(s) stolen\n",
+  std::printf("campaign: %zu programs x %zu explorers = %zu cells, %d job(s)\n",
               result.programs.size(), result.perExplorer.size(),
-              result.cells.size(), result.jobs,
-              static_cast<unsigned long long>(result.tasksStolen));
+              result.cells.size(), result.jobs);
   if (result.shardCount > 1) {
     std::printf("shard %d/%d: this report covers only its slice of the "
                 "matrix; merge slices with `lazyhb merge`\n",

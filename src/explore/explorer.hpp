@@ -7,14 +7,13 @@
 // property violations found (with replayable schedules).
 //
 // Concrete strategies:
-//   TreeExplorer     — depth-first enumeration of the schedule tree with an
-//                      optional HBR-prefix cache, parameterised on the
-//                      relation: none gives naive DFS, Full gives
-//                      Musuvathi–Qadeer HBR caching, Lazy gives the paper's
-//                      lazy HBR caching, Value gives value-class caching
-//                      (explore/dfs_explorer.hpp).
-//   DporExplorer     — Flanagan–Godefroid dynamic partial-order reduction
-//                      with optional sleep sets (explore/dpor_explorer.hpp).
+//   TreeExplorer     — depth-first enumeration of the schedule tree
+//                      (explore/dfs_explorer.hpp). With no relation it is
+//                      naive DFS; an HBR-prefix cache keyed on Full gives
+//                      Musuvathi–Qadeer HBR caching, on Lazy the paper's
+//                      lazy HBR caching, on Value value-class caching; built
+//                      from DporOptions it is Flanagan–Godefroid dynamic
+//                      partial-order reduction with optional sleep sets.
 //   RandomExplorer   — uniform random walks (explore/random_explorer.hpp).
 
 #pragma once

@@ -1,22 +1,20 @@
 // Tests for the campaign layer: the shared ExplorerSpec factory, the JSON
-// writer, the work-stealing pool, determinism of the parallel campaign
+// writer, the task runner, determinism of the parallel campaign
 // (identical per-cell counts whatever --jobs is), aggregation, and the
 // versioned report — including the HbrCache footprint stat it surfaces.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
+#include <functional>
 #include <limits>
-#include <thread>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/explorer_spec.hpp"
 #include "campaign/report.hpp"
-#include "campaign/work_stealing_pool.hpp"
 #include "core/hbr_cache.hpp"
 #include "programs/registry.hpp"
 #include "support/json_writer.hpp"
@@ -164,72 +162,41 @@ TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
   EXPECT_EQ(json.str(), "[\n  null,\n  null\n]");
 }
 
-// --- work-stealing pool ------------------------------------------------------
+// --- task runner -------------------------------------------------------------
 
-TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
-  campaign::WorkStealingPool pool(4);
-  EXPECT_EQ(pool.workerCount(), 4);
-  constexpr std::size_t kTasks = 200;
-  std::vector<std::atomic<int>> ran(kTasks);
-  std::vector<campaign::WorkStealingPool::Task> tasks;
-  tasks.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
+/// Run `count` tasks on `jobs` threads; each task bumps its own slot.
+std::vector<int> runCounting(std::size_t count, int jobs) {
+  std::vector<std::atomic<int>> ran(count);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     tasks.push_back([&ran, i] { ran[i].fetch_add(1); });
   }
-  pool.run(std::move(tasks));
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(ran[i].load(), 1) << i;
+  campaign::runTasks(std::move(tasks), jobs);
+  std::vector<int> counts;
+  for (const std::atomic<int>& slot : ran) counts.push_back(slot.load());
+  return counts;
+}
+
+TEST(RunTasks, RunsEveryTaskExactlyOnce) {
+  for (const int jobs : {1, 4, 8}) {
+    EXPECT_EQ(runCounting(200, jobs), std::vector<int>(200, 1)) << jobs << " jobs";
   }
 }
 
-TEST(WorkStealingPool, ReusableAcrossBatchesAndClampsWorkers) {
-  campaign::WorkStealingPool pool(0);  // clamps to 1
-  EXPECT_EQ(pool.workerCount(), 1);
-  std::atomic<int> counter{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    std::vector<campaign::WorkStealingPool::Task> tasks;
-    for (int i = 0; i < 10; ++i) {
-      tasks.push_back([&counter] { counter.fetch_add(1); });
-    }
-    pool.run(std::move(tasks));
+TEST(RunTasks, MoreJobsThanTasks) {
+  for (const int jobs : {4, 8}) {
+    EXPECT_EQ(runCounting(3, jobs), std::vector<int>(3, 1)) << jobs << " jobs";
   }
-  EXPECT_EQ(counter.load(), 30);
-  pool.run({});  // empty batch is a no-op
-  EXPECT_EQ(counter.load(), 30);
 }
 
-TEST(WorkStealingPool, BackToBackBatchesWithManyWorkers) {
-  // Regression: run() deals the next batch into the deques while straggler
-  // workers from the previous batch may still be scanning them for steal
-  // victims — every push must take the deque mutex.
-  campaign::WorkStealingPool pool(8);
-  std::atomic<int> counter{0};
-  for (int batch = 0; batch < 50; ++batch) {
-    std::vector<campaign::WorkStealingPool::Task> tasks;
-    for (int i = 0; i < 16; ++i) {
-      tasks.push_back([&counter] { counter.fetch_add(1); });
-    }
-    pool.run(std::move(tasks));
+TEST(RunTasks, ZeroTasksAndNonPositiveJobs) {
+  for (const int jobs : {1, 4, 8}) {
+    EXPECT_TRUE(runCounting(0, jobs).empty()) << jobs << " jobs";
   }
-  EXPECT_EQ(counter.load(), 50 * 16);
-}
-
-TEST(WorkStealingPool, UnevenTasksGetStolen) {
-  // Worker 0 is dealt one long task plus most of the short ones (round
-  // robin); with 4 workers something must be stolen to finish.
-  campaign::WorkStealingPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<campaign::WorkStealingPool::Task> tasks;
-  for (int i = 0; i < 64; ++i) {
-    tasks.push_back([&counter] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      counter.fetch_add(1);
-    });
+  for (const int jobs : {0, -3}) {
+    EXPECT_EQ(runCounting(10, jobs), std::vector<int>(10, 1)) << jobs << " jobs";
   }
-  pool.run(std::move(tasks));
-  EXPECT_EQ(counter.load(), 64);
-  // Stealing is timing-dependent; only assert the counter is sane.
-  EXPECT_LE(pool.tasksStolen(), 64u);
 }
 
 // --- campaign runner ---------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "programs/registry.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -297,6 +298,10 @@ explore::Program programByIndex(int index) {
         }
         t.join();
       };
+    case 9:
+      // Corpus lastzero: stores a read value plus one and branches on a
+      // read, which the random-program generator cannot produce.
+      return programs::byName("lastzero-3")->body;
     default:
       return [] {};
   }
@@ -313,16 +318,22 @@ TEST_P(CompletenessSweep, ReducedExplorersMatchNaive) {
     EXPECT_EQ(dpor.distinctHbrs, naive.distinctHbrs) << "sleep=" << sleepSets;
     EXPECT_EQ(dpor.distinctLazyHbrs, naive.distinctLazyHbrs) << "sleep=" << sleepSets;
     EXPECT_EQ(dpor.distinctStates, naive.distinctStates) << "sleep=" << sleepSets;
+    EXPECT_EQ(dpor.foundViolation(), naive.foundViolation()) << "sleep=" << sleepSets;
     EXPECT_LE(dpor.schedulesExecuted, naive.schedulesExecuted);
   }
-  for (const auto relation : {trace::Relation::Full, trace::Relation::Lazy}) {
+  for (const auto relation :
+       {trace::Relation::Full, trace::Relation::Lazy, trace::Relation::Value}) {
     const auto cached = runCaching(program, relation);
-    EXPECT_TRUE(cached.complete);
-    EXPECT_EQ(cached.distinctStates, naive.distinctStates)
-        << "relation=" << trace::relationName(relation);
-    EXPECT_EQ(cached.distinctLazyHbrs, naive.distinctLazyHbrs)
-        << "relation=" << trace::relationName(relation);
-    EXPECT_LE(cached.schedulesExecuted, naive.schedulesExecuted);
+    const std::string label = std::string("relation=") + trace::relationName(relation);
+    EXPECT_TRUE(cached.complete) << label;
+    EXPECT_EQ(cached.distinctStates, naive.distinctStates) << label;
+    if (relation == trace::Relation::Value) {
+      EXPECT_EQ(cached.distinctValueClasses, naive.distinctValueClasses) << label;
+    } else {
+      EXPECT_EQ(cached.distinctLazyHbrs, naive.distinctLazyHbrs) << label;
+    }
+    EXPECT_EQ(cached.foundViolation(), naive.foundViolation()) << label;
+    EXPECT_LE(cached.schedulesExecuted, naive.schedulesExecuted) << label;
   }
   // Theorems checked on the naive run already; also check DPOR's view.
   EXPECT_EQ(naive.theorem21.conflicts, 0u);
@@ -330,6 +341,6 @@ TEST_P(CompletenessSweep, ReducedExplorersMatchNaive) {
   EXPECT_EQ(naive.theoremValue.conflicts, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSmallPrograms, CompletenessSweep, ::testing::Range(0, 9));
+INSTANTIATE_TEST_SUITE_P(AllSmallPrograms, CompletenessSweep, ::testing::Range(0, 10));
 
 }  // namespace

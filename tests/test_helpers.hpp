@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "explore/dfs_explorer.hpp"
-#include "explore/dpor_explorer.hpp"
 #include "explore/explorer.hpp"
 #include "explore/random_explorer.hpp"
 #include "runtime/api.hpp"
@@ -30,9 +29,8 @@ inline explore::ExplorationResult runDfs(const explore::Program& p,
 
 inline explore::ExplorationResult runDpor(const explore::Program& p, bool sleepSets = true,
                                           std::uint64_t limit = 200'000) {
-  explore::DporOptions dpor;
-  dpor.sleepSets = sleepSets;
-  explore::DporExplorer explorer(smallOptions(limit), dpor);
+  explore::TreeExplorer explorer(smallOptions(limit),
+                                 explore::DporOptions{.sleepSets = sleepSets});
   return explorer.explore(p);
 }
 

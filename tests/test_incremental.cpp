@@ -24,7 +24,6 @@
 
 #include "explore/dfs_explorer.hpp"
 #include "memory/memory_model.hpp"
-#include "explore/dpor_explorer.hpp"
 #include "explore/prefix_replay.hpp"
 #include "explore/replay.hpp"
 #include "programs/registry.hpp"
@@ -280,8 +279,9 @@ TEST(IncrementalReplay, CachingAndDporCountsIdenticalAcrossModes) {
       expectSameCounts(off.explore(spec->body), on.explore(spec->body),
                        std::string(name) + " caching-" + trace::relationName(relation));
     }
-    explore::DporExplorer off(optionsFor(false, false));
-    explore::DporExplorer on(optionsFor(true, spec->checkpointable));
+    explore::TreeExplorer off(optionsFor(false, false), explore::DporOptions{});
+    explore::TreeExplorer on(optionsFor(true, spec->checkpointable),
+                             explore::DporOptions{});
     expectSameCounts(off.explore(spec->body), on.explore(spec->body),
                      std::string(name) + " dpor");
   }

@@ -8,7 +8,6 @@
 #include <set>
 
 #include "core/redundancy.hpp"
-#include "explore/dpor_explorer.hpp"
 #include "programs/registry.hpp"
 #include "test_helpers.hpp"
 
@@ -54,7 +53,7 @@ TEST_P(CorpusSweep, CountingChainAndTheoremsHold) {
   options.scheduleLimit = 1500;
   options.maxEventsPerSchedule = 4096;
   options.checkTheorems = true;
-  explore::DporExplorer explorer(options, explore::DporOptions{});
+  explore::TreeExplorer explorer(options, explore::DporOptions{});
   const auto result = explorer.explore(spec.body);
 
   // Every benchmark must actually run: schedules executed, events committed,
@@ -117,7 +116,7 @@ TEST_P(WeakMemTsoSweep, TsoBugClassificationAndChainsHold) {
   options.maxEventsPerSchedule = 4096;
   options.checkTheorems = true;
   options.memoryModel = memory::MemoryModel::Tso;
-  explore::DporExplorer explorer(options, explore::DporOptions{});
+  explore::TreeExplorer explorer(options, explore::DporOptions{});
   const auto result = explorer.explore(spec.body);
 
   EXPECT_GT(result.schedulesExecuted, 0u) << spec.name;

@@ -18,7 +18,6 @@
 
 #include "campaign/explorer_spec.hpp"
 #include "explore/dfs_explorer.hpp"
-#include "explore/dpor_explorer.hpp"
 #include "explore/random_explorer.hpp"
 #include "lazyhb/lazyhb.hpp"
 #include "programs/registry.hpp"
@@ -97,7 +96,7 @@ explore::ExplorationResult runDirect(const std::string& strategy,
     return explorer.explore(program);
   }
   if (strategy == "dpor") {
-    explore::DporExplorer explorer(options);
+    explore::TreeExplorer explorer(options, explore::DporOptions{});
     return explorer.explore(program);
   }
   if (strategy == "caching-full") {
@@ -189,12 +188,11 @@ TEST(Session, UnknownRelationThrows) {
 
 TEST(Session, StrategiesListsCanonicalThenExtended) {
   const std::vector<std::string> names = Session::strategies();
-  ASSERT_EQ(names.size(), 8u);
+  ASSERT_EQ(names.size(), 7u);
   EXPECT_EQ(names[0], "dfs");
   EXPECT_EQ(names[4], "caching-lazy");
   EXPECT_EQ(names[5], "dpor-nosleep");
-  EXPECT_EQ(names[6], "dpor-lazy-cache");
-  EXPECT_EQ(names[7], "caching-value");
+  EXPECT_EQ(names[6], "caching-value");
   for (const std::string& name : names) {
     EXPECT_TRUE(campaign::parseExplorerSpec(name).has_value()) << name;
   }
@@ -208,7 +206,6 @@ TEST(Session, ExtendedStrategiesRunButStayOutOfTheCanonicalMatrix) {
   EXPECT_GT(nosleep.schedulesExecuted, 0u);
   for (const campaign::ExplorerSpec& spec : campaign::allExplorers()) {
     EXPECT_NE(spec.name, "dpor-nosleep");
-    EXPECT_NE(spec.name, "dpor-lazy-cache");
   }
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "explore/dfs_explorer.hpp"
-#include "explore/dpor_explorer.hpp"
 #include "explore/replay.hpp"
 #include "memory/memory_model.hpp"
 #include "programs/registry.hpp"
@@ -690,13 +689,13 @@ TEST(ClockConsumers, RowsBuiltAloneMatchRowsBuiltTogether) {
   EXPECT_EQ(syncOnly.fingerprint(Relation::Full), all.fingerprint(Relation::Full));
 }
 
-TEST(ClockConsumers, DporExplorerDeclaresItsFullClocks) {
+TEST(ClockConsumers, DporDeclaresItsFullClocks) {
   // DPOR's race analysis reads eventClock/threadClock(Full) at every
   // scheduling point with a conflict; a recorder without Full rows would
   // fail its check and abort the exploration.
   explore::ExplorerOptions options;
   options.scheduleLimit = 1000;
-  explore::DporExplorer explorer(options);
+  explore::TreeExplorer explorer(options, explore::DporOptions{});
   const explore::ExplorationResult result = explorer.explore(clockProgram);
   EXPECT_TRUE(result.complete);
   EXPECT_GT(result.schedulesExecuted, 1u);  // the race was found and reversed
