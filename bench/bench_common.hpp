@@ -73,8 +73,9 @@ inline campaign::CampaignOptions campaignOptions(
     const campaign::CampaignResult& result) {
   const std::string out = options.getString("out");
   if (out.empty()) return true;
-  if (!campaign::writeReportFile(out, result,
-                                 campaign::makeReportConfig(campaignOptions))) {
+  if (!campaign::writeDocument(
+          out, campaign::writeReportJson(
+                   result, campaign::makeReportConfig(campaignOptions)))) {
     return false;
   }
   if (out != "-") std::printf("report: %s\n", out.c_str());

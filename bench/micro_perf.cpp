@@ -284,11 +284,11 @@ CapturedTrace captureTouchTrace(int touchedSuffix) {
   return captured;
 }
 
-/// Feeds a captured trace's prefix into `recorder` and stages a base
-/// checkpoint there. Returns the base depth.
-std::size_t feedPrefixAndStage(trace::TraceRecorder& recorder,
-                               runtime::Execution& dummy,
-                               const CapturedTrace& full, std::size_t prefix) {
+/// Feeds a captured trace's prefix into `recorder` and saves a base
+/// checkpoint there into `base`.
+void feedPrefixAndStage(trace::TraceRecorder& recorder, runtime::Execution& dummy,
+                        const CapturedTrace& full, std::size_t prefix,
+                        trace::TraceRecorder::Checkpoint& base) {
   recorder.onExecutionStart(dummy);
   for (const auto& reg : full.registrations) {
     recorder.onObjectRegistered(dummy, reg.index, reg.uid, reg.kind, reg.name,
@@ -297,7 +297,7 @@ std::size_t feedPrefixAndStage(trace::TraceRecorder& recorder,
   for (std::size_t i = 0; i < prefix; ++i) {
     recorder.onEvent(dummy, full.events[i]);
   }
-  return recorder.checkpoint();
+  recorder.checkpoint(base);
 }
 
 void BM_RecorderCheckpointStageTouched(benchmark::State& state) {
@@ -313,13 +313,16 @@ void BM_RecorderCheckpointStageTouched(benchmark::State& state) {
   runtime::StackPool pool;
   trace::TraceRecorder recorder;
   runtime::Execution dummy(runtime::Config{}, pool, nullptr);  // never run
-  const std::size_t depth = feedPrefixAndStage(recorder, dummy, full, prefix);
+  trace::TraceRecorder::Checkpoint baseCheckpoint;
+  trace::TraceRecorder::Checkpoint top;
+  feedPrefixAndStage(recorder, dummy, full, prefix, baseCheckpoint);
   for (auto _ : state) {
     for (std::size_t i = prefix; i < full.events.size(); ++i) {
       recorder.onEvent(dummy, full.events[i]);
     }
-    benchmark::DoNotOptimize(recorder.checkpoint());
-    recorder.rollbackTo(depth);
+    recorder.checkpoint(top);
+    benchmark::DoNotOptimize(top);
+    recorder.rollbackTo(baseCheckpoint);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * touched);
 }
@@ -327,7 +330,7 @@ BENCHMARK(BM_RecorderCheckpointStageTouched)->Arg(1)->Arg(16)->Arg(64)->Arg(256)
 
 void BM_RecorderUndoChainRollback(benchmark::State& state) {
   // S stages spread along a 256-store suffix, then one rollback to the
-  // base: the rollback discards every deeper stage and replays the whole
+  // base: the rollback voids every deeper checkpoint and replays the whole
   // undo chain newest-first, whatever S is.
   const int stages = static_cast<int>(state.range(0));
   const CapturedTrace base = captureTouchTrace(0);
@@ -339,14 +342,16 @@ void BM_RecorderUndoChainRollback(benchmark::State& state) {
   runtime::StackPool pool;
   trace::TraceRecorder recorder;
   runtime::Execution dummy(runtime::Config{}, pool, nullptr);  // never run
-  const std::size_t depth = feedPrefixAndStage(recorder, dummy, full, prefix);
+  trace::TraceRecorder::Checkpoint baseCheckpoint;
+  std::vector<trace::TraceRecorder::Checkpoint> deeper(suffix / chunk);
+  feedPrefixAndStage(recorder, dummy, full, prefix, baseCheckpoint);
   for (auto _ : state) {
     std::size_t fed = 0;
     for (std::size_t i = prefix; i < full.events.size(); ++i) {
       recorder.onEvent(dummy, full.events[i]);
-      if (++fed % chunk == 0) (void)recorder.checkpoint();
+      if (++fed % chunk == 0) recorder.checkpoint(deeper[fed / chunk - 1]);
     }
-    recorder.rollbackTo(depth);
+    recorder.rollbackTo(baseCheckpoint);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(suffix));
@@ -355,8 +360,9 @@ BENCHMARK(BM_RecorderUndoChainRollback)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_RecorderRollbackPastEvicted(benchmark::State& state) {
   // The byte-budget eviction path: stage mid-suffix, finish the suffix,
-  // evict the mid stage, then roll back to the base *past* the evicted
-  // depth — the retained undo entries must still replay cleanly.
+  // evict the mid stage (its owner never rolls back to it), then roll back
+  // to the base *past* the evicted depth — the retained undo entries must
+  // still replay cleanly.
   const CapturedTrace base = captureTouchTrace(0);
   const CapturedTrace full = captureTouchTrace(kUndoObjects);
   const std::size_t prefix = base.events.size();
@@ -365,17 +371,18 @@ void BM_RecorderRollbackPastEvicted(benchmark::State& state) {
   runtime::StackPool pool;
   trace::TraceRecorder recorder;
   runtime::Execution dummy(runtime::Config{}, pool, nullptr);  // never run
-  const std::size_t depth = feedPrefixAndStage(recorder, dummy, full, prefix);
+  trace::TraceRecorder::Checkpoint baseCheckpoint;
+  trace::TraceRecorder::Checkpoint midStage;  // evicted: never rolled back to
+  feedPrefixAndStage(recorder, dummy, full, prefix, baseCheckpoint);
   for (auto _ : state) {
     for (std::size_t i = prefix; i < mid; ++i) {
       recorder.onEvent(dummy, full.events[i]);
     }
-    const std::size_t midDepth = recorder.checkpoint();
+    recorder.checkpoint(midStage);
     for (std::size_t i = mid; i < full.events.size(); ++i) {
       recorder.onEvent(dummy, full.events[i]);
     }
-    benchmark::DoNotOptimize(recorder.evictCheckpoint(midDepth));
-    recorder.rollbackTo(depth);
+    recorder.rollbackTo(baseCheckpoint);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(full.events.size() - prefix));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -178,40 +179,6 @@ CampaignResult foldCells(std::vector<CellResult> cells,
   return result;
 }
 
-Aggregator::Aggregator(std::vector<bool> expected,
-                       std::vector<std::string> explorerNames)
-    : explorerNames_(std::move(explorerNames)),
-      cells_(expected.size()),
-      expected_(std::move(expected)),
-      filled_(expected_.size(), false) {
-  LAZYHB_CHECK(!explorerNames_.empty());
-}
-
-void Aggregator::submit(std::size_t index, CellResult cell) {
-  const std::lock_guard<std::mutex> guard(mutex_);
-  LAZYHB_CHECK(index < cells_.size() && expected_[index] && !filled_[index]);
-  cells_[index] = std::move(cell);
-  filled_[index] = true;
-}
-
-std::size_t Aggregator::cellCount() const noexcept {
-  std::size_t count = 0;
-  for (const bool filled : filled_) count += filled ? 1 : 0;
-  return count;
-}
-
-CampaignResult Aggregator::finish() {
-  const std::lock_guard<std::mutex> guard(mutex_);
-  std::vector<CellResult> cells;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (!expected_[i]) continue;
-    LAZYHB_CHECK(filled_[i]);  // finish() before every submit() is a runner bug
-    cells.push_back(std::move(cells_[i]));
-  }
-  cells_.clear();
-  return foldCells(std::move(cells), explorerNames_);
-}
-
 void runTasks(std::vector<std::function<void()>> tasks, int jobs) {
   std::atomic<std::size_t> next{0};
   const auto drain = [&]() noexcept {
@@ -275,7 +242,15 @@ CampaignResult runCampaign(const CampaignOptions& options) {
     journal = std::make_unique<CampaignJournal>(resolved);
   }
 
-  Aggregator aggregator(inShard, explorerNames);
+  // One slot per matrix cell. Each task writes only its own, and runTasks
+  // joins every thread before the fold reads them, so no lock is needed.
+  // `filled` is bytes, not vector<bool>: tasks set their flags concurrently.
+  std::vector<CellResult> slots(totalCells);
+  std::vector<char> filled(totalCells, 0);
+  const auto submit = [&](std::size_t index, CellResult cell) {
+    slots[index] = std::move(cell);
+    filled[index] = 1;
+  };
   std::mutex progressMutex;
   std::size_t cellsDone = 0;
 
@@ -329,7 +304,7 @@ CampaignResult runCampaign(const CampaignOptions& options) {
         } else {
           markDone();
         }
-        aggregator.submit(index, std::move(cell));
+        submit(index, std::move(cell));
         continue;
       }
 
@@ -429,14 +404,21 @@ CampaignResult runCampaign(const CampaignOptions& options) {
         } else {
           markDone();
         }
-        aggregator.submit(index, std::move(cell));
+        submit(index, std::move(cell));
       });
     }
   }
 
   runTasks(std::move(tasks), jobs);
 
-  CampaignResult result = aggregator.finish();
+  std::vector<CellResult> cells;
+  cells.reserve(shardCells);
+  for (std::size_t index = 0; index < totalCells; ++index) {
+    if (!inShard[index]) continue;
+    LAZYHB_CHECK(filled[index]);  // a task that ended without its cell is a runner bug
+    cells.push_back(std::move(slots[index]));
+  }
+  CampaignResult result = foldCells(std::move(cells), explorerNames);
   result.wallSeconds = secondsSince(campaignStart);
   result.jobs = jobs;
   result.shardIndex = options.shardIndex;

@@ -5,9 +5,9 @@
 // §3 chain #states ≤ #lazyHBRs ≤ #HBRs ≤ #schedules, the Figure 2/3
 // redundancy gaps) emerging only from the aggregate. This layer owns the
 // (program × explorer) matrix: it fans the cells out across hardware
-// threads (runTasks), times each cell, feeds a thread-safe
-// Aggregator, and folds the cells into per-program and per-explorer
-// summaries plus campaign totals.
+// threads (runTasks), times each cell, stores it in its matrix slot, and
+// folds the cells into per-program and per-explorer summaries plus
+// campaign totals.
 //
 // Determinism contract: each cell constructs its own single-use explorer
 // from its ExplorerSpec, the engine under it is single-threaded, and
@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -211,40 +210,12 @@ struct CampaignOptions {
 /// Fold cells — already in program-major matrix order, but possibly a
 /// *partial* matrix (a shard's slice, or a merge of some shards) — into the
 /// per-program / per-explorer summaries and campaign totals. The one fold
-/// shared by Aggregator::finish() and the report merger, so a merged report
-/// can never aggregate differently from a directly-run one.
+/// shared by runCampaign and the report merger, so a merged report can
+/// never aggregate differently from a directly-run one.
 /// `explorerOrder` fixes the per-explorer total rows (an explorer with no
 /// cells keeps an all-zero row, so shard reports stay column-compatible).
 [[nodiscard]] CampaignResult foldCells(std::vector<CellResult> cells,
                                        const std::vector<std::string>& explorerOrder);
-
-/// Collects finished cells from worker threads and folds them into the
-/// summaries above. submit() is thread-safe; finish() must be called once,
-/// after every expected cell has been submitted.
-class Aggregator {
- public:
-  /// `expected[index]` marks the matrix slots this run will submit (a shard
-  /// marks only its slice); `explorerNames` fixes the per-explorer rows.
-  Aggregator(std::vector<bool> expected, std::vector<std::string> explorerNames);
-
-  /// Record the cell at matrix slot `index` (program-major order).
-  void submit(std::size_t index, CellResult cell);
-
-  /// Cells submitted so far. Not synchronized with in-flight submit()s;
-  /// call from the coordinating thread (between pool phases) only.
-  [[nodiscard]] std::size_t cellCount() const noexcept;
-
-  /// Fold the submitted cells into summaries and totals. Consumes the
-  /// aggregator.
-  [[nodiscard]] CampaignResult finish();
-
- private:
-  std::vector<std::string> explorerNames_;
-  std::vector<CellResult> cells_;
-  std::vector<bool> expected_;
-  std::vector<bool> filled_;
-  std::mutex mutex_;
-};
 
 /// Run every task once on min(jobs, tasks.size()) new threads (jobs < 1
 /// counts as 1) and return when all have finished. Each thread takes the next task from one shared index: the

@@ -53,23 +53,6 @@ std::string manifestDocument(const CampaignOptions& options) {
   return json.str() + "\n";
 }
 
-std::string readFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    raise("cannot read '" + path + "': " + std::strerror(errno));
-  }
-  std::string content;
-  char buffer[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    content.append(buffer, got);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) raise("read error on '" + path + "'");
-  return content;
-}
-
 /// tmp + fsync + rename: after this returns, `path` holds the complete
 /// document even across a SIGKILL or power loss; a crash mid-write leaves
 /// only the tmp file, which open() ignores.
@@ -144,7 +127,7 @@ CampaignJournal::CampaignJournal(const CampaignOptions& options)
   // The manifest writer is byte-stable, so configuration equality is
   // document equality — any drift (different seed, limit, shard, corpus,
   // ...) fails the resume up front.
-  const std::string onDisk = readFile(manifestPath.string());
+  const std::string onDisk = readDocument(manifestPath.string());
   if (onDisk != expectedManifest) {
     raise("campaign journal config mismatch in '" + directory_ +
           "': the journal was started with different campaign flags "
@@ -163,7 +146,7 @@ CampaignJournal::CampaignJournal(const CampaignOptions& options)
       raise("campaign journal '" + directory_ + "' holds out-of-range cell '" +
             name + "'");
     }
-    const std::string document = readFile(entry.path().string());
+    const std::string document = readDocument(entry.path().string());
     std::string parseError;
     const auto value = support::JsonValue::parse(document, &parseError);
     if (value == nullptr) {

@@ -123,8 +123,11 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
 }
 
 /// The count fields the determinism contract covers — two clean runs of one
-/// configuration must agree on all of these.
+/// configuration must agree on all of these: every count tools/bench_diff.py
+/// compares, plus the elided/replayed events, which one configuration fixes.
 bool countsEqual(const CellResult& a, const CellResult& b) {
+  const explore::PrefixCacheStats& ca = a.stats.cacheStats;
+  const explore::PrefixCacheStats& cb = b.stats.cacheStats;
   return a.stats.schedulesExecuted == b.stats.schedulesExecuted &&
          a.stats.terminalSchedules == b.stats.terminalSchedules &&
          a.stats.prunedSchedules == b.stats.prunedSchedules &&
@@ -134,9 +137,14 @@ bool countsEqual(const CellResult& a, const CellResult& b) {
          a.stats.eventsReplayed == b.stats.eventsReplayed &&
          a.stats.distinctHbrs == b.stats.distinctHbrs &&
          a.stats.distinctLazyHbrs == b.stats.distinctLazyHbrs &&
+         a.stats.distinctValueClasses == b.stats.distinctValueClasses &&
          a.stats.distinctStates == b.stats.distinctStates &&
          a.stats.complete == b.stats.complete &&
-         a.stats.hitScheduleLimit == b.stats.hitScheduleLimit;
+         a.stats.hitScheduleLimit == b.stats.hitScheduleLimit &&
+         ca.lookups == cb.lookups && ca.hits == cb.hits &&
+         ca.insertions == cb.insertions && ca.entries == cb.entries &&
+         a.stats.flushEvents == b.stats.flushEvents &&
+         a.stats.fenceEvents == b.stats.fenceEvents;
 }
 
 std::string serializeCell(const CellResult& cell) {
@@ -159,11 +167,19 @@ bool preferred(const CellResult& a, const CellResult& b) {
 }
 
 std::string describeCounts(const CellResult& cell) {
-  return "schedules=" + std::to_string(cell.stats.schedulesExecuted) +
-         " hbrs=" + std::to_string(cell.stats.distinctHbrs) +
-         " lazy_hbrs=" + std::to_string(cell.stats.distinctLazyHbrs) +
-         " states=" + std::to_string(cell.stats.distinctStates) +
-         " events=" + std::to_string(cell.stats.totalEvents);
+  const explore::ExplorationResult& s = cell.stats;
+  return "schedules=" + std::to_string(s.schedulesExecuted) +
+         " hbrs=" + std::to_string(s.distinctHbrs) +
+         " lazy_hbrs=" + std::to_string(s.distinctLazyHbrs) +
+         " value_classes=" + std::to_string(s.distinctValueClasses) +
+         " states=" + std::to_string(s.distinctStates) +
+         " events=" + std::to_string(s.totalEvents) +
+         " cache=" + std::to_string(s.cacheStats.lookups) + "/" +
+         std::to_string(s.cacheStats.hits) + "/" +
+         std::to_string(s.cacheStats.insertions) + "/" +
+         std::to_string(s.cacheStats.entries) +
+         " flush/fence=" + std::to_string(s.flushEvents) + "/" +
+         std::to_string(s.fenceEvents);
 }
 
 void checkConfigCompatible(const ParsedReport& base, const ParsedReport& other) {

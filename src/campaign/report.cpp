@@ -1,6 +1,9 @@
 #include "campaign/report.hpp"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <stdexcept>
 
 #include "memory/memory_model.hpp"
 #include "support/json_reader.hpp"
@@ -325,10 +328,7 @@ ReportConfig makeReportConfig(const CampaignOptions& options) {
   return config;
 }
 
-bool writeReportFile(const std::string& path, const CampaignResult& result,
-                     const ReportConfig& config,
-                     const MergeProvenance* provenance) {
-  const std::string document = writeReportJson(result, config, provenance);
+bool writeDocument(const std::string& path, const std::string& document) {
   if (path == "-") {
     std::fputs(document.c_str(), stdout);
     return true;
@@ -346,6 +346,24 @@ bool writeReportFile(const std::string& path, const CampaignResult& result,
     std::fprintf(stderr, "lazyhb: short write to '%s'\n", path.c_str());
   }
   return ok;
+}
+
+std::string readDocument(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    throw std::runtime_error("lazyhb: cannot read '" + path +
+                             "': " + std::strerror(errno));
+  }
+  std::string content;
+  char buffer[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    content.append(buffer, got);
+  }
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) throw std::runtime_error("lazyhb: read error on '" + path + "'");
+  return content;
 }
 
 }  // namespace lazyhb::campaign

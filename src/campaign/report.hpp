@@ -119,10 +119,13 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell);
     const CampaignResult& result, const ReportConfig& config,
     const MergeProvenance* provenance = nullptr);
 
-/// Write the report to `path` ("-" means stdout). Returns false (with a
-/// message on stderr) when the file cannot be written.
-bool writeReportFile(const std::string& path, const CampaignResult& result,
-                     const ReportConfig& config,
-                     const MergeProvenance* provenance = nullptr);
+/// Write a report document to `path` ("-" means stdout). Returns false
+/// (with a message on stderr) when the file cannot be written. A plain
+/// write: the campaign journal keeps its own atomic tmp + fsync + rename.
+bool writeDocument(const std::string& path, const std::string& document);
+
+/// The whole content of the file at `path`. Throws std::runtime_error
+/// naming the path when it cannot be read.
+[[nodiscard]] std::string readDocument(const std::string& path);
 
 }  // namespace lazyhb::campaign

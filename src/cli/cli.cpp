@@ -76,26 +76,6 @@ bool parseMemoryModelFlag(const support::Options& options, std::string* name) {
   return true;
 }
 
-/// Write `document` to `path` ("-" means stdout). Returns false (with a
-/// message on stderr) when the file cannot be written.
-bool writeDocument(const std::string& path, const std::string& document) {
-  if (path == "-") {
-    std::fputs(document.c_str(), stdout);
-    return true;
-  }
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "lazyhb: cannot write report to '%s'\n", path.c_str());
-    return false;
-  }
-  bool ok =
-      std::fwrite(document.data(), 1, document.size(), file) == document.size();
-  // fclose flushes the stdio buffer; a full disk surfaces here, not in fwrite.
-  ok = (std::fclose(file) == 0) && ok;
-  if (!ok) std::fprintf(stderr, "lazyhb: short write to '%s'\n", path.c_str());
-  return ok;
-}
-
 /// The flags of every command that executes a program: replay takes just
 /// these, and addRunFlags builds on them.
 void addExecutionFlags(support::Options& options) {
@@ -310,7 +290,7 @@ int cmdExplore(int argc, char** argv) {
   printViolations(human, report);
   printRaces(human, report);
   if (!out.empty()) {
-    if (!writeDocument(out, report.toJson())) return kExitIo;
+    if (!campaign::writeDocument(out, report.toJson())) return kExitIo;
     if (out != "-") std::printf("report: %s\n", out.c_str());
   }
   if (options.getFlag("fail-on-violation") && report.foundViolation()) {
@@ -660,7 +640,7 @@ int cmdBench(int argc, char** argv) {
   reportConfig.quick = quick;
   const std::string out = options.getString("out");
   if (!out.empty()) {
-    if (!campaign::writeReportFile(out, result, reportConfig)) {
+    if (!campaign::writeDocument(out, campaign::writeReportJson(result, reportConfig))) {
       return kExitIo;
     }
     if (out != "-") std::printf("report: %s\n", out.c_str());
@@ -669,29 +649,6 @@ int cmdBench(int argc, char** argv) {
 }
 
 // --- merge -------------------------------------------------------------------
-
-/// Read a whole file ("-" is not supported here: merge inputs are named
-/// report files). Returns false with a message on failure.
-bool readDocument(const std::string& path, std::string* out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "lazyhb: cannot read '%s'\n", path.c_str());
-    return false;
-  }
-  out->clear();
-  char buffer[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    out->append(buffer, got);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) {
-    std::fprintf(stderr, "lazyhb: read error on '%s'\n", path.c_str());
-    return false;
-  }
-  return true;
-}
 
 int cmdMerge(int argc, char** argv) {
   support::Options options(
@@ -713,9 +670,15 @@ int cmdMerge(int argc, char** argv) {
     return kExitUsage;
   }
 
-  std::vector<std::string> documents(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (!readDocument(paths[i], &documents[i])) return kExitIo;
+  // Merge inputs are named report files ("-" is not read as stdin here).
+  std::vector<std::string> documents;
+  try {
+    for (const std::string& path : paths) {
+      documents.push_back(campaign::readDocument(path));
+    }
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return kExitIo;
   }
 
   campaign::MergeOutcome merged;
@@ -727,8 +690,9 @@ int cmdMerge(int argc, char** argv) {
   }
 
   const std::string out = options.getString("out");
-  if (!campaign::writeReportFile(out, merged.result, merged.config,
-                                 &merged.provenance)) {
+  if (!campaign::writeDocument(out, campaign::writeReportJson(
+                                         merged.result, merged.config,
+                                         &merged.provenance))) {
     return kExitIo;
   }
   if (out != "-") {

@@ -22,38 +22,46 @@ void PrefixReplayEngine::stageCheckpoint(runtime::Execution& exec, std::size_t d
   if (!incremental_) return;
   // While the recorder is skipping a replayed prefix its depth lags the
   // scheduler's; those depths are already staged from an earlier schedule.
-  // The runtime side must not stage there either: exec and recorder
-  // checkpoints are rolled back in lockstep by prepareNext, so a depth
-  // staged on one but not the other would make that rollback fail.
   if (recorder_.eventCount() != depth) return;
-  const bool fresh = stages_.empty() || stages_.back().depth < depth;
-  recorder_.checkpoint();
-  std::uint64_t execBytes = 0;
-  if (runtimeRollback_) {
-    LAZYHB_CHECK(&exec == exec_.get());
-    // After a full restart the ledger can already hold recorder-only
-    // stages; the reset execution's first checkpoint then lands on a
-    // ledgered depth and only the runtime share is new cost.
-    const bool execFresh = exec.deepestCheckpointAtOrBelow(depth) != depth;
-    exec.checkpoint();
-    if (execFresh) execBytes = exec.checkpointApproxBytes(depth);
-  }
-  if (fresh) {
-    StageInfo info;
-    info.depth = depth;
-    info.bytes = recorder_.checkpointApproxBytes(depth) + execBytes;
-    stages_.push_back(info);
-    liveBytes_ += info.bytes;
+  Stage* stage = live_ == 0 ? nullptr : &stages_[live_ - 1];
+  std::uint64_t added = 0;
+  if (stage == nullptr || stage->depth != depth) {
+    LAZYHB_CHECK(stage == nullptr || stage->depth < depth);  // staging only deepens
+    if (live_ == stages_.size()) stages_.emplace_back();
+    stage = &stages_[live_++];
+    stage->depth = depth;
+    stage->bytes = 0;
+    recorder_.checkpoint(stage->trace);
+    added = stage->trace.approxBytes();
     ++stagesCreated_;
-    bytesStaged_ += info.bytes;
-  } else if (execBytes != 0) {
-    stages_.back().bytes += execBytes;
-    liveBytes_ += execBytes;
-    bytesStaged_ += execBytes;
-  } else {
-    return;  // nothing new was pinned; budget unchanged
   }
+  // After a full restart a surviving stage holds the recorder part only;
+  // the reset execution's first snapshot there is the only new cost.
+  if (runtimeRollback_ && stage->exec.empty()) {
+    LAZYHB_CHECK(&exec == exec_.get());
+    exec.checkpoint(stage->exec);
+    added += stage->exec.approxBytes();
+  }
+  if (added == 0) return;  // nothing new was pinned; budget unchanged
+  stage->bytes += added;
+  liveBytes_ += added;
+  bytesStaged_ += added;
   enforceBudget();
+}
+
+PrefixReplayEngine::Stage* PrefixReplayEngine::deepestAtOrBelow(std::size_t depth,
+                                                                bool needExec) {
+  for (std::size_t i = live_; i-- > 0;) {
+    Stage& s = stages_[i];
+    if (s.depth <= depth && (!needExec || !s.exec.empty())) return &s;
+  }
+  return nullptr;
+}
+
+void PrefixReplayEngine::dropLast() {
+  Stage& s = stages_[--live_];
+  liveBytes_ -= s.bytes;
+  s.exec.clear();
 }
 
 void PrefixReplayEngine::enforceBudget() {
@@ -61,23 +69,19 @@ void PrefixReplayEngine::enforceBudget() {
   // Shallowest-first: of all live stages the shallowest is the one furthest
   // from the frontier of the deepest-first tree walk, i.e. the one whose
   // next use is furthest in the future. The deepest (just-staged) stage is
-  // never evicted — it is the imminent rollback target.
-  while (liveBytes_ > budgetBytes_ && stages_.size() > 1) {
-    const StageInfo victim = stages_.front();
-    stages_.erase(stages_.begin());
-    liveBytes_ -= victim.bytes;
-    (void)recorder_.evictCheckpoint(victim.depth);
-    if (runtimeRollback_ && exec_ != nullptr) {
-      (void)exec_->evictCheckpoint(victim.depth);
-    }
-    evictedDepths_.push_back(victim.depth);
+  // never evicted — it is the imminent rollback target. The victim rotates
+  // to the end of the live range and is dropped from there, so its vectors
+  // rejoin the pool.
+  while (liveBytes_ > budgetBytes_ && live_ > 1) {
+    evictedDepths_.push_back(stages_.front().depth);
+    std::rotate(stages_.begin(), stages_.begin() + 1,
+                stages_.begin() + static_cast<std::ptrdiff_t>(live_));
+    dropLast();
     ++evictions_;
   }
 }
 
-void PrefixReplayEngine::settleStages(std::size_t keepAtOrBelow,
-                                      std::size_t divergenceDepth,
-                                      bool repriceRecorderOnly) {
+void PrefixReplayEngine::settleStages(std::size_t target, std::size_t divergenceDepth) {
   // A divergence that lands strictly above the surviving rollback target
   // but at or below an evicted depth is the cost of the budget: had that
   // stage survived, the rollback would have been deeper. Count it once per
@@ -85,37 +89,17 @@ void PrefixReplayEngine::settleStages(std::size_t keepAtOrBelow,
   // fullRestarts either way.
   bool fallback = false;
   for (const std::size_t e : evictedDepths_) {
-    if (e > keepAtOrBelow && e <= divergenceDepth) fallback = true;
+    if (e > target && e <= divergenceDepth) fallback = true;
   }
   if (fallback) ++replayFallbacks_;
-  // Evicted depths above the rollback target are finished subtrees or the
+  // Evicted depths above the target are finished subtrees or the
   // just-counted fallback; only shallower ones can still shadow a future,
-  // shallower divergence.
-  evictedDepths_.erase(
-      std::remove_if(evictedDepths_.begin(), evictedDepths_.end(),
-                     [&](std::size_t e) { return e > keepAtOrBelow; }),
-      evictedDepths_.end());
-  while (!stages_.empty() && stages_.back().depth > keepAtOrBelow) {
-    liveBytes_ -= stages_.back().bytes;
-    stages_.pop_back();
-  }
-  if (keepAtOrBelow == 0) {
-    // The recorder was not armed: it resets wholesale on the next
-    // execution start, taking any depth-0 checkpoint with it.
-    stages_.clear();
-    evictedDepths_.clear();
-    liveBytes_ = 0;
-  }
-  if (repriceRecorderOnly) {
-    // The persistent execution was reset: surviving stages keep only
-    // their recorder share alive, so re-price them before the next
-    // enforceBudget sees stale runtime bytes.
-    liveBytes_ = 0;
-    for (StageInfo& s : stages_) {
-      s.bytes = recorder_.checkpointApproxBytes(s.depth);
-      liveBytes_ += s.bytes;
-    }
-  }
+  // shallower divergence. With no target the recorder resets wholesale on
+  // the next execution start, taking a depth-0 stage with it.
+  const auto dies = [target](std::size_t depth) { return target == 0 || depth > target; };
+  evictedDepths_.erase(std::remove_if(evictedDepths_.begin(), evictedDepths_.end(), dies),
+                       evictedDepths_.end());
+  while (live_ > 0 && dies(stages_[live_ - 1].depth)) dropLast();
 }
 
 std::size_t PrefixReplayEngine::prepareNext(std::size_t divergenceDepth) {
@@ -126,34 +110,38 @@ std::size_t PrefixReplayEngine::prepareNext(std::size_t divergenceDepth) {
   if (!incremental_) return 0;
 
   if (runtimeRollback_ && exec_ != nullptr) {
-    const std::size_t depth = exec_->deepestCheckpointAtOrBelow(divergenceDepth);
-    if (depth != runtime::Execution::kNoCheckpoint && depth > 0) {
-      exec_->rollbackTo(depth);
-      recorder_.rollbackTo(depth);
+    const Stage* stage = deepestAtOrBelow(divergenceDepth, /*needExec=*/true);
+    if (stage != nullptr && stage->depth > 0) {
+      const std::size_t depth = stage->depth;
+      exec_->rollbackTo(stage->exec);
+      recorder_.rollbackTo(stage->trace);
       pendingResume_ = true;
       pendingStart_ = depth;
       pendingElided_ = depth;
       pendingReplayed_ = divergenceDepth - depth;
       ++rollbacks_;
-      settleStages(depth, divergenceDepth, /*repriceRecorderOnly=*/false);
+      settleStages(depth, divergenceDepth);
       return depth;
     }
-    // No usable runtime checkpoint: reset the persistent execution (which
+    // No usable runtime snapshot: reset the persistent execution (which
     // runs the leftover fibers forward) and re-execute, still eliding the
-    // recorder's share of the prefix below.
+    // recorder's share of the prefix below. The reset voids every
+    // snapshot, so the stages keep only their recorder part and price.
     exec_->reset();
     ++fullRestarts_;
+    for (std::size_t i = 0; i < live_; ++i) {
+      Stage& s = stages_[i];
+      const std::uint64_t execBytes = s.exec.approxBytes();
+      s.bytes -= execBytes;
+      liveBytes_ -= execBytes;
+      s.exec.clear();
+    }
   }
 
-  const std::size_t depth = recorder_.deepestCheckpointAtOrBelow(divergenceDepth);
-  const bool armed = depth != trace::TraceRecorder::kNoCheckpoint && depth > 0;
-  if (armed) {
-    recorder_.armResume(depth);
-  }
-  // Not armed: the recorder resets on the next execution start, clearing
-  // every staged checkpoint — drop the whole ledger to match.
-  settleStages(armed ? depth : 0, divergenceDepth,
-               /*repriceRecorderOnly=*/runtimeRollback_);
+  const Stage* stage = deepestAtOrBelow(divergenceDepth, /*needExec=*/false);
+  const bool armed = stage != nullptr && stage->depth > 0;
+  if (armed) recorder_.armResume(stage->trace);
+  settleStages(armed ? stage->depth : 0, divergenceDepth);
   return 0;
 }
 

@@ -16,16 +16,25 @@
 //   * Full runtime rollback (checkpointable programs, fast-fiber builds):
 //     one persistent resumable Execution survives across schedules. At
 //     every scheduling point that the search will revisit (a node with
-//     unexplored siblings), the engine stages an Execution checkpoint and a
-//     TraceRecorder checkpoint in lockstep. To start the next schedule it
-//     rolls both back to the divergence depth and resumes — the prefix is
-//     never re-executed at all ("elided" events).
+//     unexplored siblings), the engine stages that depth: it saves a
+//     TraceRecorder checkpoint and an Execution snapshot. To start the next
+//     schedule it rolls both back to the divergence depth and resumes — the
+//     prefix is never re-executed at all ("elided" events).
 //
 //   * Recorder elision (every other program/build): the program is
 //     re-executed from scratch as before, but the recorder is rolled back
 //     to its staged checkpoint and *skips* the replayed prefix events
 //     instead of recomputing clock rows, hashes and histories for them
 //     ("replayed" events; only their recording cost disappears).
+//
+// The engine is the one owner of the staged depths. It keeps one list of
+// stages, shallow to deep, and each stage holds its depth, the recorder's
+// checkpoint, the execution's snapshot (full tier only; empty after a full
+// restart until the depth is staged again) and its byte price. Execution
+// and TraceRecorder only save into and restore from the values handed to
+// them. Dropping a stage — a rollback above it, a budget eviction, a full
+// restart — is the engine's own bookkeeping; the list's tail is a pool, so
+// stage vectors keep their capacity across restage cycles.
 //
 // Both tiers leave every observable count byte-identical to a
 // non-incremental run: rollback restores exactly the state the prefix
@@ -115,27 +124,31 @@ class PrefixReplayEngine {
   /// prepareNext calls where an evicted stage would have served the chosen
   /// divergence better than the deepest surviving one.
   [[nodiscard]] std::uint64_t replayFallbacks() const noexcept { return replayFallbacks_; }
-  /// Approximate bytes currently held by live staged checkpoints.
-  [[nodiscard]] std::uint64_t liveSnapshotBytes() const noexcept { return liveBytes_; }
 
  private:
-  /// One live staged depth with the approximate bytes it pinned when staged
-  /// (kept sorted by depth: staging is strictly deepening between rollbacks).
-  struct StageInfo {
+  /// One staged depth (kept sorted by depth: staging only deepens between
+  /// rollbacks). `bytes` is the approximate price of what it pins.
+  struct Stage {
     std::size_t depth = 0;
+    trace::TraceRecorder::Checkpoint trace;
+    runtime::Execution::Snapshot exec;  ///< empty outside the full tier
     std::uint64_t bytes = 0;
   };
 
-  /// Evict shallowest-first until the ledger fits the budget; never evicts
+  /// The deepest live stage at depth <= `depth` (with an execution snapshot
+  /// when `needExec`), or nullptr.
+  Stage* deepestAtOrBelow(std::size_t depth, bool needExec);
+  /// Drop the deepest live stage, freeing its fiber images.
+  void dropLast();
+  /// Evict shallowest-first until the stages fit the budget; never evicts
   /// the deepest (just-staged) stage — it is the imminent rollback target.
   void enforceBudget();
-  /// Reconcile the ledger with a prepareNext decision: count a replay
-  /// fallback if an evicted depth in (keepAtOrBelow, divergenceDepth] would
-  /// have been the better rollback target, drop ledger entries above
-  /// keepAtOrBelow, and (after a full restart) re-price surviving stages to
-  /// their recorder-only cost.
-  void settleStages(std::size_t keepAtOrBelow, std::size_t divergenceDepth,
-                    bool repriceRecorderOnly);
+  /// Settle the stages on a prepareNext decision that resumes from the
+  /// stage at `target` (0: none — the recorder resets and every stage
+  /// dies): count a replay fallback if an evicted depth in (target,
+  /// divergenceDepth] would have been the better rollback target, and drop
+  /// every stage above `target`.
+  void settleStages(std::size_t target, std::size_t divergenceDepth);
   runtime::StackPool& stackPool_;
   trace::TraceRecorder& recorder_;
   bool incremental_;
@@ -153,9 +166,10 @@ class PrefixReplayEngine {
   std::uint64_t rollbacks_ = 0;
   std::uint64_t fullRestarts_ = 0;
 
-  std::vector<StageInfo> stages_;          ///< live stages, sorted by depth
+  std::vector<Stage> stages_;  ///< [0, live_) by depth; the tail is a pool
+  std::size_t live_ = 0;
   std::vector<std::size_t> evictedDepths_; ///< evicted, still above no live stage
-  std::uint64_t liveBytes_ = 0;
+  std::uint64_t liveBytes_ = 0;  ///< sum of the live stages' bytes
   std::uint64_t stagesCreated_ = 0;
   std::uint64_t bytesStaged_ = 0;
   std::uint64_t evictions_ = 0;

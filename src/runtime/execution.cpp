@@ -66,11 +66,8 @@ void Execution::reset(const Config& config, ExecutionObserver* observer) {
   outcome_ = Outcome::Terminal;
   violation_ = Violation{};
   finalFingerprint_ = support::Hash128{};
-  while (!snapshots_.empty()) {
-    for (ThreadSnapshot& ts : snapshots_.back().threads) ts.image = nullptr;
-    snapshotPool_.push_back(std::move(snapshots_.back()));
-    snapshots_.pop_back();
-  }
+  ++generation_;
+  undoLogging_ = false;
   imageCache_.clear();
   undoSize_ = 0;  // arena entries stay allocated for reuse
   epochCounter_ = 0;
@@ -204,29 +201,17 @@ Outcome Execution::finishRun() {
   return outcome_;
 }
 
-std::size_t Execution::checkpoint() {
+void Execution::checkpoint(Snapshot& s) {
   // Only legal at a scheduling point: the host loop is asking the scheduler
   // for a pick, so every fiber is suspended at its publish/park site.
   LAZYHB_CHECK(resumable_ && !done_ && currentThread_ == -1);
-  const std::size_t depth = events_.size();
-  LAZYHB_CHECK(choices_.size() == depth);
-  if (!snapshots_.empty() && snapshots_.back().depth == depth) {
-    return depth;  // already staged at this depth
-  }
-  LAZYHB_CHECK(snapshots_.empty() || snapshots_.back().depth < depth);
-  if (snapshotPool_.empty()) {
-    snapshots_.emplace_back();
-  } else {
-    snapshots_.push_back(std::move(snapshotPool_.back()));
-    snapshotPool_.pop_back();
-  }
-  ExecSnapshot& s = snapshots_.back();
-  s.depth = depth;
-  s.threadCount = threads_.size();
+  s.depth = events_.size();
+  LAZYHB_CHECK(choices_.size() == s.depth);
+  s.generation = generation_;
   s.objectCount = objects_.size();
-  if (s.threads.size() < s.threadCount) s.threads.resize(s.threadCount);
+  s.threads.resize(threads_.size());
   if (imageCache_.size() < threads_.size()) imageCache_.resize(threads_.size());
-  for (std::size_t i = 0; i < s.threadCount; ++i) {
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
     const ThreadRec& t = threads_[i];
     ThreadSnapshot& ts = s.threads[i];
     ts.status = t.status;
@@ -269,7 +254,7 @@ std::size_t Execution::checkpoint() {
   s.fenceEvents = fenceEvents_;
   s.maxBufferedStores = maxBufferedStores_;
   currentEpoch_ = ++epochCounter_;
-  return depth;
+  undoLogging_ = true;
 }
 
 void Execution::logObjectUndo(std::int32_t index, const ObjectInfo& o) {
@@ -281,23 +266,15 @@ void Execution::logObjectUndo(std::int32_t index, const ObjectInfo& o) {
   u.waiters.assign(o.waiters.begin(), o.waiters.end());
 }
 
-std::size_t Execution::deepestCheckpointAtOrBelow(std::size_t depth) const noexcept {
-  for (auto it = snapshots_.rbegin(); it != snapshots_.rend(); ++it) {
-    if (it->depth <= depth) return it->depth;
-  }
-  return kNoCheckpoint;
-}
-
-void Execution::rollbackTo(std::size_t depth) {
+void Execution::rollbackTo(const Snapshot& s) {
   LAZYHB_CHECK(resumable_ && ran_ && done_);
   LAZYHB_CHECK(g_current == nullptr);
-  while (!snapshots_.empty() && snapshots_.back().depth > depth) {
-    for (ThreadSnapshot& ts : snapshots_.back().threads) ts.image = nullptr;
-    snapshotPool_.push_back(std::move(snapshots_.back()));
-    snapshots_.pop_back();
-  }
-  LAZYHB_CHECK(!snapshots_.empty() && snapshots_.back().depth == depth);
-  const ExecSnapshot& s = snapshots_.back();
+  // A snapshot from before the last reset() (or an empty one) names state
+  // that no longer exists; one deeper than this run reached, or whose undo
+  // marks were already rolled past, was not dropped when it had to be.
+  LAZYHB_CHECK(s.generation == generation_);
+  LAZYHB_CHECK(s.depth <= events_.size() && s.undoMark <= undoSize_ &&
+               s.bufferUndoMark <= bufferUndoSize_);
   pickEnabledValid_ = false;
 
   // Store buffers roll back before the thread truncation below: an undo
@@ -316,7 +293,7 @@ void Execution::rollbackTo(std::size_t depth) {
   // Threads spawned past the checkpoint are discarded outright: their
   // stacks are dropped as raw bytes (checkpointable-program contract), their
   // parked closure is freed, and their fiber joins the free list.
-  while (threads_.size() > s.threadCount) {
+  while (threads_.size() > s.threads.size()) {
     threads_.back().fiber->abandonForRollback();
     retireFiber(std::move(threads_.back().fiber));
     threads_.pop_back();
@@ -325,7 +302,7 @@ void Execution::rollbackTo(std::size_t depth) {
       imageCache_.pop_back();
     }
   }
-  for (std::size_t i = 0; i < s.threadCount; ++i) {
+  for (std::size_t i = 0; i < s.threads.size(); ++i) {
     ThreadRec& t = threads_[i];
     const ThreadSnapshot& ts = s.threads[i];
     t.status = ts.status;
@@ -375,8 +352,8 @@ void Execution::rollbackTo(std::size_t depth) {
   // same stage can be rolled back to again (once per remaining sibling).
   currentEpoch_ = ++epochCounter_;
 
-  events_.resize(depth);
-  choices_.resize(depth);
+  events_.resize(s.depth);
+  choices_.resize(s.depth);
   done_ = false;
   outcome_ = Outcome::Terminal;
   violation_ = Violation{};
@@ -385,37 +362,21 @@ void Execution::rollbackTo(std::size_t depth) {
   LAZYHB_CHECK(!abandoning_);
 }
 
-bool Execution::evictCheckpoint(std::size_t depth) {
-  for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-    if (snapshots_[i].depth != depth) continue;
-    // Release the fiber images now — a pooled entry would otherwise keep
-    // them alive until reuse. The undo log keeps this stage's entries:
-    // rolling back past this depth to a shallower stage replays them.
-    for (ThreadSnapshot& ts : snapshots_[i].threads) ts.image = nullptr;
-    snapshotPool_.push_back(std::move(snapshots_[i]));
-    snapshots_.erase(snapshots_.begin() + static_cast<std::ptrdiff_t>(i));
-    return true;
+std::size_t Execution::Snapshot::approxBytes() const noexcept {
+  if (empty()) return 0;
+  std::size_t bytes = sizeof(Snapshot);
+  for (const ThreadSnapshot& ts : threads) {
+    bytes += sizeof(ThreadSnapshot);
+    if (ts.image != nullptr) {
+      bytes += sizeof(ThreadImage) + ts.image->fiber.bytes.size();
+    }
   }
-  return false;
+  return bytes;
 }
 
-std::size_t Execution::checkpointApproxBytes(std::size_t depth) const noexcept {
-  // Reverse scan: snapshots are depth-ascending and every caller asks about
-  // the just-staged (deepest) one — a forward scan made staging O(stages)
-  // and deep-tree branches quadratic.
-  for (auto it = snapshots_.rbegin(); it != snapshots_.rend(); ++it) {
-    const ExecSnapshot& s = *it;
-    if (s.depth != depth) continue;
-    std::size_t bytes = sizeof(ExecSnapshot);
-    for (std::size_t i = 0; i < s.threadCount; ++i) {
-      bytes += sizeof(ThreadSnapshot);
-      if (s.threads[i].image != nullptr) {
-        bytes += sizeof(ThreadImage) + s.threads[i].image->fiber.bytes.size();
-      }
-    }
-    return bytes;
-  }
-  return 0;
+void Execution::Snapshot::clear() noexcept {
+  for (ThreadSnapshot& ts : threads) ts.image = nullptr;
+  generation = 0;
 }
 
 void Execution::advance(int tid) {

@@ -17,12 +17,15 @@
 // consecutive schedules share a prefix; re-running it costs fibers, engine
 // bookkeeping and recorder work just to get back to the divergence point.
 // In resumable mode an execution can instead *fork itself at a scheduling
-// point*: checkpoint() snapshots every thread's suspended continuation
-// (fiber stack bytes restored in place — see fiber.hpp), the object table
-// and the append-only event/choice logs; rollbackTo(depth) restores the
-// snapshot after the schedule completes, and resume() drives the host loop
-// onward along a different suffix. Threads spawned past the checkpoint are
-// discarded, threads that existed resume exactly where they were parked.
+// point*: checkpoint(out) saves every thread's suspended continuation
+// (fiber stack bytes restored in place — see fiber.hpp) and the lengths of
+// the object-table undo logs and the append-only event/choice logs into a
+// caller-owned Snapshot; rollbackTo(snapshot) restores it after the
+// schedule completes, and resume() drives the host loop onward along a
+// different suffix. Threads spawned past the checkpoint are discarded,
+// threads that existed resume exactly where they were parked. Which depths
+// are staged, and when a snapshot is dropped, is the caller's business
+// (explore/prefix_replay.hpp); the execution keeps no list of them.
 //
 // Soundness contract (the "checkpointable program" contract): restore
 // rewrites fiber stacks as raw bytes, so the program under test must keep
@@ -134,7 +137,67 @@ struct Violation {
 };
 
 class Execution {
+  enum class ThreadStatus : std::uint8_t {
+    Pending,   ///< has a published, uncommitted operation
+    Parked,    ///< inside CondVar::wait, not yet signalled
+    Finished,  ///< entry function returned (or was abandoned)
+  };
+
+  /// The byte-level part of a thread's suspended state: fiber continuation
+  /// plus the armed spawn slot. Immutable once captured and shared between
+  /// adjacent snapshots — a thread's stack only changes when the thread is
+  /// advanced, so consecutive checkpoints along a descent reuse the same
+  /// image for every thread that did not move (advanceCount versioning).
+  struct ThreadImage {
+    FiberImage fiber;
+    std::function<void()> pendingSpawnFn;
+  };
+
+  /// Rollback snapshot of one thread.
+  struct ThreadSnapshot {
+    ThreadStatus status = ThreadStatus::Pending;
+    PendingOp pendingOp;
+    std::uint32_t eventsExecuted = 0;
+    std::uint32_t creationSeq = 0;
+    std::uint32_t advanceCount = 0;  ///< image version (see ThreadImage)
+    std::int32_t spawnPredecessor = -1;
+    std::int32_t signalPredecessor = -1;
+    std::int32_t joinPredecessor = -1;
+    std::int32_t lastEventIndex = -1;
+    std::shared_ptr<const ThreadImage> image;  ///< null for Finished threads
+  };
+
  public:
+  /// One rollback point of the whole execution, owned by the caller
+  /// (explore/prefix_replay.hpp keeps one per staged depth). Object state
+  /// is not copied: `undoMark` remembers the undo-log length at staging
+  /// time, and rollback replays the entries above it backwards; store
+  /// buffers work the same way through `bufferUndoMark`. An empty snapshot
+  /// (never taken, or clear()ed) pins nothing.
+  class Snapshot {
+   public:
+    /// Approximate resident bytes: dominated by the fiber stack images
+    /// (which adjacent snapshots may share — this counts each referenced
+    /// image in full, an upper bound). 0 when empty.
+    [[nodiscard]] std::size_t approxBytes() const noexcept;
+    /// Release the fiber images and mark the snapshot empty; the thread
+    /// vector keeps its capacity for the next checkpoint() into it.
+    void clear() noexcept;
+    [[nodiscard]] bool empty() const noexcept { return generation == 0; }
+
+   private:
+    friend class Execution;
+    std::size_t depth = 0;  ///< events_.size() == choices_.size()
+    std::uint64_t generation = 0;  ///< the execution's reset() count; 0: empty
+    std::size_t objectCount = 0;
+    std::size_t undoMark = 0;  ///< undo-log length when this was staged
+    std::size_t bufferUndoMark = 0;  ///< buffer undo-log length at staging
+    std::uint64_t flushEvents = 0;   ///< TSO stat counters at staging time
+    std::uint64_t fenceEvents = 0;
+    std::uint32_t maxBufferedStores = 0;
+    std::vector<ThreadSnapshot> threads;  ///< one per thread at staging time
+  };
+
   /// `observer` may be nullptr. The stack pool outlives the execution and is
   /// typically shared by all executions of one exploration.
   Execution(const Config& config, StackPool& stackPool,
@@ -151,18 +214,16 @@ class Execution {
   /// Return to the just-constructed state under `config` and `observer`, so
   /// one object can run schedule after schedule. Deferred teardown runs
   /// first (as in the destructor); the thread, object, event and choice
-  /// tables keep their capacity, staged snapshots return to the pool with
-  /// their images released, and finished fibers — stacks included — go to
-  /// a free list that later spawns re-arm instead of allocating.
+  /// tables keep their capacity, every snapshot taken so far becomes
+  /// unusable (rollbackTo rejects it), and finished fibers — stacks
+  /// included — go to a free list that later spawns re-arm instead of
+  /// allocating.
   void reset(const Config& config, ExecutionObserver* observer);
 
   /// reset() under the current config and observer.
   void reset() { reset(config_, observer_); }
 
   // --- resumable mode (incremental prefix replay) ---------------------------
-
-  /// Sentinel for "no staged checkpoint".
-  static constexpr std::size_t kNoCheckpoint = static_cast<std::size_t>(-1);
 
   /// True when this build can snapshot/restore executions (fast-fiber
   /// switch, no AddressSanitizer).
@@ -176,32 +237,20 @@ class Execution {
   /// left. Requires checkpointingSupported().
   void enableResumable();
 
-  /// Stage a snapshot at the current scheduling point (only callable from
-  /// Scheduler::pick, when every fiber is suspended). Checkpoints form a
-  /// stack ordered by depth; staging at the top's depth is a no-op.
-  /// Returns the staged depth (== events().size()).
-  std::size_t checkpoint();
+  /// Save the current scheduling point into `out` (only callable from
+  /// Scheduler::pick, when every fiber is suspended), overwriting whatever
+  /// it held. The first checkpoint after run() or reset() switches the
+  /// undo logs on; from then on every write logs its pre-image once per
+  /// checkpoint epoch.
+  void checkpoint(Snapshot& out);
 
-  /// Deepest staged checkpoint at depth <= `depth`, or kNoCheckpoint.
-  [[nodiscard]] std::size_t deepestCheckpointAtOrBelow(std::size_t depth) const noexcept;
-
-  /// After run()/resume() has returned: restore the staged checkpoint at
-  /// exactly `depth`, discarding deeper ones (they stay staged for reuse —
-  /// a node can be rolled back to once per remaining sibling).
-  void rollbackTo(std::size_t depth);
-
-  /// Drop the staged checkpoint at exactly `depth`, freeing its fiber
-  /// images (byte-budgeted snapshot store; explore/prefix_replay.hpp owns
-  /// the policy). The undo log is retained — rolling back *past* an evicted
-  /// depth to a shallower stage still replays its entries. Returns false
-  /// when nothing is staged at that depth.
-  bool evictCheckpoint(std::size_t depth);
-
-  /// Approximate resident bytes of the checkpoint staged at `depth`:
-  /// dominated by the fiber stack images (which adjacent checkpoints may
-  /// share — this counts each referenced image in full, an upper bound).
-  /// 0 when nothing is staged at that depth.
-  [[nodiscard]] std::size_t checkpointApproxBytes(std::size_t depth) const noexcept;
+  /// After run()/resume() has returned: restore `s`. The snapshot stays
+  /// usable — a node can be rolled back to once per remaining sibling —
+  /// but snapshots taken deeper than `s` are not: the caller drops them.
+  /// A dropped snapshot's undo entries are kept, so rolling back *past*
+  /// it to a shallower one still replays them. Rejects a snapshot taken
+  /// before the last reset().
+  void rollbackTo(const Snapshot& s);
 
   /// Continue a rolled-back execution under `scheduler` from its restored
   /// scheduling point. Returns like run().
@@ -346,12 +395,6 @@ class Execution {
   void failAssertion(std::string message);
 
  private:
-  enum class ThreadStatus : std::uint8_t {
-    Pending,   ///< has a published, uncommitted operation
-    Parked,    ///< inside CondVar::wait, not yet signalled
-    Finished,  ///< entry function returned (or was abandoned)
-  };
-
   /// One store parked in a thread's TSO store buffer: destination object,
   /// the engine-resident value bits, and the value's hash (filled by
   /// varCommit immediately after the store stages — no scheduling point in
@@ -393,30 +436,6 @@ class Execution {
     std::function<void()> pendingSpawnFn;
   };
 
-  /// The byte-level part of a thread's suspended state: fiber continuation
-  /// plus the armed spawn slot. Immutable once captured and shared between
-  /// adjacent snapshots — a thread's stack only changes when the thread is
-  /// advanced, so consecutive checkpoints along a descent reuse the same
-  /// image for every thread that did not move (advanceCount versioning).
-  struct ThreadImage {
-    FiberImage fiber;
-    std::function<void()> pendingSpawnFn;
-  };
-
-  /// Rollback snapshot of one thread.
-  struct ThreadSnapshot {
-    ThreadStatus status = ThreadStatus::Pending;
-    PendingOp pendingOp;
-    std::uint32_t eventsExecuted = 0;
-    std::uint32_t creationSeq = 0;
-    std::uint32_t advanceCount = 0;  ///< image version (see ThreadImage)
-    std::int32_t spawnPredecessor = -1;
-    std::int32_t signalPredecessor = -1;
-    std::int32_t joinPredecessor = -1;
-    std::int32_t lastEventIndex = -1;
-    std::shared_ptr<const ThreadImage> image;  ///< null for Finished threads
-  };
-
   /// Per-thread cache of the latest captured image, keyed by advanceCount.
   struct ImageCacheEntry {
     std::uint32_t version = kInvalidVersion;
@@ -445,22 +464,6 @@ class Execution {
     int tid = -1;
     std::uint32_t flushCount = 0;
     std::vector<StoreBufferEntry> entries;
-  };
-
-  /// One staged rollback point of the whole execution. Object state is not
-  /// copied: `undoMark` remembers the undo-log length at staging time, and
-  /// rollback replays the entries above it backwards. Store buffers work
-  /// the same way through `bufferUndoMark`.
-  struct ExecSnapshot {
-    std::size_t depth = 0;  ///< events_.size() == choices_.size()
-    std::size_t threadCount = 0;
-    std::size_t objectCount = 0;
-    std::size_t undoMark = 0;  ///< undo-log length when this was staged
-    std::size_t bufferUndoMark = 0;  ///< buffer undo-log length at staging
-    std::uint64_t flushEvents = 0;   ///< TSO stat counters at staging time
-    std::uint64_t fenceEvents = 0;
-    std::uint32_t maxBufferedStores = 0;
-    std::vector<ThreadSnapshot> threads;
   };
 
   /// A fiber running `entry`: a re-armed one from the free list when
@@ -521,7 +524,7 @@ class Execution {
 
   /// Dirty-tracking hook for store buffers (the touchObject analogue).
   void touchBuffer(int tid) {
-    if (snapshots_.empty()) return;
+    if (!undoLogging_) return;
     ThreadRec& t = threads_[static_cast<std::size_t>(tid)];
     if (t.bufferEpoch == currentEpoch_) return;
     t.bufferEpoch = currentEpoch_;
@@ -531,9 +534,9 @@ class Execution {
 
   /// Dirty-tracking hook: called before the first mutation of an object's
   /// state since the last checkpoint; logs its pre-image once per epoch.
-  /// No-op when nothing is staged (there is nothing to roll back to).
+  /// No-op before the run's first checkpoint (nothing to roll back to).
   void touchObject(std::int32_t index) {
-    if (snapshots_.empty()) return;
+    if (!undoLogging_) return;
     ObjectInfo& o = objects_[static_cast<std::size_t>(index)];
     if (o.epoch == currentEpoch_) return;
     o.epoch = currentEpoch_;
@@ -579,11 +582,11 @@ class Execution {
   support::ThreadSet pickEnabled_;
   bool pickEnabledValid_ = false;
 
-  // Staged rollback points (resumable mode), shallow -> deep (eviction may
-  // leave depth gaps); entries are pooled so their vectors keep capacity
-  // across restage cycles.
-  std::vector<ExecSnapshot> snapshots_;
-  std::vector<ExecSnapshot> snapshotPool_;
+  // Resumable mode. Snapshots are stamped with generation_, which reset()
+  // advances, so one taken before a reset is never rolled back to.
+  // undoLogging_ is set by checkpoint() and cleared by reset().
+  std::uint64_t generation_ = 1;
+  bool undoLogging_ = false;
   std::vector<ImageCacheEntry> imageCache_;  // per thread, advanceCount-keyed
 
   // Object undo log (see ObjectUndo): an arena indexed by undoSize_ — the

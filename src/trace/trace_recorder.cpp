@@ -59,12 +59,11 @@ TraceRecorder::TraceRecorder(Options options)
 }
 
 void TraceRecorder::onExecutionStart(const runtime::Execution&) {
-  if (pendingResume_ != kNoCheckpoint) {
-    // Re-executed schedule with a shared prefix: rewind to the staged point
-    // and treat the first pendingResume_ events as replays to skip.
-    rollbackTo(pendingResume_);
-    skipEvents_ = pendingResume_;
-    pendingResume_ = kNoCheckpoint;
+  if (pendingSkip_ > 0) {
+    // Re-executed schedule with a shared prefix: armResume already rewound
+    // to the staged point; treat its events as replays to skip.
+    skipEvents_ = pendingSkip_;
+    pendingSkip_ = 0;
     return;
   }
   resetAll();
@@ -87,7 +86,8 @@ void TraceRecorder::resetAll() {
   valueState_ = support::MultisetHash{};
   races_.clear();
   undoSize_ = 0;  // no stages left to roll back to; entries are dead
-  recycleCheckpoints();
+  undoLogging_ = false;
+  ++generation_;
 }
 
 support::Hash128 TraceRecorder::cvQueueContribution(const ObjectHistory& h) noexcept {
@@ -131,24 +131,13 @@ void TraceRecorder::onObjectRegistered(const runtime::Execution&, std::int32_t i
   }
 }
 
-std::size_t TraceRecorder::checkpoint() {
-  if (!checkpoints_.empty() && checkpoints_.back().eventCount == eventCount_) {
-    return eventCount_;  // already staged at this depth
-  }
-  LAZYHB_CHECK(checkpoints_.empty() || checkpoints_.back().eventCount < eventCount_);
-  if (checkpointPool_.empty()) {
-    checkpoints_.emplace_back();
-  } else {
-    checkpoints_.push_back(std::move(checkpointPool_.back()));
-    checkpointPool_.pop_back();
-  }
-  Checkpoint& cp = checkpoints_.back();
+void TraceRecorder::checkpoint(Checkpoint& cp) {
   cp.eventCount = eventCount_;
+  cp.generation = generation_;
   cp.prefixFull = prefixFull_;
   cp.prefixLazy = prefixLazy_;
   cp.prefixValue = prefixValue_;
   cp.valueState = valueState_;
-  cp.threadCount = threadCount_;
   cp.threadLastEvent.assign(threadLastEvent_.begin(),
                             threadLastEvent_.begin() +
                                 static_cast<std::ptrdiff_t>(threadCount_));
@@ -158,8 +147,8 @@ std::size_t TraceRecorder::checkpoint() {
   // log it again (relative to *this* checkpoint).
   cp.undoMark = undoSize_;
   currentEpoch_ = ++epochCounter_;
+  undoLogging_ = true;
   cp.raceCount = races_.size();
-  return eventCount_;
 }
 
 void TraceRecorder::logHistoryUndo(std::int32_t index, const ObjectHistory& h) {
@@ -181,20 +170,12 @@ void TraceRecorder::logHistoryUndo(std::int32_t index, const ObjectHistory& h) {
   c.cvQueue.assign(h.cvQueue.begin(), h.cvQueue.end());
 }
 
-std::size_t TraceRecorder::deepestCheckpointAtOrBelow(std::size_t depth) const noexcept {
-  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-    if (it->eventCount <= depth) return it->eventCount;
-  }
-  return kNoCheckpoint;
-}
-
-void TraceRecorder::rollbackTo(std::size_t depth) {
-  while (!checkpoints_.empty() && checkpoints_.back().eventCount > depth) {
-    checkpointPool_.push_back(std::move(checkpoints_.back()));
-    checkpoints_.pop_back();
-  }
-  LAZYHB_CHECK(!checkpoints_.empty() && checkpoints_.back().eventCount == depth);
-  const Checkpoint& cp = checkpoints_.back();
+void TraceRecorder::rollbackTo(const Checkpoint& cp) {
+  // Same guards as Execution::rollbackTo: a checkpoint from before the last
+  // reset, or one the caller should have dropped, is rejected.
+  LAZYHB_CHECK(cp.generation == generation_);
+  LAZYHB_CHECK(cp.eventCount <= eventCount_ && cp.undoMark <= undoSize_);
+  const std::size_t depth = cp.eventCount;
   eventCount_ = depth;
   fullHash_.resize(depth);
   lazyHash_.resize(depth);
@@ -207,8 +188,8 @@ void TraceRecorder::rollbackTo(std::size_t depth) {
   prefixLazy_ = cp.prefixLazy;
   prefixValue_ = cp.prefixValue;
   valueState_ = cp.valueState;
-  threadCount_ = cp.threadCount;
-  for (std::size_t i = 0; i < cp.threadCount; ++i) {
+  threadCount_ = cp.threadLastEvent.size();
+  for (std::size_t i = 0; i < threadCount_; ++i) {
     threadLastEvent_[i] = cp.threadLastEvent[i];
   }
   // Replay the undo log backwards to this stage's mark. Entries can
@@ -240,39 +221,10 @@ void TraceRecorder::rollbackTo(std::size_t depth) {
   races_.resize(cp.raceCount);
 }
 
-bool TraceRecorder::evictCheckpoint(std::size_t depth) {
-  for (std::size_t i = 0; i < checkpoints_.size(); ++i) {
-    if (checkpoints_[i].eventCount != depth) continue;
-    checkpointPool_.push_back(std::move(checkpoints_[i]));
-    checkpoints_.erase(checkpoints_.begin() + static_cast<std::ptrdiff_t>(i));
-    return true;
-  }
-  return false;
-}
-
-std::size_t TraceRecorder::checkpointApproxBytes(std::size_t depth) const noexcept {
-  // Reverse scan: checkpoints are depth-ascending and the engine prices the
-  // just-staged (deepest) one on every stage — a forward scan made staging
-  // O(stages) and deep-tree branches quadratic.
-  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
-    const Checkpoint& cp = *it;
-    if (cp.eventCount != depth) continue;
-    return sizeof(Checkpoint) +
-           cp.threadLastEvent.capacity() * sizeof(std::int32_t);
-  }
-  return 0;
-}
-
-void TraceRecorder::armResume(std::size_t depth) {
-  LAZYHB_CHECK(deepestCheckpointAtOrBelow(depth) == depth);
-  pendingResume_ = depth;
-}
-
-void TraceRecorder::recycleCheckpoints() noexcept {
-  while (!checkpoints_.empty()) {
-    checkpointPool_.push_back(std::move(checkpoints_.back()));
-    checkpoints_.pop_back();
-  }
+void TraceRecorder::armResume(const Checkpoint& cp) {
+  LAZYHB_CHECK(cp.eventCount > 0);
+  rollbackTo(cp);
+  pendingSkip_ = cp.eventCount;
 }
 
 TraceRecorder::ObjectHistory& TraceRecorder::history(std::int32_t objectIndex) {

@@ -85,15 +85,17 @@
 //
 // Incremental prefix replay: consecutive schedules of a tree search share a
 // prefix, and everything the recorder computes for that prefix is identical
-// across them. checkpoint() stages a rollback point at the current depth
-// (the per-event arrays are append-only, the clock matrices truncate in
-// place, and the prefix fingerprint accumulator is abelian — so a staged
-// point is just the handful of non-monotonic cursors); rollbackTo(depth)
-// rewinds the whole recorder to a staged point. Two consumers exist:
-// resumable executions re-extend directly after a rollback, and re-executed
-// schedules arm armResume(depth) so the next onExecutionStart rolls back
-// and then *skips* the first `depth` replayed events instead of recomputing
-// them — the recorder's share of the replay cost disappears.
+// across them. checkpoint(cp) saves the current depth into a caller-owned
+// Checkpoint (the per-event arrays are append-only, the clock matrices
+// truncate in place, and the prefix fingerprint accumulator is abelian — so
+// a checkpoint is just the handful of non-monotonic cursors); rollbackTo(cp)
+// rewinds the whole recorder to it. The caller (explore/prefix_replay.hpp)
+// decides which depths are staged and keeps their checkpoints. Two
+// consumers exist: resumable executions re-extend directly after a
+// rollback, and re-executed schedules call armResume(cp), which rewinds now
+// and makes the next onExecutionStart *skip* the replayed prefix events
+// instead of recomputing them — the recorder's share of the replay cost
+// disappears.
 
 #pragma once
 
@@ -160,38 +162,47 @@ class TraceRecorder final : public runtime::ExecutionObserver {
 
   // --- incremental prefix replay ---------------------------------------------
 
-  /// Sentinel for "no staged checkpoint".
-  static constexpr std::size_t kNoCheckpoint = static_cast<std::size_t>(-1);
+  /// One rollback point: the non-truncatable state at a depth, owned by the
+  /// caller. Object cursors are not copied — `undoMark` remembers the
+  /// undo-log length at staging time.
+  class Checkpoint {
+   public:
+    /// Approximate resident bytes (cursors only, so small next to the
+    /// fiber images of Execution::Snapshot::approxBytes).
+    [[nodiscard]] std::size_t approxBytes() const noexcept {
+      return sizeof(Checkpoint) + threadLastEvent.capacity() * sizeof(std::int32_t);
+    }
 
-  /// Stage a rollback point at the current depth (eventCount()). Checkpoints
-  /// form a stack ordered by depth; staging at the current top's depth is a
-  /// no-op. Returns the staged depth.
-  std::size_t checkpoint();
+   private:
+    friend class TraceRecorder;
+    std::size_t eventCount = 0;
+    support::MultisetHash prefixFull;
+    support::MultisetHash prefixLazy;
+    support::MultisetHash prefixValue;
+    support::MultisetHash valueState;
+    std::uint64_t generation = 0;  ///< the recorder's reset count at staging
+    std::vector<std::int32_t> threadLastEvent;  ///< one per thread
+    std::size_t objectCount = 0;
+    std::size_t undoMark = 0;
+    std::size_t raceCount = 0;
+  };
 
-  /// Deepest staged checkpoint at depth <= `depth`, or kNoCheckpoint.
-  [[nodiscard]] std::size_t deepestCheckpointAtOrBelow(std::size_t depth) const noexcept;
+  /// Save the current depth (eventCount()) into `out`, overwriting whatever
+  /// it held. The first checkpoint after a reset switches the undo log on.
+  void checkpoint(Checkpoint& out);
 
-  /// Rewind to the staged checkpoint at exactly `depth`, discarding every
-  /// deeper one. All per-event data in [0, depth) stays valid; everything
-  /// past it is truncated and the cursors/fingerprints restored.
-  void rollbackTo(std::size_t depth);
+  /// Rewind to `cp`. All per-event data in [0, depth) stays valid;
+  /// everything past it is truncated and the cursors/fingerprints restored.
+  /// Checkpoints taken deeper than `cp` are unusable afterwards (the caller
+  /// drops them); their undo entries are kept, so rolling back *past* a
+  /// dropped one to a shallower checkpoint still replays them.
+  void rollbackTo(const Checkpoint& cp);
 
-  /// Arm the next onExecutionStart to rollbackTo(depth) and then skip the
+  /// Rewind to `cp` (depth > 0) and make the next onExecutionStart skip the
   /// first `depth` replayed events (and their object re-registrations)
   /// instead of resetting — for re-executed schedules whose prefix is a
   /// replay of the previous one.
-  void armResume(std::size_t depth);
-
-  /// Drop the staged checkpoint at exactly `depth` (byte-budgeted snapshot
-  /// store; explore/prefix_replay.hpp owns the policy). The undo log keeps
-  /// its entries — rolling back past an evicted depth still replays them.
-  /// Returns false when nothing is staged at that depth.
-  bool evictCheckpoint(std::size_t depth);
-
-  /// Approximate resident bytes of the checkpoint staged at `depth` (the
-  /// recorder side is cursors only, so this is small next to the fiber
-  /// images of Execution::checkpointApproxBytes). 0 when nothing is staged.
-  [[nodiscard]] std::size_t checkpointApproxBytes(std::size_t depth) const noexcept;
+  void armResume(const Checkpoint& cp);
 
   /// Live undo-log entries: one per object touched per checkpoint epoch.
   /// Introspection for tests pinning the O(touched) staging contract (two
@@ -316,30 +327,13 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     ObjectCursor cursor;
   };
 
-  /// One staged rollback point: the non-truncatable state at a depth.
-  /// Object cursors are not copied — `undoMark` remembers the undo-log
-  /// length at staging time.
-  struct Checkpoint {
-    std::size_t eventCount = 0;
-    support::MultisetHash prefixFull;
-    support::MultisetHash prefixLazy;
-    support::MultisetHash prefixValue;
-    support::MultisetHash valueState;
-    std::size_t threadCount = 0;
-    std::vector<std::int32_t> threadLastEvent;
-    std::size_t objectCount = 0;
-    std::size_t undoMark = 0;
-    std::size_t raceCount = 0;
-  };
-
   void resetAll();
-  void recycleCheckpoints() noexcept;
 
   /// Dirty-tracking hook: called before the first history update of an
   /// object since the last checkpoint; logs its cursor pre-image once per
-  /// epoch. No-op when nothing is staged.
+  /// epoch. No-op before the first checkpoint since the last reset.
   void touchHistory(std::int32_t index) {
-    if (checkpoints_.empty()) return;
+    if (!undoLogging_) return;
     ObjectHistory& h = history(index);
     if (h.epoch == currentEpoch_) return;
     h.epoch = currentEpoch_;
@@ -401,11 +395,11 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   std::vector<std::int32_t> scratchLazy_;
   std::vector<std::int32_t> scratchSync_;
 
-  // Incremental prefix replay. Checkpoint entries are pooled so the nested
-  // cursor vectors keep their capacity across stage/discard cycles;
-  // eviction may leave depth gaps in the stack.
-  std::vector<Checkpoint> checkpoints_;     // stack, shallow -> deep
-  std::vector<Checkpoint> checkpointPool_;  // recycled entries
+  // Incremental prefix replay. Checkpoints are stamped with generation_,
+  // which resetAll() advances, so one taken before a reset is never rolled
+  // back to. undoLogging_ is set by checkpoint() and cleared by resetAll().
+  std::uint64_t generation_ = 1;
+  bool undoLogging_ = false;
 
   // Object-cursor undo log: an arena indexed by undoSize_ — the vector
   // never shrinks, so per-entry cursor vectors keep capacity across reuse.
@@ -415,7 +409,7 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   std::uint64_t epochCounter_ = 0;
   std::uint64_t currentEpoch_ = 0;
 
-  std::size_t pendingResume_ = kNoCheckpoint;
+  std::size_t pendingSkip_ = 0;  // armResume depth for the next execution start
   std::size_t skipEvents_ = 0;  // replayed prefix events left to skip
   std::uint64_t replaysSkipped_ = 0;
 };

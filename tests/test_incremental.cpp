@@ -526,7 +526,9 @@ TEST(IncrementalReplay, UndoEntriesCoalescePerObjectBetweenStages) {
   feedThrough(writes[0]);
   EXPECT_EQ(recorder.undoLogSize(), 0u);
 
-  const std::size_t d0 = recorder.checkpoint();
+  trace::TraceRecorder::Checkpoint d0;
+  recorder.checkpoint(d0);
+  const std::size_t depth0 = recorder.eventCount();
   feedThrough(writes[1]);
   EXPECT_EQ(recorder.undoLogSize(), 1u);  // first touch of `a` this epoch
   feedThrough(writes[2]);
@@ -534,16 +536,27 @@ TEST(IncrementalReplay, UndoEntriesCoalescePerObjectBetweenStages) {
   feedThrough(writes[3]);
   EXPECT_EQ(recorder.undoLogSize(), 2u);  // `b` is a fresh object
 
-  const std::size_t d1 = recorder.checkpoint();
+  trace::TraceRecorder::Checkpoint d1;
+  recorder.checkpoint(d1);
   feedThrough(writes[4]);
   EXPECT_EQ(recorder.undoLogSize(), 3u);  // new epoch re-logs `a` once
 
-  // Rolling back trims the undo log to each stage's mark.
+  // Rolling back trims the undo log to each checkpoint's mark.
   recorder.rollbackTo(d1);
   EXPECT_EQ(recorder.undoLogSize(), 2u);
   recorder.rollbackTo(d0);
   EXPECT_EQ(recorder.undoLogSize(), 0u);
-  EXPECT_EQ(recorder.eventCount(), d0);
+  EXPECT_EQ(recorder.eventCount(), depth0);
+
+  // A reset switches undo-logging off until the next checkpoint.
+  recorder.onExecutionStart(dummy);
+  for (const auto& reg : captured.registrations) {
+    recorder.onObjectRegistered(dummy, reg.index, reg.uid, reg.kind, reg.name,
+                                reg.initialValueHash);
+  }
+  next = 0;
+  feedThrough(writes[1]);
+  EXPECT_EQ(recorder.undoLogSize(), 0u);
 }
 
 TEST(IncrementalReplay, EvictThenRollbackPastEvictedRestoresState) {
@@ -570,25 +583,30 @@ TEST(IncrementalReplay, EvictThenRollbackPastEvictedRestoresState) {
   };
 
   feedThrough(writes[0]);
-  const std::size_t d0 = recorder.checkpoint();
+  trace::TraceRecorder::Checkpoint d0;
+  recorder.checkpoint(d0);
+  const std::size_t depth0 = recorder.eventCount();
   const support::Hash128 fullAtD0 = recorder.fingerprint(trace::Relation::Full);
   const support::Hash128 lazyAtD0 = recorder.fingerprint(trace::Relation::Lazy);
 
   feedThrough(writes[2]);
-  const std::size_t d1 = recorder.checkpoint();
-  feedThrough(writes[4]);
+  {
+    // The mid checkpoint, evicted (dropped by its owner) at scope end.
+    trace::TraceRecorder::Checkpoint d1;
+    recorder.checkpoint(d1);
+    EXPECT_GT(d1.approxBytes(), 0u);
+    feedThrough(writes[4]);
+  }
   const support::Hash128 fullEnd = recorder.fingerprint(trace::Relation::Full);
 
-  // Evict the mid stage: its slot empties, but the undo entries logged
-  // since d0 are retained, so rolling back *past* d1 still lands exactly
-  // on d0's state.
-  EXPECT_TRUE(recorder.evictCheckpoint(d1));
-  EXPECT_FALSE(recorder.evictCheckpoint(d1));  // already gone
-  EXPECT_EQ(recorder.checkpointApproxBytes(d1), 0u);
-  EXPECT_EQ(recorder.deepestCheckpointAtOrBelow(d1), d0);
+  // The undo entries logged since d0 outlive the evicted checkpoint (one
+  // per object per epoch: `a` before d1, `b` and `a` after it), so rolling
+  // back *past* d1 still lands exactly on d0's state.
+  EXPECT_EQ(recorder.undoLogSize(), 3u);
 
   recorder.rollbackTo(d0);
-  EXPECT_EQ(recorder.eventCount(), d0);
+  EXPECT_EQ(recorder.undoLogSize(), 0u);
+  EXPECT_EQ(recorder.eventCount(), depth0);
   EXPECT_EQ(recorder.fingerprint(trace::Relation::Full), fullAtD0);
   EXPECT_EQ(recorder.fingerprint(trace::Relation::Lazy), lazyAtD0);
 
@@ -634,7 +652,8 @@ TEST(IncrementalReplay, ValueFingerprintSurvivesRollbackAndReplay) {
   seed(recorder);
   const std::size_t half = captured.events.size() / 2;
   for (std::size_t i = 0; i < half; ++i) recorder.onEvent(dummy, captured.events[i]);
-  const std::size_t d = recorder.checkpoint();
+  trace::TraceRecorder::Checkpoint d;
+  recorder.checkpoint(d);
   const support::Hash128 valueAtD = recorder.fingerprint(trace::Relation::Value);
   for (std::size_t i = half; i < captured.events.size(); ++i) {
     recorder.onEvent(dummy, captured.events[i]);

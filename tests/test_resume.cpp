@@ -462,10 +462,33 @@ TEST(Merge, DeduplicatesIdenticalCellsAndOverlappingShards) {
 }
 
 TEST(Merge, RejectsConflictingDuplicateCounts) {
-  const std::string doc1 = fabricatedDocument(fabricatedCell(10));
-  const std::string doc2 = fabricatedDocument(fabricatedCell(11));
-  EXPECT_THROW((void)campaign::mergeReports({doc1, doc2}, {"one", "two"}),
-               std::runtime_error);
+  // A caching TSO cell, so every count tools/bench_diff.py compares is in
+  // the report; each conflicting copy moves exactly one of them.
+  campaign::CellResult base = fabricatedCell(10);
+  base.stats.distinctValueClasses = 2;
+  base.stats.cacheStats = {true, 8, 3, 5, 5, 640};
+  base.stats.flushEvents = 4;
+  base.stats.fenceEvents = 2;
+  const std::string doc1 = fabricatedDocument(base);
+  using Change = void (*)(campaign::CellResult&);
+  const std::vector<std::pair<const char*, Change>> conflicts = {
+      {"schedules", [](campaign::CellResult& c) { c.stats.schedulesExecuted += 1; }},
+      {"value_classes", [](campaign::CellResult& c) { c.stats.distinctValueClasses += 1; }},
+      {"cache.lookups", [](campaign::CellResult& c) { c.stats.cacheStats.lookups += 1; }},
+      {"cache.hits", [](campaign::CellResult& c) { c.stats.cacheStats.hits += 1; }},
+      {"cache.insertions", [](campaign::CellResult& c) { c.stats.cacheStats.insertions += 1; }},
+      {"cache.entries", [](campaign::CellResult& c) { c.stats.cacheStats.entries += 1; }},
+      {"flush_events", [](campaign::CellResult& c) { c.stats.flushEvents += 1; }},
+      {"fence_events", [](campaign::CellResult& c) { c.stats.fenceEvents += 1; }},
+  };
+  for (const auto& [field, change] : conflicts) {
+    campaign::CellResult other = base;
+    change(other);
+    const std::string doc2 = fabricatedDocument(other);
+    EXPECT_THROW((void)campaign::mergeReports({doc1, doc2}, {"one", "two"}),
+                 std::runtime_error)
+        << field;
+  }
   // Same counts: no conflict, one copy survives.
   const auto merged = campaign::mergeReports({doc1, doc1}, {"one", "copy"});
   EXPECT_EQ(merged.result.cells.size(), 1u);

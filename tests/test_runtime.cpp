@@ -402,9 +402,10 @@ TEST(Runtime, EnabledAroundCheckpointInsidePick) {
   }
   struct Stager final : runtime::Scheduler {
     std::vector<support::ThreadSet> sets;  // per depth, first run
+    std::vector<Execution::Snapshot> snapshots;  // per depth, usable ones only
     int pick(Execution& e) override {
       const support::ThreadSet before = e.enabled();
-      e.checkpoint();
+      if (snapshots.size() == e.events().size()) e.checkpoint(snapshots.emplace_back());
       const support::ThreadSet after = e.enabled();
       EXPECT_EQ(before, after) << "depth " << e.events().size();
       if (sets.size() == e.events().size()) sets.push_back(after);
@@ -432,10 +433,46 @@ TEST(Runtime, EnabledAroundCheckpointInsidePick) {
   ASSERT_GE(sched.sets.size(), 4u);
   EXPECT_TRUE(exec.enabled().empty());  // a finished run has nothing enabled
   for (std::size_t depth = sched.sets.size(); depth-- > 0;) {
-    exec.rollbackTo(depth);
+    exec.rollbackTo(sched.snapshots[depth]);
+    sched.snapshots.resize(depth + 1);  // deeper snapshots are void now
     EXPECT_EQ(exec.enabled(), sched.sets[depth]) << "depth " << depth;
     ASSERT_EQ(exec.resume(sched), Outcome::Terminal);
   }
+}
+
+TEST(Runtime, RollbackRejectsSnapshotTakenBeforeReset) {
+  if (!Execution::checkpointingSupported()) {
+    GTEST_SKIP() << "resumable executions need fiber snapshots";
+  }
+  struct Stager final : runtime::Scheduler {
+    Execution::Snapshot snapshot;  // the first scheduling point
+    int pick(Execution& e) override {
+      if (snapshot.empty()) e.checkpoint(snapshot);
+      return e.enabled().first();
+    }
+  };
+  const auto body = [] {
+    Shared<int> x{0, "x"};
+    auto t = spawn([&] { x.store(1); });
+    x.store(2);
+    t.join();
+  };
+  StackPool pool;
+  Execution exec(Config{}, pool, nullptr);
+  Stager before;
+  exec.enableResumable();
+  ASSERT_EQ(exec.run(body, before), Outcome::Terminal);
+  EXPECT_GT(before.snapshot.approxBytes(), 0u);
+  exec.rollbackTo(before.snapshot);  // usable until the reset
+  ASSERT_EQ(exec.resume(before), Outcome::Terminal);
+
+  exec.reset();
+  Stager after;
+  exec.enableResumable();
+  ASSERT_EQ(exec.run(body, after), Outcome::Terminal);
+  exec.rollbackTo(after.snapshot);
+  ASSERT_EQ(exec.resume(after), Outcome::Terminal);
+  EXPECT_DEATH(exec.rollbackTo(before.snapshot), "generation");
 }
 
 TEST(Runtime, ViolationSchedulesReplayExactly) {
