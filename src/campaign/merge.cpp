@@ -122,29 +122,51 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
   return report;
 }
 
-/// The count fields the determinism contract covers — two clean runs of one
-/// configuration must agree on all of these: every count tools/bench_diff.py
-/// compares, plus the elided/replayed events, which one configuration fixes.
-bool countsEqual(const CellResult& a, const CellResult& b) {
-  const explore::PrefixCacheStats& ca = a.stats.cacheStats;
-  const explore::PrefixCacheStats& cb = b.stats.cacheStats;
-  return a.stats.schedulesExecuted == b.stats.schedulesExecuted &&
-         a.stats.terminalSchedules == b.stats.terminalSchedules &&
-         a.stats.prunedSchedules == b.stats.prunedSchedules &&
-         a.stats.violationSchedules == b.stats.violationSchedules &&
-         a.stats.totalEvents == b.stats.totalEvents &&
-         a.stats.eventsElided == b.stats.eventsElided &&
-         a.stats.eventsReplayed == b.stats.eventsReplayed &&
-         a.stats.distinctHbrs == b.stats.distinctHbrs &&
-         a.stats.distinctLazyHbrs == b.stats.distinctLazyHbrs &&
-         a.stats.distinctValueClasses == b.stats.distinctValueClasses &&
-         a.stats.distinctStates == b.stats.distinctStates &&
-         a.stats.complete == b.stats.complete &&
-         a.stats.hitScheduleLimit == b.stats.hitScheduleLimit &&
-         ca.lookups == cb.lookups && ca.hits == cb.hits &&
-         ca.insertions == cb.insertions && ca.entries == cb.entries &&
-         a.stats.flushEvents == b.stats.flushEvents &&
-         a.stats.fenceEvents == b.stats.fenceEvents;
+using Stats = explore::ExplorationResult;
+
+/// One count field the determinism contract covers, by its report name.
+struct CountField {
+  const char* name;
+  std::uint64_t (*get)(const Stats&);
+};
+
+/// Two clean runs of one configuration must agree on all of these: every
+/// count tools/bench_diff.py compares, plus the elided/replayed events,
+/// which one configuration fixes.
+constexpr CountField kCountFields[] = {
+    {"schedules", [](const Stats& s) -> std::uint64_t { return s.schedulesExecuted; }},
+    {"terminal", [](const Stats& s) -> std::uint64_t { return s.terminalSchedules; }},
+    {"pruned", [](const Stats& s) -> std::uint64_t { return s.prunedSchedules; }},
+    {"violations", [](const Stats& s) -> std::uint64_t { return s.violationSchedules; }},
+    {"hbrs", [](const Stats& s) -> std::uint64_t { return s.distinctHbrs; }},
+    {"lazy_hbrs", [](const Stats& s) -> std::uint64_t { return s.distinctLazyHbrs; }},
+    {"value_classes", [](const Stats& s) -> std::uint64_t { return s.distinctValueClasses; }},
+    {"states", [](const Stats& s) -> std::uint64_t { return s.distinctStates; }},
+    {"events", [](const Stats& s) -> std::uint64_t { return s.totalEvents; }},
+    {"events_elided", [](const Stats& s) -> std::uint64_t { return s.eventsElided; }},
+    {"events_replayed", [](const Stats& s) -> std::uint64_t { return s.eventsReplayed; }},
+    {"complete", [](const Stats& s) -> std::uint64_t { return s.complete; }},
+    {"hit_schedule_limit", [](const Stats& s) -> std::uint64_t { return s.hitScheduleLimit; }},
+    {"cache.lookups", [](const Stats& s) -> std::uint64_t { return s.cacheStats.lookups; }},
+    {"cache.hits", [](const Stats& s) -> std::uint64_t { return s.cacheStats.hits; }},
+    {"cache.insertions", [](const Stats& s) -> std::uint64_t { return s.cacheStats.insertions; }},
+    {"cache.entries", [](const Stats& s) -> std::uint64_t { return s.cacheStats.entries; }},
+    {"tso.flush_events", [](const Stats& s) -> std::uint64_t { return s.flushEvents; }},
+    {"tso.fence_events", [](const Stats& s) -> std::uint64_t { return s.fenceEvents; }},
+};
+
+/// The count fields on which `a` and `b` differ, each as "name=a vs b";
+/// empty when they agree on all of them.
+std::string countConflicts(const CellResult& a, const CellResult& b) {
+  std::string out;
+  for (const CountField& field : kCountFields) {
+    const std::uint64_t x = field.get(a.stats);
+    const std::uint64_t y = field.get(b.stats);
+    if (x == y) continue;
+    if (!out.empty()) out += ", ";
+    out += std::string(field.name) + "=" + std::to_string(x) + " vs " + std::to_string(y);
+  }
+  return out;
 }
 
 std::string serializeCell(const CellResult& cell) {
@@ -164,22 +186,6 @@ bool preferred(const CellResult& a, const CellResult& b) {
     return a.stats.schedulesExecuted > b.stats.schedulesExecuted;
   }
   return serializeCell(a) <= serializeCell(b);
-}
-
-std::string describeCounts(const CellResult& cell) {
-  const explore::ExplorationResult& s = cell.stats;
-  return "schedules=" + std::to_string(s.schedulesExecuted) +
-         " hbrs=" + std::to_string(s.distinctHbrs) +
-         " lazy_hbrs=" + std::to_string(s.distinctLazyHbrs) +
-         " value_classes=" + std::to_string(s.distinctValueClasses) +
-         " states=" + std::to_string(s.distinctStates) +
-         " events=" + std::to_string(s.totalEvents) +
-         " cache=" + std::to_string(s.cacheStats.lookups) + "/" +
-         std::to_string(s.cacheStats.hits) + "/" +
-         std::to_string(s.cacheStats.insertions) + "/" +
-         std::to_string(s.cacheStats.entries) +
-         " flush/fence=" + std::to_string(s.flushEvents) + "/" +
-         std::to_string(s.fenceEvents);
 }
 
 void checkConfigCompatible(const ParsedReport& base, const ParsedReport& other) {
@@ -239,11 +245,12 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
       CellResult& kept = it->second;
       const bool bothClean = !kept.failed() && !kept.timedOut &&
                              !cell.failed() && !cell.timedOut;
-      if (bothClean && !countsEqual(kept, cell)) {
+      const std::string conflicts = bothClean ? countConflicts(kept, cell) : "";
+      if (!conflicts.empty()) {
         throw std::runtime_error(
             "lazyhb: conflicting counts for cell (" + cell.program + ", " +
             cell.explorer + ") while merging '" + report.label +
-            "': " + describeCounts(kept) + " vs " + describeCounts(cell) +
+            "': " + conflicts +
             " — two clean runs of one configuration can never disagree, so "
             "the inputs do not come from the same campaign configuration");
       }

@@ -87,26 +87,15 @@ const ExplorationResult& ExplorerBase::finishResult() {
 }
 
 bool ExplorerBase::mayRunSchedule() {
-  if (budgetExhausted()) {
+  if (deadlineExpired_ || result_.schedulesExecuted >= options_.scheduleLimit) {
     result_.hitScheduleLimit = true;
     return false;
   }
-  return !shouldStopForViolation();
-}
-
-bool ExplorerBase::budgetExhausted() const noexcept {
-  return deadlineExpired_ || result_.schedulesExecuted >= options_.scheduleLimit;
-}
-
-bool ExplorerBase::shouldStopForViolation() const noexcept {
-  return options_.stopOnFirstViolation && !result_.violations.empty();
+  return !options_.stopOnFirstViolation || result_.violations.empty();
 }
 
 runtime::Outcome ExplorerBase::executeSchedule(const Program& program,
                                                runtime::Scheduler& scheduler) {
-  if (budgetExhausted()) {
-    result_.hitScheduleLimit = true;
-  }
   runtime::Config config;
   config.maxEventsPerSchedule = options_.maxEventsPerSchedule;
   config.memoryModel = options_.memoryModel;

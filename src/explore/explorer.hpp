@@ -248,8 +248,8 @@ class ExplorerBase : public Explorer {
   /// Strategy hook: run schedules (via executeSchedule) until done.
   virtual void runSearch(const Program& program) = 0;
 
-  /// Gate checked before every schedule of a systematic search: false once
-  /// the budget (or the wall-clock deadline) is spent — which also marks
+  /// Gate every search checks before each schedule: false once the budget
+  /// (or the wall-clock deadline) is spent — which also marks
   /// hitScheduleLimit — or the search should stop for a found violation.
   bool mayRunSchedule();
 
@@ -257,7 +257,7 @@ class ExplorerBase : public Explorer {
   /// when caching, seeding the cache with the schedule's final prefix. In
   /// incremental mode the execution may be the persistent rolled-back one
   /// (see prefixEngine()); statistics are identical either way. Returns
-  /// the outcome.
+  /// the outcome. Callers check mayRunSchedule() first.
   runtime::Outcome executeSchedule(const Program& program,
                                    runtime::Scheduler& scheduler);
 
@@ -283,12 +283,6 @@ class ExplorerBase : public Explorer {
   /// each divergence depth; the returned start depth seeds the next
   /// scheduler.
   [[nodiscard]] PrefixReplayEngine& prefixEngine() noexcept { return engine_; }
-
-  /// True when the schedule budget is exhausted (strategies must stop).
-  [[nodiscard]] bool budgetExhausted() const noexcept;
-
-  /// True when the search should stop for a found violation.
-  [[nodiscard]] bool shouldStopForViolation() const noexcept;
 
   [[nodiscard]] trace::TraceRecorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] ExplorationResult& result() noexcept { return result_; }

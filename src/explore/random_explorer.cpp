@@ -25,12 +25,10 @@ class RandomScheduler final : public runtime::Scheduler {
 }  // namespace
 
 void RandomExplorer::runSearch(const Program& program) {
-  for (std::uint64_t k = 0; !budgetExhausted(); ++k) {
-    if (shouldStopForViolation()) return;
+  for (std::uint64_t k = 0; mayRunSchedule(); ++k) {
     RandomScheduler scheduler(support::mix64(seed_ + k));
     (void)executeSchedule(program, scheduler);
   }
-  result().hitScheduleLimit = true;
 }
 
 }  // namespace lazyhb::explore

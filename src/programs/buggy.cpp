@@ -234,10 +234,10 @@ explore::Program diningDeadlock(int philosophers) {
 
 }  // namespace
 
-// Self-registration at rank kBuggyRank (last of the corpus). Every
-// scenario here has a reachable violation; the bodies deliberately keep
-// heap-based std::vector state, exercising the non-checkpointable
-// (re-execution) incremental path.
+// Self-registration at rank kBuggyRank (only the weakmem family, ids
+// 80..87, ranks after it). Every scenario here has a reachable violation;
+// the bodies deliberately keep heap-based std::vector state, exercising the
+// non-checkpointable (re-execution) incremental path.
 #define LAZYHB_BUGGY(name, family, description, body)                      \
   [[maybe_unused]] static const ::lazyhb::programs::detail::          \
       CorpusRegistrar LAZYHB_SCENARIO_CAT(lazyhbCorpusRegistrar_,     \

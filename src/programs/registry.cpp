@@ -81,7 +81,7 @@ void registerScenario(std::string name, std::string family,
                       ScenarioTraits traits) {
   if (traits.rank < kScenarioUserRank) {
     // Sub-user ranks are reserved for the built-in corpus (they are what
-    // keeps corpus ids stable at 1..79); clamp rather than abort — the
+    // keeps corpus ids stable at 1..87); clamp rather than abort — the
     // scenario still registers, just after the corpus.
     std::fprintf(stderr,
                  "lazyhb: scenario '%s' asked for reserved rank %d; using %d "

@@ -66,13 +66,9 @@ void Execution::reset(const Config& config, ExecutionObserver* observer) {
   outcome_ = Outcome::Terminal;
   violation_ = Violation{};
   finalFingerprint_ = support::Hash128{};
-  ++generation_;
-  undoLogging_ = false;
+  objectUndo_.reset();
+  bufferUndo_.reset();
   imageCache_.clear();
-  undoSize_ = 0;  // arena entries stay allocated for reuse
-  epochCounter_ = 0;
-  currentEpoch_ = 0;
-  bufferUndoSize_ = 0;
   stagedStore_ = false;
   flushEvents_ = 0;
   fenceEvents_ = 0;
@@ -207,22 +203,13 @@ void Execution::checkpoint(Snapshot& s) {
   LAZYHB_CHECK(resumable_ && !done_ && currentThread_ == -1);
   s.depth = events_.size();
   LAZYHB_CHECK(choices_.size() == s.depth);
-  s.generation = generation_;
   s.objectCount = objects_.size();
   s.threads.resize(threads_.size());
   if (imageCache_.size() < threads_.size()) imageCache_.resize(threads_.size());
   for (std::size_t i = 0; i < threads_.size(); ++i) {
     const ThreadRec& t = threads_[i];
     ThreadSnapshot& ts = s.threads[i];
-    ts.status = t.status;
-    ts.pendingOp = t.pendingOp;
-    ts.eventsExecuted = t.eventsExecuted;
-    ts.creationSeq = t.creationSeq;
-    ts.advanceCount = t.advanceCount;
-    ts.spawnPredecessor = t.spawnPredecessor;
-    ts.signalPredecessor = t.signalPredecessor;
-    ts.joinPredecessor = t.joinPredecessor;
-    ts.lastEventIndex = t.lastEventIndex;
+    ts.state = t;
     if (t.status == ThreadStatus::Finished) {
       // A finished thread never runs again on any suffix of this prefix;
       // its continuation is irrelevant and its stack bytes stay dead.
@@ -242,50 +229,34 @@ void Execution::checkpoint(Snapshot& s) {
     }
     ts.image = cached.image;
   }
-  // Object state is not copied: the undo log above `undoMark` is this
-  // stage's pre-image. A fresh epoch makes the next write to any object
-  // log it again (relative to *this* checkpoint).
-  s.undoMark = undoSize_;
-  // Store buffers follow the same pattern via their own undo log; the stat
-  // counters are tiny scalars, copied outright so replayed prefixes report
-  // the same totals regardless of how they were reached.
-  s.bufferUndoMark = bufferUndoSize_;
+  // Objects and store buffers are not copied: each undo log's entries
+  // above its mark are this stage's pre-image, and the fresh epoch the
+  // mark opens makes the next write log again (relative to *this*
+  // checkpoint). The TSO stat counters are tiny scalars, copied outright
+  // so replayed prefixes report the same totals however they were reached.
+  s.objects = objectUndo_.mark();
+  s.buffers = bufferUndo_.mark();
   s.flushEvents = flushEvents_;
   s.fenceEvents = fenceEvents_;
   s.maxBufferedStores = maxBufferedStores_;
-  currentEpoch_ = ++epochCounter_;
-  undoLogging_ = true;
-}
-
-void Execution::logObjectUndo(std::int32_t index, const ObjectInfo& o) {
-  if (undoSize_ == undoLog_.size()) undoLog_.emplace_back();
-  ObjectUndo& u = undoLog_[undoSize_++];
-  u.index = index;
-  u.valueHash = o.valueHash;
-  u.a = o.a;
-  u.waiters.assign(o.waiters.begin(), o.waiters.end());
 }
 
 void Execution::rollbackTo(const Snapshot& s) {
   LAZYHB_CHECK(resumable_ && ran_ && done_);
   LAZYHB_CHECK(g_current == nullptr);
-  // A snapshot from before the last reset() (or an empty one) names state
-  // that no longer exists; one deeper than this run reached, or whose undo
-  // marks were already rolled past, was not dropped when it had to be.
-  LAZYHB_CHECK(s.generation == generation_);
-  LAZYHB_CHECK(s.depth <= events_.size() && s.undoMark <= undoSize_ &&
-               s.bufferUndoMark <= bufferUndoSize_);
   pickEnabledValid_ = false;
 
-  // Store buffers roll back before the thread truncation below: an undo
-  // entry can name a thread spawned past the checkpoint, whose rec must
-  // still be addressable while its (empty) pre-image is applied.
-  while (bufferUndoSize_ > s.bufferUndoMark) {
-    BufferUndo& u = bufferUndoLog_[--bufferUndoSize_];
-    ThreadRec& t = threads_[static_cast<std::size_t>(u.tid)];
-    t.storeBuffer.swap(u.entries);  // consume the entry; keep capacity pooled
-    t.flushCount = u.flushCount;
-  }
+  // Store buffers roll back first. The undo log rejects a snapshot from
+  // before the last reset() (or an empty one), which names state that no
+  // longer exists, and one whose mark was already rolled past. And the
+  // thread truncation below must wait: an entry can name a thread spawned
+  // past the checkpoint, whose rec must still be addressable while its
+  // (empty) pre-image is swapped back in.
+  bufferUndo_.rollbackTo(s.buffers, [this](std::int32_t tid, BufferState& pre) {
+    swap(static_cast<BufferState&>(threads_[static_cast<std::size_t>(tid)]), pre);
+  });
+  // A snapshot deeper than this run reached was not dropped when it had to be.
+  LAZYHB_CHECK(s.depth <= events_.size());
   flushEvents_ = s.flushEvents;
   fenceEvents_ = s.fenceEvents;
   maxBufferedStores_ = s.maxBufferedStores;
@@ -305,20 +276,13 @@ void Execution::rollbackTo(const Snapshot& s) {
   for (std::size_t i = 0; i < s.threads.size(); ++i) {
     ThreadRec& t = threads_[i];
     const ThreadSnapshot& ts = s.threads[i];
-    t.status = ts.status;
-    t.pendingOp = ts.pendingOp;
-    t.eventsExecuted = ts.eventsExecuted;
-    t.creationSeq = ts.creationSeq;
-    t.spawnPredecessor = ts.spawnPredecessor;
-    t.signalPredecessor = ts.signalPredecessor;
-    t.joinPredecessor = ts.joinPredecessor;
-    t.lastEventIndex = ts.lastEventIndex;
-    if (ts.status == ThreadStatus::Finished) {
+    const bool advanced = t.advanceCount != ts.state.advanceCount;
+    static_cast<ThreadState&>(t) = ts.state;
+    if (ts.state.status == ThreadStatus::Finished) {
       t.fiber->abandonForRollback();  // stays finished
-      t.advanceCount = ts.advanceCount;
       continue;
     }
-    if (t.advanceCount == ts.advanceCount) {
+    if (!advanced) {
       // The thread has not been advanced since this snapshot was taken:
       // its stack (and spawn slot) are already exactly the snapshot state.
       LAZYHB_ASSERT(!t.fiber->finished());
@@ -326,31 +290,23 @@ void Execution::rollbackTo(const Snapshot& s) {
     }
     t.fiber->restoreFrom(ts.image->fiber);
     t.pendingSpawnFn = ts.image->pendingSpawnFn;  // copy; snapshot stays reusable
-    t.advanceCount = ts.advanceCount;
     // The cached image (if any) was taken further along the abandoned
     // suffix; at this advanceCount it is only valid if it *is* this
     // snapshot's image.
-    if (imageCache_[i].version != ts.advanceCount) {
+    if (imageCache_[i].version != ts.state.advanceCount) {
       imageCache_[i] = ImageCacheEntry{};
     }
   }
 
-  // Replay the undo log backwards to this stage's mark, then drop the
+  // Replay the object undo log back to this stage's mark, then drop the
   // objects registered past the checkpoint. Replay-before-truncate order
   // matters: entries can reference indices >= s.objectCount (objects that
   // existed under a deeper stage), which must still be addressable while
   // their pre-images are applied — the resize then discards them.
-  while (undoSize_ > s.undoMark) {
-    ObjectUndo& u = undoLog_[--undoSize_];
-    ObjectInfo& o = objects_[static_cast<std::size_t>(u.index)];
-    o.valueHash = u.valueHash;
-    o.a = u.a;
-    o.waiters.swap(u.waiters);  // entry is consumed; swap keeps capacity pooled
-  }
+  objectUndo_.rollbackTo(s.objects, [this](std::int32_t index, ObjectState& pre) {
+    swap(static_cast<ObjectState&>(objects_[static_cast<std::size_t>(index)]), pre);
+  });
   objects_.resize(s.objectCount);
-  // New epoch: post-rollback writes must re-log their pre-images so this
-  // same stage can be rolled back to again (once per remaining sibling).
-  currentEpoch_ = ++epochCounter_;
 
   events_.resize(s.depth);
   choices_.resize(s.depth);
@@ -376,7 +332,7 @@ std::size_t Execution::Snapshot::approxBytes() const noexcept {
 
 void Execution::Snapshot::clear() noexcept {
   for (ThreadSnapshot& ts : threads) ts.image = nullptr;
-  generation = 0;
+  objects = support::UndoMark{};
 }
 
 void Execution::advance(int tid) {
@@ -765,14 +721,6 @@ void Execution::commitFlush(int tid) {
   event.valueHash = entry.valueHash;
   events_.push_back(event);
   if (observer_ != nullptr) observer_->onEvent(*this, events_.back());
-}
-
-void Execution::logBufferUndo(int tid, const ThreadRec& t) {
-  if (bufferUndoSize_ == bufferUndoLog_.size()) bufferUndoLog_.emplace_back();
-  BufferUndo& u = bufferUndoLog_[bufferUndoSize_++];
-  u.tid = tid;
-  u.flushCount = t.flushCount;
-  u.entries.assign(t.storeBuffer.begin(), t.storeBuffer.end());
 }
 
 void Execution::fenceNow() {

@@ -18,13 +18,14 @@
 // bookkeeping and recorder work just to get back to the divergence point.
 // In resumable mode an execution can instead *fork itself at a scheduling
 // point*: checkpoint(out) saves every thread's suspended continuation
-// (fiber stack bytes restored in place — see fiber.hpp) and the lengths of
-// the object-table undo logs and the append-only event/choice logs into a
-// caller-owned Snapshot; rollbackTo(snapshot) restores it after the
-// schedule completes, and resume() drives the host loop onward along a
-// different suffix. Threads spawned past the checkpoint are discarded,
-// threads that existed resume exactly where they were parked. Which depths
-// are staged, and when a snapshot is dropped, is the caller's business
+// (fiber stack bytes restored in place — see fiber.hpp), marks on the
+// object-table and store-buffer undo logs (support/undo_log.hpp) and the
+// lengths of the append-only event/choice logs into a caller-owned
+// Snapshot; rollbackTo(snapshot) restores it after the schedule completes,
+// and resume() drives the host loop onward along a different suffix.
+// Threads spawned past the checkpoint are discarded, threads that existed
+// resume exactly where they were parked. Which depths are staged, and when
+// a snapshot is dropped, is the caller's business
 // (explore/prefix_replay.hpp); the execution keeps no list of them.
 //
 // Soundness contract (the "checkpointable program" contract): restore
@@ -45,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "memory/memory_model.hpp"
@@ -52,6 +54,7 @@
 #include "runtime/operation.hpp"
 #include "support/hash.hpp"
 #include "support/thread_set.hpp"
+#include "support/undo_log.hpp"
 
 namespace lazyhb::runtime {
 
@@ -110,21 +113,33 @@ struct PendingOp {
   std::uint64_t aux = 0;
 };
 
-/// Registry entry for a shared object. `a` is kind-dependent scalar state:
-/// mutex owner thread index (-1 free), semaphore count, thread index for
-/// Thread entries, and the engine-resident value bits for Var entries
+/// The part of a shared object's registry entry that operations change —
+/// also the object-table undo log's pre-image. `a` is kind-dependent scalar
+/// state: mutex owner thread index (-1 free), semaphore count, thread index
+/// for Thread entries, and the engine-resident value bits for Var entries
 /// (small trivially-copyable Shared<T> values live here — see api.hpp);
 /// `valueHash` is the current value hash for Var entries.
-struct ObjectInfo {
-  Uid uid = 0;
-  ObjectKind kind = ObjectKind::Var;
-  std::string name;
+struct ObjectState {
   std::uint64_t valueHash = 0;
   std::int64_t a = -1;
   std::vector<int> waiters;  ///< CondVar: parked thread indices, FIFO
-  /// Dirty stamp: the checkpoint epoch that last undo-logged this object.
-  /// Engine-internal (undo-log staging); epochs are never reused, so a
-  /// stale stamp is simply "not dirty in the current epoch".
+
+  /// Rollback's restore, member-wise (std::swap would move the vector
+  /// three times).
+  friend void swap(ObjectState& x, ObjectState& y) noexcept {
+    std::swap(x.valueHash, y.valueHash);
+    std::swap(x.a, y.a);
+    x.waiters.swap(y.waiters);
+  }
+};
+
+/// Registry entry for a shared object: its state plus an identity that is
+/// immutable after registration.
+struct ObjectInfo : ObjectState {
+  Uid uid = 0;
+  ObjectKind kind = ObjectKind::Var;
+  std::string name;
+  /// Engine-internal undo-log epoch stamp (support/undo_log.hpp).
   std::uint64_t epoch = 0;
 };
 
@@ -153,27 +168,63 @@ class Execution {
     std::function<void()> pendingSpawnFn;
   };
 
-  /// Rollback snapshot of one thread.
-  struct ThreadSnapshot {
+  /// The scalars of a ThreadRec that a checkpoint copies outright.
+  struct ThreadState {
     ThreadStatus status = ThreadStatus::Pending;
     PendingOp pendingOp;
     std::uint32_t eventsExecuted = 0;
-    std::uint32_t creationSeq = 0;
-    std::uint32_t advanceCount = 0;  ///< image version (see ThreadImage)
-    std::int32_t spawnPredecessor = -1;
-    std::int32_t signalPredecessor = -1;
-    std::int32_t joinPredecessor = -1;
+    std::uint32_t creationSeq = 0;  ///< per-thread counter for derived UIDs
+    /// Times this thread's fiber has been resumed. The stack is a pure
+    /// function of (shared prefix, advanceCount), which makes this the
+    /// version tag for snapshot image sharing (see ThreadImage).
+    std::uint32_t advanceCount = 0;
+    std::int32_t spawnPredecessor = -1;   ///< consumed by the first event
+    std::int32_t signalPredecessor = -1;  ///< consumed by the Reacquire event
+    std::int32_t joinPredecessor = -1;    ///< staged just before a Join event
     std::int32_t lastEventIndex = -1;
+  };
+
+  /// One store parked in a thread's TSO store buffer: destination object,
+  /// the engine-resident value bits, and the value's hash (filled by
+  /// varCommit immediately after the store stages — no scheduling point in
+  /// between, so every entry an observer can see is complete).
+  struct StoreBufferEntry {
+    std::int32_t object = -1;
+    std::int64_t bits = 0;
+    std::uint64_t valueHash = 0;
+  };
+
+  /// TSO: a thread's store buffer and flush counter — the store-buffer undo
+  /// log's pre-image.
+  struct BufferState {
+    /// FIFO, oldest first. Always empty under SC. Outlives the thread's own
+    /// activity — a thread can finish with stores still buffered, and they
+    /// drain via later flush picks.
+    std::vector<StoreBufferEntry> storeBuffer;
+    /// Flush events committed for this buffer so far — the indexInThread
+    /// counter of the thread's flush agent's event stream.
+    std::uint32_t flushCount = 0;
+
+    /// Rollback's restore, member-wise like ObjectState's.
+    friend void swap(BufferState& x, BufferState& y) noexcept {
+      x.storeBuffer.swap(y.storeBuffer);
+      std::swap(x.flushCount, y.flushCount);
+    }
+  };
+
+  /// Rollback snapshot of one thread.
+  struct ThreadSnapshot {
+    ThreadState state;
     std::shared_ptr<const ThreadImage> image;  ///< null for Finished threads
   };
 
  public:
   /// One rollback point of the whole execution, owned by the caller
   /// (explore/prefix_replay.hpp keeps one per staged depth). Object state
-  /// is not copied: `undoMark` remembers the undo-log length at staging
-  /// time, and rollback replays the entries above it backwards; store
-  /// buffers work the same way through `bufferUndoMark`. An empty snapshot
-  /// (never taken, or clear()ed) pins nothing.
+  /// and store buffers are not copied: a mark on each undo log remembers
+  /// where it stood at staging time, and rollback replays the entries above
+  /// it backwards. An empty snapshot (never taken, or clear()ed) pins
+  /// nothing.
   class Snapshot {
    public:
     /// Approximate resident bytes: dominated by the fiber stack images
@@ -183,15 +234,14 @@ class Execution {
     /// Release the fiber images and mark the snapshot empty; the thread
     /// vector keeps its capacity for the next checkpoint() into it.
     void clear() noexcept;
-    [[nodiscard]] bool empty() const noexcept { return generation == 0; }
+    [[nodiscard]] bool empty() const noexcept { return objects.generation == 0; }
 
    private:
     friend class Execution;
     std::size_t depth = 0;  ///< events_.size() == choices_.size()
-    std::uint64_t generation = 0;  ///< the execution's reset() count; 0: empty
     std::size_t objectCount = 0;
-    std::size_t undoMark = 0;  ///< undo-log length when this was staged
-    std::size_t bufferUndoMark = 0;  ///< buffer undo-log length at staging
+    support::UndoMark objects;  ///< object-table undo log at staging
+    support::UndoMark buffers;  ///< store-buffer undo log at staging
     std::uint64_t flushEvents = 0;   ///< TSO stat counters at staging time
     std::uint64_t fenceEvents = 0;
     std::uint32_t maxBufferedStores = 0;
@@ -239,9 +289,8 @@ class Execution {
 
   /// Save the current scheduling point into `out` (only callable from
   /// Scheduler::pick, when every fiber is suspended), overwriting whatever
-  /// it held. The first checkpoint after run() or reset() switches the
-  /// undo logs on; from then on every write logs its pre-image once per
-  /// checkpoint epoch.
+  /// it held. A run's first checkpoint switches the undo logs on; from
+  /// then on every write logs its pre-image once per checkpoint epoch.
   void checkpoint(Snapshot& out);
 
   /// After run()/resume() has returned: restore `s`. The snapshot stays
@@ -395,41 +444,11 @@ class Execution {
   void failAssertion(std::string message);
 
  private:
-  /// One store parked in a thread's TSO store buffer: destination object,
-  /// the engine-resident value bits, and the value's hash (filled by
-  /// varCommit immediately after the store stages — no scheduling point in
-  /// between, so every entry an observer can see is complete).
-  struct StoreBufferEntry {
-    std::int32_t object = -1;
-    std::int64_t bits = 0;
-    std::uint64_t valueHash = 0;
-  };
-
-  struct ThreadRec {
+  struct ThreadRec : ThreadState, BufferState {
     std::unique_ptr<Fiber> fiber;
     Uid uid = 0;
-    ThreadStatus status = ThreadStatus::Pending;
-    PendingOp pendingOp;
-    std::uint32_t eventsExecuted = 0;
-    /// TSO: this thread's FIFO store buffer, oldest first. Always empty
-    /// under SC. Outlives the thread's own activity — a thread can finish
-    /// with stores still buffered, and they drain via later flush picks.
-    std::vector<StoreBufferEntry> storeBuffer;
-    /// TSO: flush events committed for this thread's buffer so far — the
-    /// indexInThread counter of its flush agent's event stream.
-    std::uint32_t flushCount = 0;
-    /// Dirty stamp for the buffer undo log (mirrors ObjectInfo::epoch).
-    std::uint64_t bufferEpoch = 0;
-    std::uint32_t creationSeq = 0;   ///< per-thread counter for derived UIDs
-    std::int32_t spawnPredecessor = -1;   ///< consumed by the first event
-    std::int32_t signalPredecessor = -1;  ///< consumed by the Reacquire event
-    std::int32_t joinPredecessor = -1;    ///< staged just before a Join event
-    std::int32_t lastEventIndex = -1;
-    std::int32_t objectIndex = -1;        ///< this thread's own Thread object
-    /// Times this thread's fiber has been resumed. The stack is a pure
-    /// function of (shared prefix, advanceCount), which makes this the
-    /// version tag for snapshot image sharing.
-    std::uint32_t advanceCount = 0;
+    std::uint64_t bufferEpoch = 0;  ///< store-buffer undo-log epoch stamp
+    std::int32_t objectIndex = -1;  ///< this thread's own Thread object
     /// A closure handed to spawnThread is parked here, engine-side, before
     /// the Spawn is published — so no fiber stack owns heap at a
     /// suspension point and checkpoints can copy the slot instead.
@@ -442,29 +461,6 @@ class Execution {
     std::shared_ptr<const ThreadImage> image;
   };
   static constexpr std::uint32_t kInvalidVersion = static_cast<std::uint32_t>(-1);
-
-  /// One undo-log entry: the pre-image of an object's mutable state the
-  /// first time it is written after a checkpoint (uid/kind/name are
-  /// immutable after registration and need no copy). Replaying entries
-  /// newest-first restores the object table to any staged depth, so
-  /// checkpoint() costs O(objects touched since the last stage) instead of
-  /// O(all objects).
-  struct ObjectUndo {
-    std::int32_t index = -1;
-    std::uint64_t valueHash = 0;
-    std::int64_t a = -1;
-    std::vector<int> waiters;
-  };
-
-  /// One buffer undo-log entry: the pre-image of a thread's store buffer
-  /// (and flush counter) the first time either mutates after a checkpoint —
-  /// the store-buffer twin of ObjectUndo, so TSO checkpoints stay
-  /// O(buffers touched) like object checkpoints stay O(objects touched).
-  struct BufferUndo {
-    int tid = -1;
-    std::uint32_t flushCount = 0;
-    std::vector<StoreBufferEntry> entries;
-  };
 
   /// A fiber running `entry`: a re-armed one from the free list when
   /// available, else a new one.
@@ -522,27 +518,18 @@ class Execution {
   /// Shared<T>); false directs the caller to write through.
   bool stageStoreTso(std::int32_t object, std::int64_t bits);
 
-  /// Dirty-tracking hook for store buffers (the touchObject analogue).
-  void touchBuffer(int tid) {
-    if (!undoLogging_) return;
-    ThreadRec& t = threads_[static_cast<std::size_t>(tid)];
-    if (t.bufferEpoch == currentEpoch_) return;
-    t.bufferEpoch = currentEpoch_;
-    logBufferUndo(tid, t);
-  }
-  void logBufferUndo(int tid, const ThreadRec& t);
-
-  /// Dirty-tracking hook: called before the first mutation of an object's
-  /// state since the last checkpoint; logs its pre-image once per epoch.
-  /// No-op before the run's first checkpoint (nothing to roll back to).
+  /// Called before an object's state changes: undo-logs its pre-image on
+  /// the first change since the last checkpoint.
   void touchObject(std::int32_t index) {
-    if (!undoLogging_) return;
     ObjectInfo& o = objects_[static_cast<std::size_t>(index)];
-    if (o.epoch == currentEpoch_) return;
-    o.epoch = currentEpoch_;
-    logObjectUndo(index, o);
+    objectUndo_.log(index, o.epoch, static_cast<const ObjectState&>(o));
   }
-  void logObjectUndo(std::int32_t index, const ObjectInfo& o);
+
+  /// touchObject for a thread's store buffer.
+  void touchBuffer(int tid) {
+    ThreadRec& t = threads_[static_cast<std::size_t>(tid)];
+    bufferUndo_.log(tid, t.bufferEpoch, static_cast<const BufferState&>(t));
+  }
 
   [[nodiscard]] bool isEnabled(const ThreadRec& t) const;
   /// The live computation behind enabled().
@@ -582,28 +569,15 @@ class Execution {
   support::ThreadSet pickEnabled_;
   bool pickEnabledValid_ = false;
 
-  // Resumable mode. Snapshots are stamped with generation_, which reset()
-  // advances, so one taken before a reset is never rolled back to.
-  // undoLogging_ is set by checkpoint() and cleared by reset().
-  std::uint64_t generation_ = 1;
-  bool undoLogging_ = false;
-  std::vector<ImageCacheEntry> imageCache_;  // per thread, advanceCount-keyed
-
-  // Object undo log (see ObjectUndo): an arena indexed by undoSize_ — the
-  // vector never shrinks, so the per-entry waiters vectors keep their
-  // capacity across reuse. Epochs are handed out by a monotone counter;
-  // an object is logged at most once per epoch.
-  std::vector<ObjectUndo> undoLog_;
-  std::size_t undoSize_ = 0;
-  std::uint64_t epochCounter_ = 0;
-  std::uint64_t currentEpoch_ = 0;
+  // Resumable mode: the undo logs that let checkpoint() cost O(objects and
+  // buffers touched since the last stage) instead of O(all of them), and
+  // the per-thread, advanceCount-keyed cache of captured stack images.
+  support::UndoLog<ObjectState> objectUndo_;
+  support::UndoLog<BufferState> bufferUndo_;
+  std::vector<ImageCacheEntry> imageCache_;
 
   // --- TSO state (quiescent under SC) ---------------------------------------
 
-  /// Store-buffer undo log, arena-indexed like undoLog_ (entry vectors keep
-  /// their capacity across reuse).
-  std::vector<BufferUndo> bufferUndoLog_;
-  std::size_t bufferUndoSize_ = 0;
   /// Set by stageStoreTso, consumed by varCommit: the granted Write between
   /// them staged a buffer entry (no scheduling point separates the two, so
   /// one flag — not per-thread state — suffices).

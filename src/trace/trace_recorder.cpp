@@ -85,9 +85,7 @@ void TraceRecorder::resetAll() {
   prefixValue_ = support::MultisetHash{};
   valueState_ = support::MultisetHash{};
   races_.clear();
-  undoSize_ = 0;  // no stages left to roll back to; entries are dead
-  undoLogging_ = false;
-  ++generation_;
+  undo_.reset();  // no stages left to roll back to
 }
 
 support::Hash128 TraceRecorder::cvQueueContribution(const ObjectHistory& h) noexcept {
@@ -133,7 +131,6 @@ void TraceRecorder::onObjectRegistered(const runtime::Execution&, std::int32_t i
 
 void TraceRecorder::checkpoint(Checkpoint& cp) {
   cp.eventCount = eventCount_;
-  cp.generation = generation_;
   cp.prefixFull = prefixFull_;
   cp.prefixLazy = prefixLazy_;
   cp.prefixValue = prefixValue_;
@@ -142,39 +139,27 @@ void TraceRecorder::checkpoint(Checkpoint& cp) {
                             threadLastEvent_.begin() +
                                 static_cast<std::ptrdiff_t>(threadCount_));
   cp.objectCount = objectCount_;
-  // Object cursors are not copied: the undo log above `undoMark` is this
-  // stage's pre-image. A fresh epoch makes the next update of any history
-  // log it again (relative to *this* checkpoint).
-  cp.undoMark = undoSize_;
-  currentEpoch_ = ++epochCounter_;
-  undoLogging_ = true;
+  // Histories are not copied: the undo log's entries above the mark are
+  // this stage's pre-image, and the fresh epoch the mark opens makes the
+  // next update of any history log it again (relative to *this* stage).
+  cp.histories = undo_.mark();
   cp.raceCount = races_.size();
 }
 
-void TraceRecorder::logHistoryUndo(std::int32_t index, const ObjectHistory& h) {
-  if (undoSize_ == undoLog_.size()) undoLog_.emplace_back();
-  ObjectUndo& u = undoLog_[undoSize_++];
-  u.index = index;
-  ObjectCursor& c = u.cursor;
-  c.lastWrite = h.lastWrite;
-  c.readersSinceWrite.assign(h.readersSinceWrite.begin(), h.readersSinceWrite.end());
-  c.lastChainOp = h.lastChainOp;
-  c.chainSize = h.chain.size();
-  c.lastTryLock = h.lastTryLock;
-  c.mutexOpsSinceTryLock.assign(h.mutexOpsSinceTryLock.begin(),
-                                h.mutexOpsSinceTryLock.end());
-  c.lastReleaseEvent = h.lastReleaseEvent;
-  c.lastWriteEvent = h.lastWriteEvent;
-  c.lastReadPerThread.assign(h.lastReadPerThread.begin(), h.lastReadPerThread.end());
-  c.valueHash = h.valueHash;
-  c.cvQueue.assign(h.cvQueue.begin(), h.cvQueue.end());
-}
-
 void TraceRecorder::rollbackTo(const Checkpoint& cp) {
-  // Same guards as Execution::rollbackTo: a checkpoint from before the last
-  // reset, or one the caller should have dropped, is rejected.
-  LAZYHB_CHECK(cp.generation == generation_);
-  LAZYHB_CHECK(cp.eventCount <= eventCount_ && cp.undoMark <= undoSize_);
+  // Replay the undo log back to this stage's mark; like Execution's, it
+  // rejects a checkpoint from before the last reset, or one the caller
+  // should have dropped. Entries can reference histories past
+  // cp.objectCount (objects that existed under a deeper stage); applying
+  // them is harmless — those histories are dead until a re-registration
+  // resets them.
+  undo_.rollbackTo(cp.histories, [this](std::int32_t index, HistoryUndo& u) {
+    ObjectHistory& h = objects_[static_cast<std::size_t>(index)];
+    swap(static_cast<HistoryState&>(h), u.state);
+    LAZYHB_ASSERT(h.chain.size() >= u.chainSize);
+    h.chain.resize(u.chainSize);
+  });
+  LAZYHB_CHECK(cp.eventCount <= eventCount_);
   const std::size_t depth = cp.eventCount;
   eventCount_ = depth;
   fullHash_.resize(depth);
@@ -192,32 +177,7 @@ void TraceRecorder::rollbackTo(const Checkpoint& cp) {
   for (std::size_t i = 0; i < threadCount_; ++i) {
     threadLastEvent_[i] = cp.threadLastEvent[i];
   }
-  // Replay the undo log backwards to this stage's mark. Entries can
-  // reference histories past cp.objectCount (objects that existed under a
-  // deeper stage); applying them is harmless — those histories are dead
-  // until a re-registration resets them. Swaps consume the entry and keep
-  // the arena slot's vector capacity pooled.
-  while (undoSize_ > cp.undoMark) {
-    ObjectUndo& u = undoLog_[--undoSize_];
-    ObjectHistory& h = objects_[static_cast<std::size_t>(u.index)];
-    ObjectCursor& c = u.cursor;
-    h.lastWrite = c.lastWrite;
-    h.readersSinceWrite.swap(c.readersSinceWrite);
-    h.lastChainOp = c.lastChainOp;
-    LAZYHB_ASSERT(h.chain.size() >= c.chainSize);
-    h.chain.resize(c.chainSize);
-    h.lastTryLock = c.lastTryLock;
-    h.mutexOpsSinceTryLock.swap(c.mutexOpsSinceTryLock);
-    h.lastReleaseEvent = c.lastReleaseEvent;
-    h.lastWriteEvent = c.lastWriteEvent;
-    h.lastReadPerThread.swap(c.lastReadPerThread);
-    h.valueHash = c.valueHash;
-    h.cvQueue.swap(c.cvQueue);
-  }
   objectCount_ = cp.objectCount;
-  // New epoch: post-rollback updates must re-log their pre-images so this
-  // same stage can be rolled back to again.
-  currentEpoch_ = ++epochCounter_;
   races_.resize(cp.raceCount);
 }
 
@@ -547,14 +507,10 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
     p.sync.assign(syncPreds.begin(), syncPreds.end());
   }
 
-  // History updates (after race checks and hashes). Each touchHistory call
-  // undo-logs the history's pre-image on its first update since the last
-  // checkpoint — and must precede taking the reference it guards (the
-  // history() call inside may grow objects_).
+  // History updates (after race checks and hashes), each through touched().
   switch (ev.kind) {
     case OpKind::Read: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
+      ObjectHistory& h = touched(ev.objectIndex);
       h.readersSinceWrite.push_back(index);
       if (options_.detectRaces) {
         bool found = false;
@@ -578,8 +534,7 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
         // matching Flush below commits it.
         break;
       }
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
+      ObjectHistory& h = touched(ev.objectIndex);
       h.lastWrite = index;
       h.readersSinceWrite.clear();
       // Final-visible effect: swap the variable's (uid, value) pair in the
@@ -599,16 +554,14 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
       break;
     }
     case OpKind::Lock: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
+      ObjectHistory& h = touched(ev.objectIndex);
       h.lastChainOp = index;
       h.chain.push_back(index);
       h.mutexOpsSinceTryLock.push_back(index);
       break;
     }
     case OpKind::Unlock: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
+      ObjectHistory& h = touched(ev.objectIndex);
       h.lastChainOp = index;
       h.chain.push_back(index);
       h.mutexOpsSinceTryLock.push_back(index);
@@ -616,8 +569,7 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
       break;
     }
     case OpKind::TryLock: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
+      ObjectHistory& h = touched(ev.objectIndex);
       h.lastChainOp = index;
       h.chain.push_back(index);
       h.lastTryLock = index;
@@ -625,16 +577,14 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
       break;
     }
     case OpKind::Wait: {
-      touchHistory(ev.objectIndex);
-      touchHistory(ev.mutexIndex);
-      ObjectHistory& cv = history(ev.objectIndex);
+      ObjectHistory& cv = touched(ev.objectIndex);
       cv.lastChainOp = index;
       cv.chain.push_back(index);
       // The waiter parks at the back of the condvar's FIFO queue.
       valueState_.remove(cvQueueContribution(cv));
       cv.cvQueue.push_back(ev.threadUid);
       valueState_.add(cvQueueContribution(cv));
-      ObjectHistory& m = history(ev.mutexIndex);
+      ObjectHistory& m = touched(ev.mutexIndex);
       m.lastChainOp = index;
       m.chain.push_back(index);
       m.mutexOpsSinceTryLock.push_back(index);
@@ -642,12 +592,10 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
       break;
     }
     case OpKind::Reacquire: {
-      touchHistory(ev.objectIndex);
-      touchHistory(ev.mutexIndex);
-      ObjectHistory& cv = history(ev.objectIndex);
+      ObjectHistory& cv = touched(ev.objectIndex);
       cv.lastChainOp = index;
       cv.chain.push_back(index);
-      ObjectHistory& m = history(ev.mutexIndex);
+      ObjectHistory& m = touched(ev.mutexIndex);
       m.lastChainOp = index;
       m.chain.push_back(index);
       m.mutexOpsSinceTryLock.push_back(index);
@@ -659,8 +607,7 @@ void TraceRecorder::onEvent(const runtime::Execution& exec, const EventRecord& e
     case OpKind::SemRelease:
     case OpKind::Spawn:
     case OpKind::Join: {
-      touchHistory(ev.objectIndex);
-      ObjectHistory& h = history(ev.objectIndex);
+      ObjectHistory& h = touched(ev.objectIndex);
       h.lastChainOp = index;
       h.chain.push_back(index);
       // Signal wakes the queue's front (FIFO); broadcast drains it. Mirror

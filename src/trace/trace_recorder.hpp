@@ -88,7 +88,8 @@
 // across them. checkpoint(cp) saves the current depth into a caller-owned
 // Checkpoint (the per-event arrays are append-only, the clock matrices
 // truncate in place, and the prefix fingerprint accumulator is abelian — so
-// a checkpoint is just the handful of non-monotonic cursors); rollbackTo(cp)
+// a checkpoint is just the handful of non-monotonic cursors, plus a mark on
+// the object histories' undo log, support/undo_log.hpp); rollbackTo(cp)
 // rewinds the whole recorder to it. The caller (explore/prefix_replay.hpp)
 // decides which depths are staged and keeps their checkpoints. Two
 // consumers exist: resumable executions re-extend directly after a
@@ -108,6 +109,7 @@
 #include "runtime/execution.hpp"
 #include "runtime/operation.hpp"
 #include "support/hash.hpp"
+#include "support/undo_log.hpp"
 #include "trace/clock_arena.hpp"
 
 namespace lazyhb::trace {
@@ -163,8 +165,8 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   // --- incremental prefix replay ---------------------------------------------
 
   /// One rollback point: the non-truncatable state at a depth, owned by the
-  /// caller. Object cursors are not copied — `undoMark` remembers the
-  /// undo-log length at staging time.
+  /// caller. Object histories are not copied — `histories` marks where
+  /// their undo log stood at staging time.
   class Checkpoint {
    public:
     /// Approximate resident bytes (cursors only, so small next to the
@@ -180,10 +182,9 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     support::MultisetHash prefixLazy;
     support::MultisetHash prefixValue;
     support::MultisetHash valueState;
-    std::uint64_t generation = 0;  ///< the recorder's reset count at staging
+    support::UndoMark histories;
     std::vector<std::int32_t> threadLastEvent;  ///< one per thread
     std::size_t objectCount = 0;
-    std::size_t undoMark = 0;
     std::size_t raceCount = 0;
   };
 
@@ -207,7 +208,7 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   /// Live undo-log entries: one per object touched per checkpoint epoch.
   /// Introspection for tests pinning the O(touched) staging contract (two
   /// writes to one object between stages must coalesce into one entry).
-  [[nodiscard]] std::size_t undoLogSize() const noexcept { return undoSize_; }
+  [[nodiscard]] std::size_t undoLogSize() const noexcept { return undo_.size(); }
 
   /// Events skipped as already-recorded replays since construction.
   [[nodiscard]] std::uint64_t replaysSkipped() const noexcept { return replaysSkipped_; }
@@ -252,15 +253,14 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     std::vector<std::int32_t> sync;
   };
 
-  struct ObjectHistory {
-    runtime::Uid uid = 0;
-    runtime::ObjectKind kind = runtime::ObjectKind::Var;
+  /// The part of an object's history that events overwrite: everything but
+  /// its identity and its append-only chain (see HistoryUndo).
+  struct HistoryState {
     // Variables:
     std::int32_t lastWrite = -1;
     std::vector<std::int32_t> readersSinceWrite;
     // Chained objects (mutex Full chain, condvar, semaphore, thread):
     std::int32_t lastChainOp = -1;
-    std::vector<std::int32_t> chain;  ///< every chain event, schedule order
     // Mutex Lazy-relation trylock bookkeeping:
     std::int32_t lastTryLock = -1;
     std::vector<std::int32_t> mutexOpsSinceTryLock;
@@ -278,9 +278,30 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     /// so arrival *order* is observable state an abelian multiset of labels
     /// cannot encode; the value fingerprint folds it order-sensitively.
     std::vector<runtime::Uid> cvQueue;
-    /// Dirty stamp: the checkpoint epoch that last undo-logged this history.
-    /// Epochs are never reused, so reset() need not clear it — a stale stamp
-    /// simply reads as "not dirty in the current epoch".
+
+    /// Rollback's restore, member-wise: std::swap would move each of the
+    /// four vectors three times, a cost rollback-heavy searches pay per
+    /// undo entry.
+    friend void swap(HistoryState& x, HistoryState& y) noexcept {
+      std::swap(x.lastWrite, y.lastWrite);
+      x.readersSinceWrite.swap(y.readersSinceWrite);
+      std::swap(x.lastChainOp, y.lastChainOp);
+      std::swap(x.lastTryLock, y.lastTryLock);
+      x.mutexOpsSinceTryLock.swap(y.mutexOpsSinceTryLock);
+      std::swap(x.lastReleaseEvent, y.lastReleaseEvent);
+      std::swap(x.lastWriteEvent, y.lastWriteEvent);
+      x.lastReadPerThread.swap(y.lastReadPerThread);
+      std::swap(x.valueHash, y.valueHash);
+      x.cvQueue.swap(y.cvQueue);
+    }
+  };
+
+  struct ObjectHistory : HistoryState {
+    runtime::Uid uid = 0;
+    runtime::ObjectKind kind = runtime::ObjectKind::Var;
+    /// Chained objects: every chain event, schedule order.
+    std::vector<std::int32_t> chain;
+    /// Undo-log epoch stamp (support/undo_log.hpp).
     std::uint64_t epoch = 0;
 
     /// Clears per-execution state; every vector keeps its capacity, so a
@@ -302,44 +323,20 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     }
   };
 
-  /// Pre-image of one object's non-monotonic cursors. The chain is
-  /// append-only, so its length suffices; the clearable vectors are copied.
-  struct ObjectCursor {
-    std::int32_t lastWrite = -1;
-    std::vector<std::int32_t> readersSinceWrite;
-    std::int32_t lastChainOp = -1;
+  /// A history's undo pre-image: its state, and its chain's length — the
+  /// chain only grows, so the length restores it without copying it.
+  struct HistoryUndo {
+    HistoryState state;
     std::size_t chainSize = 0;
-    std::int32_t lastTryLock = -1;
-    std::vector<std::int32_t> mutexOpsSinceTryLock;
-    std::int32_t lastReleaseEvent = -1;
-    std::int32_t lastWriteEvent = -1;
-    std::vector<std::pair<int, std::int32_t>> lastReadPerThread;
-    std::uint64_t valueHash = 0;
-    std::vector<runtime::Uid> cvQueue;
-  };
 
-  /// One undo-log entry: an object's cursor pre-image, logged on its first
-  /// history update after a checkpoint — so checkpoint() costs O(objects
-  /// touched since the last stage) instead of O(all objects), and rollback
-  /// replays entries newest-first.
-  struct ObjectUndo {
-    std::int32_t index = -1;
-    ObjectCursor cursor;
+    HistoryUndo& operator=(const ObjectHistory& h) {
+      state = h;
+      chainSize = h.chain.size();
+      return *this;
+    }
   };
 
   void resetAll();
-
-  /// Dirty-tracking hook: called before the first history update of an
-  /// object since the last checkpoint; logs its cursor pre-image once per
-  /// epoch. No-op before the first checkpoint since the last reset.
-  void touchHistory(std::int32_t index) {
-    if (!undoLogging_) return;
-    ObjectHistory& h = history(index);
-    if (h.epoch == currentEpoch_) return;
-    h.epoch = currentEpoch_;
-    logHistoryUndo(index, h);
-  }
-  void logHistoryUndo(std::int32_t index, const ObjectHistory& h);
 
   /// The condvar's contribution to valueState_: an order-sensitive fold of
   /// its FIFO wait queue over the condvar's uid. Computed before and after
@@ -347,6 +344,13 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   [[nodiscard]] static support::Hash128 cvQueueContribution(const ObjectHistory& h) noexcept;
 
   ObjectHistory& history(std::int32_t objectIndex);
+  /// history() for an update: undo-logs the history's pre-image first, on
+  /// its first update since the last checkpoint.
+  ObjectHistory& touched(std::int32_t objectIndex) {
+    ObjectHistory& h = history(objectIndex);
+    undo_.log(objectIndex, h.epoch, h);
+    return h;
+  }
   /// The relation's clock arena; checks that its rows are built.
   [[nodiscard]] const ClockArena& arena(Relation r) const;
   void checkRace(const runtime::Execution& exec,
@@ -395,19 +399,9 @@ class TraceRecorder final : public runtime::ExecutionObserver {
   std::vector<std::int32_t> scratchLazy_;
   std::vector<std::int32_t> scratchSync_;
 
-  // Incremental prefix replay. Checkpoints are stamped with generation_,
-  // which resetAll() advances, so one taken before a reset is never rolled
-  // back to. undoLogging_ is set by checkpoint() and cleared by resetAll().
-  std::uint64_t generation_ = 1;
-  bool undoLogging_ = false;
-
-  // Object-cursor undo log: an arena indexed by undoSize_ — the vector
-  // never shrinks, so per-entry cursor vectors keep capacity across reuse.
-  // Epochs come from a monotone counter; one log entry per object per epoch.
-  std::vector<ObjectUndo> undoLog_;
-  std::size_t undoSize_ = 0;
-  std::uint64_t epochCounter_ = 0;
-  std::uint64_t currentEpoch_ = 0;
+  // Incremental prefix replay: the histories' undo log makes checkpoint()
+  // cost O(objects touched since the last stage), not O(all objects).
+  support::UndoLog<HistoryUndo> undo_;
 
   std::size_t pendingSkip_ = 0;  // armResume depth for the next execution start
   std::size_t skipEvents_ = 0;  // replayed prefix events left to skip

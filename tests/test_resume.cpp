@@ -473,7 +473,18 @@ TEST(Merge, RejectsConflictingDuplicateCounts) {
   using Change = void (*)(campaign::CellResult&);
   const std::vector<std::pair<const char*, Change>> conflicts = {
       {"schedules", [](campaign::CellResult& c) { c.stats.schedulesExecuted += 1; }},
+      {"terminal", [](campaign::CellResult& c) { c.stats.terminalSchedules += 1; }},
+      {"pruned", [](campaign::CellResult& c) { c.stats.prunedSchedules += 1; }},
+      {"violations", [](campaign::CellResult& c) { c.stats.violationSchedules += 1; }},
+      {"events", [](campaign::CellResult& c) { c.stats.totalEvents += 1; }},
+      {"events_elided", [](campaign::CellResult& c) { c.stats.eventsElided += 1; }},
+      {"events_replayed", [](campaign::CellResult& c) { c.stats.eventsReplayed += 1; }},
+      {"hbrs", [](campaign::CellResult& c) { c.stats.distinctHbrs += 1; }},
+      {"lazy_hbrs", [](campaign::CellResult& c) { c.stats.distinctLazyHbrs += 1; }},
       {"value_classes", [](campaign::CellResult& c) { c.stats.distinctValueClasses += 1; }},
+      {"states", [](campaign::CellResult& c) { c.stats.distinctStates += 1; }},
+      {"complete", [](campaign::CellResult& c) { c.stats.complete = false; }},
+      {"hit_schedule_limit", [](campaign::CellResult& c) { c.stats.hitScheduleLimit = true; }},
       {"cache.lookups", [](campaign::CellResult& c) { c.stats.cacheStats.lookups += 1; }},
       {"cache.hits", [](campaign::CellResult& c) { c.stats.cacheStats.hits += 1; }},
       {"cache.insertions", [](campaign::CellResult& c) { c.stats.cacheStats.insertions += 1; }},
@@ -485,9 +496,14 @@ TEST(Merge, RejectsConflictingDuplicateCounts) {
     campaign::CellResult other = base;
     change(other);
     const std::string doc2 = fabricatedDocument(other);
-    EXPECT_THROW((void)campaign::mergeReports({doc1, doc2}, {"one", "two"}),
-                 std::runtime_error)
-        << field;
+    try {
+      (void)campaign::mergeReports({doc1, doc2}, {"one", "two"});
+      ADD_FAILURE() << field << ": conflicting copies merged";
+    } catch (const std::runtime_error& e) {
+      // The message names the one differing field (with both values).
+      EXPECT_NE(std::string(e.what()).find(std::string(field) + "="), std::string::npos)
+          << field << ": " << e.what();
+    }
   }
   // Same counts: no conflict, one copy survives.
   const auto merged = campaign::mergeReports({doc1, doc1}, {"one", "copy"});

@@ -1,5 +1,5 @@
 // Unit tests for the support layer: hashing, multiset accumulators, thread
-// sets, RNG determinism, tables and option parsing.
+// sets, RNG determinism, tables, option parsing and the undo log.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/thread_set.hpp"
+#include "support/undo_log.hpp"
 
 namespace {
 
@@ -306,6 +307,117 @@ TEST(Options, NegativeIntegerValues) {
   const char* argv[] = {"test", "--delta", "-5"};
   ASSERT_TRUE(options.parse(3, const_cast<char**>(argv)));
   EXPECT_EQ(options.getInt("delta"), -5);
+}
+
+// --- UndoLog ------------------------------------------------------------------
+
+/// A toy owner of UndoLog items: values with epoch stamps, written through
+/// write() the way Execution and TraceRecorder change their items.
+struct UndoOwner {
+  struct Item {
+    std::vector<int> value;
+    std::uint64_t epoch = 0;
+  };
+  std::vector<Item> items = std::vector<Item>(3);
+  UndoLog<std::vector<int>> log;
+
+  void write(std::int32_t index, int v) {
+    Item& item = items[static_cast<std::size_t>(index)];
+    log.log(index, item.epoch, item.value);
+    item.value.push_back(v);
+  }
+  void rollbackTo(const UndoMark& m, std::vector<std::int32_t>* order = nullptr) {
+    log.rollbackTo(m, [&](std::int32_t index, std::vector<int>& pre) {
+      if (order != nullptr) order->push_back(index);
+      items[static_cast<std::size_t>(index)].value.swap(pre);
+    });
+  }
+  [[nodiscard]] std::vector<int> value(std::int32_t index) const {
+    return items[static_cast<std::size_t>(index)].value;
+  }
+};
+
+TEST(UndoLog, LogsNothingBeforeTheFirstMark) {
+  UndoOwner owner;
+  owner.write(0, 1);
+  owner.write(1, 2);
+  EXPECT_EQ(owner.log.size(), 0u);
+  (void)owner.log.mark();
+  owner.write(0, 3);
+  EXPECT_EQ(owner.log.size(), 1u);
+  // reset() switches logging off again until the next mark.
+  owner.log.reset();
+  owner.write(1, 4);
+  EXPECT_EQ(owner.log.size(), 0u);
+}
+
+TEST(UndoLog, TouchesWithinOneEpochCoalesce) {
+  UndoOwner owner;
+  const UndoMark m = owner.log.mark();
+  owner.write(0, 1);
+  owner.write(0, 2);
+  EXPECT_EQ(owner.log.size(), 1u);
+  owner.write(1, 3);
+  EXPECT_EQ(owner.log.size(), 2u);
+  (void)owner.log.mark();  // new epoch: item 0 logs once more
+  owner.write(0, 4);
+  owner.write(0, 5);
+  EXPECT_EQ(owner.log.size(), 3u);
+  owner.rollbackTo(m);
+  EXPECT_EQ(owner.log.size(), 0u);
+  EXPECT_TRUE(owner.value(0).empty());
+  EXPECT_TRUE(owner.value(1).empty());
+}
+
+TEST(UndoLog, RollbackRestoresPreImagesNewestFirst) {
+  UndoOwner owner;
+  owner.write(0, 1);  // before any mark: the state every rollback returns to
+  const UndoMark m0 = owner.log.mark();
+  owner.write(2, 7);
+  owner.write(0, 2);
+  const UndoMark m1 = owner.log.mark();
+  owner.write(0, 3);
+  owner.write(1, 4);
+  std::vector<std::int32_t> order;
+  owner.rollbackTo(m1, &order);
+  EXPECT_EQ(order, (std::vector<std::int32_t>{1, 0}));
+  EXPECT_EQ(owner.value(0), (std::vector<int>{1, 2}));
+  EXPECT_TRUE(owner.value(1).empty());
+  EXPECT_EQ(owner.value(2), (std::vector<int>{7}));
+  order.clear();
+  owner.rollbackTo(m0, &order);
+  EXPECT_EQ(order, (std::vector<std::int32_t>{0, 2}));
+  EXPECT_EQ(owner.value(0), (std::vector<int>{1}));
+  EXPECT_TRUE(owner.value(2).empty());
+}
+
+TEST(UndoLog, OneMarkServesEverySibling) {
+  UndoOwner owner;
+  owner.write(0, 1);
+  const UndoMark m = owner.log.mark();
+  for (int sibling = 0; sibling < 3; ++sibling) {
+    // Each sibling suffix writes item 0 twice and item 1 once; the fresh
+    // epoch a rollback opens makes each suffix log its pre-images again.
+    owner.write(0, 10 + sibling);
+    owner.write(0, 20 + sibling);
+    owner.write(1, 30 + sibling);
+    EXPECT_EQ(owner.log.size(), 2u) << "sibling " << sibling;
+    owner.rollbackTo(m);
+    EXPECT_EQ(owner.log.size(), 0u);
+    EXPECT_EQ(owner.value(0), (std::vector<int>{1})) << "sibling " << sibling;
+    EXPECT_TRUE(owner.value(1).empty()) << "sibling " << sibling;
+  }
+}
+
+TEST(UndoLog, RejectsAMarkFromBeforeReset) {
+  UndoOwner owner;
+  const UndoMark stale = owner.log.mark();
+  owner.log.reset();
+  const UndoMark fresh = owner.log.mark();
+  owner.write(0, 1);
+  owner.rollbackTo(fresh);
+  EXPECT_DEATH(owner.rollbackTo(stale), "generation");
+  EXPECT_DEATH(owner.rollbackTo(UndoMark{}), "generation");  // never taken
 }
 
 }  // namespace
