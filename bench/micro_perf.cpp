@@ -15,6 +15,7 @@
 #include "explore/random_explorer.hpp"
 #include "explore/replay.hpp"
 #include "memory/memory_model.hpp"
+#include "programs/registry.hpp"
 #include "runtime/api.hpp"
 #include "runtime/fiber.hpp"
 #include "support/rng.hpp"
@@ -86,6 +87,27 @@ void BM_RandomExploration1k(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_RandomExploration1k);
+
+// 2000 random walks over one corpus program, as a perfbench random-sc cell
+// runs them: deadlock-ab repeats most of its walks, so the walk memo folds
+// them instead of executing; disjoint-lock-5x2 repeats none, so the memo
+// switches itself off after its probe window.
+void BM_RandomWalks(benchmark::State& state, const char* name) {
+  const programs::ProgramSpec* spec = programs::byName(name);
+  if (spec == nullptr) {
+    state.SkipWithError("program not in the corpus");
+    return;
+  }
+  for (auto _ : state) {
+    explore::ExplorerOptions options;
+    options.scheduleLimit = 2000;
+    explore::RandomExplorer explorer(options, 42);
+    benchmark::DoNotOptimize(explorer.explore(spec->body));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+}
+BENCHMARK_CAPTURE(BM_RandomWalks, high_repeat, "deadlock-ab");
+BENCHMARK_CAPTURE(BM_RandomWalks, zero_repeat, "disjoint-lock-5x2");
 
 void BM_DporExplorationComplete(benchmark::State& state) {
   for (auto _ : state) {

@@ -94,56 +94,84 @@ bool ExplorerBase::mayRunSchedule() {
   return !options_.stopOnFirstViolation || result_.violations.empty();
 }
 
-runtime::Outcome ExplorerBase::executeSchedule(const Program& program,
-                                               runtime::Scheduler& scheduler) {
+ScheduleRecord ExplorerBase::executeSchedule(const Program& program,
+                                             runtime::Scheduler& scheduler) {
   runtime::Config config;
   config.maxEventsPerSchedule = options_.maxEventsPerSchedule;
   config.memoryModel = options_.memoryModel;
   const PrefixReplayEngine::Session session = engine_.beginSchedule(config, &recorder_);
   runtime::Execution& exec = *session.exec;
-  const runtime::Outcome outcome =
-      session.resumed ? exec.resume(scheduler) : exec.run(program, scheduler);
-
-  ++result_.schedulesExecuted;
-  result_.totalEvents += exec.events().size();
+  ScheduleRecord record;
+  record.outcome = session.resumed ? exec.resume(scheduler) : exec.run(program, scheduler);
+  record.events = static_cast<std::uint32_t>(exec.events().size());
   // Store-buffer stats. The engine's counters are checkpoint/rollback-aware
   // (snapshotted scalars), so at schedule end they always read this full
-  // schedule's totals — summing them here is byte-identical across the
-  // incremental replay modes, exactly like totalEvents.
-  result_.flushEvents += exec.flushEventCount();
-  result_.fenceEvents += exec.fenceEventCount();
-  if (exec.maxBufferedStores() > result_.maxBufferedStores) {
-    result_.maxBufferedStores = exec.maxBufferedStores();
-  }
-
-  switch (outcome) {
-    case runtime::Outcome::Terminal: {
-      ++result_.terminalSchedules;
-      const support::Hash128 hbr = recorder_.fingerprint(trace::Relation::Full);
-      const support::Hash128 lazy = recorder_.fingerprint(trace::Relation::Lazy);
-      const support::Hash128 value = recorder_.fingerprint(trace::Relation::Value);
-      const support::Hash128 state = exec.stateFingerprint();
-      classes_.hbrs.insert(hbr);
-      classes_.lazyHbrs.insert(lazy);
-      classes_.valueClasses.insert(value);
-      classes_.states.insert(state);
-      if (options_.checkTheorems) {
-        thm21_.record(hbr, state);
-        thm22_.record(lazy, state);
-        thmValue_.record(value, state);
-      }
+  // schedule's totals — byte-identical across the incremental replay modes,
+  // exactly like the event count.
+  record.flushEvents = exec.flushEventCount();
+  record.fenceEvents = exec.fenceEventCount();
+  record.maxBufferedStores = exec.maxBufferedStores();
+  switch (record.outcome) {
+    case runtime::Outcome::Terminal:
+      record.hbr = recorder_.fingerprint(trace::Relation::Full);
+      record.lazyHbr = recorder_.fingerprint(trace::Relation::Lazy);
+      record.valueClass = recorder_.fingerprint(trace::Relation::Value);
+      record.state = exec.stateFingerprint();
       break;
-    }
     case runtime::Outcome::Deadlock:
     case runtime::Outcome::AssertionFailure:
-    case runtime::Outcome::UsageError: {
-      ++result_.violationSchedules;
-      if (result_.violations.size() < options_.maxViolationsKept) {
-        const runtime::Violation& v = exec.violation();
-        result_.violations.push_back(ViolationRecord{v.kind, v.message, v.schedule});
+    case runtime::Outcome::UsageError:
+      record.violation = &exec.violation();
+      break;
+    case runtime::Outcome::Abandoned:
+    case runtime::Outcome::EventLimit:
+      break;
+  }
+
+  if (options_.detectRaces) {
+    raceAggregator_.ingest(recorder_);
+  }
+  if (cache_ != nullptr && record.outcome != runtime::Outcome::Abandoned &&
+      recorder_.eventCount() > 0) {
+    // The final event's prefix is never probed (there is no further pick);
+    // seed it so later schedules can prune against it.
+    cache_->insert(recorder_.fingerprint(*cacheRelation_));
+  }
+  fold(record);
+  return record;
+}
+
+void ExplorerBase::fold(const ScheduleRecord& record) {
+  ++result_.schedulesExecuted;
+  result_.totalEvents += record.events;
+  result_.flushEvents += record.flushEvents;
+  result_.fenceEvents += record.fenceEvents;
+  if (record.maxBufferedStores > result_.maxBufferedStores) {
+    result_.maxBufferedStores = record.maxBufferedStores;
+  }
+
+  switch (record.outcome) {
+    case runtime::Outcome::Terminal:
+      ++result_.terminalSchedules;
+      classes_.hbrs.insert(record.hbr);
+      classes_.lazyHbrs.insert(record.lazyHbr);
+      classes_.valueClasses.insert(record.valueClass);
+      classes_.states.insert(record.state);
+      if (options_.checkTheorems) {
+        thm21_.record(record.hbr, record.state);
+        thm22_.record(record.lazyHbr, record.state);
+        thmValue_.record(record.valueClass, record.state);
       }
       break;
-    }
+    case runtime::Outcome::Deadlock:
+    case runtime::Outcome::AssertionFailure:
+    case runtime::Outcome::UsageError:
+      ++result_.violationSchedules;
+      if (result_.violations.size() < options_.maxViolationsKept) {
+        LAZYHB_CHECK(record.violation != nullptr);
+        result_.violations.push_back(*record.violation);
+      }
+      break;
     case runtime::Outcome::Abandoned:
       ++result_.prunedSchedules;
       break;
@@ -151,15 +179,6 @@ runtime::Outcome ExplorerBase::executeSchedule(const Program& program,
       break;  // counted as executed, contributes no terminal data
   }
 
-  if (options_.detectRaces) {
-    raceAggregator_.ingest(recorder_);
-  }
-  if (cache_ != nullptr && outcome != runtime::Outcome::Abandoned &&
-      recorder_.eventCount() > 0) {
-    // The final event's prefix is never probed (there is no further pick);
-    // seed it so later schedules can prune against it.
-    cache_->insert(recorder_.fingerprint(*cacheRelation_));
-  }
   if (options_.onScheduleTick && options_.tickIntervalSchedules > 0 &&
       result_.schedulesExecuted % options_.tickIntervalSchedules == 0) {
     options_.onScheduleTick(result_.schedulesExecuted);
@@ -169,7 +188,6 @@ runtime::Outcome ExplorerBase::executeSchedule(const Program& program,
     deadlineExpired_ = true;
     result_.timedOut = true;
   }
-  return outcome;
 }
 
 }  // namespace lazyhb::explore

@@ -117,11 +117,31 @@ struct ExplorerOptions {
   std::uint64_t tickIntervalSchedules = 0;  ///< 0 disables progress ticks
 };
 
-/// A recorded property violation with the schedule that reproduces it.
-struct ViolationRecord {
-  runtime::Outcome kind = runtime::Outcome::Terminal;
-  std::string message;
-  std::vector<int> schedule;  ///< thread picked at each step; replayable
+/// A recorded property violation with the schedule that reproduces it
+/// (the thread picked at each step; replayable).
+using ViolationRecord = runtime::Violation;
+
+/// What one schedule contributes to an ExplorationResult, read off the
+/// execution and the recorder once it ends. Every field is a function of the
+/// schedule's pick sequence (programs are deterministic apart from
+/// scheduling), so a stored record folds exactly like a fresh one — which is
+/// what lets RandomExplorer skip walks it already ran. Holds nothing owned:
+/// the tree search makes one per schedule.
+struct ScheduleRecord {
+  runtime::Outcome outcome = runtime::Outcome::Terminal;
+  std::uint32_t events = 0;  ///< logical events, elided ones included
+  std::uint32_t maxBufferedStores = 0;  ///< TSO: the deepest store buffer
+  std::uint64_t flushEvents = 0;        ///< TSO flush events committed
+  std::uint64_t fenceEvents = 0;        ///< TSO fence events committed
+  /// Terminal schedules only: the full-HBR, lazy-HBR, value-class and state
+  /// fingerprints.
+  support::Hash128 hbr;
+  support::Hash128 lazyHbr;
+  support::Hash128 valueClass;
+  support::Hash128 state;
+  /// Violating schedules: the violation, borrowed. fold() dereferences it
+  /// only while the result keeps fewer than maxViolationsKept.
+  const ViolationRecord* violation = nullptr;
 };
 
 /// Snapshot of an explorer's HBR prefix cache at the end of the search.
@@ -253,13 +273,22 @@ class ExplorerBase : public Explorer {
   /// hitScheduleLimit — or the search should stop for a found violation.
   bool mayRunSchedule();
 
-  /// Execute one schedule under `scheduler`, updating all statistics and,
-  /// when caching, seeding the cache with the schedule's final prefix. In
+  /// Execute one schedule under `scheduler` and fold() its record; when
+  /// detecting races or caching, also ingest the schedule's races and seed
+  /// the cache with its final prefix, straight from the recorder. In
   /// incremental mode the execution may be the persistent rolled-back one
-  /// (see prefixEngine()); statistics are identical either way. Returns
-  /// the outcome. Callers check mayRunSchedule() first.
-  runtime::Outcome executeSchedule(const Program& program,
-                                   runtime::Scheduler& scheduler);
+  /// (see prefixEngine()); statistics are identical either way. Returns the
+  /// record, whose violation lives until the next schedule starts. Callers
+  /// check mayRunSchedule() first.
+  ScheduleRecord executeSchedule(const Program& program,
+                                 runtime::Scheduler& scheduler);
+
+  /// Apply one schedule's record: the result's counters, the distinct-class
+  /// sets, the theorem checkers, the kept violations, the progress tick and
+  /// the wall-clock deadline. Folding a record again for a schedule run
+  /// before counts exactly as re-running it would, bar races: those the
+  /// aggregator already holds.
+  void fold(const ScheduleRecord& record);
 
   /// True when the strategy consults a prefix cache.
   [[nodiscard]] bool cachesPrefixes() const noexcept { return cache_ != nullptr; }

@@ -235,7 +235,7 @@ void Execution::checkpoint(Snapshot& s) {
   // checkpoint). The TSO stat counters are tiny scalars, copied outright
   // so replayed prefixes report the same totals however they were reached.
   s.objects = objectUndo_.mark();
-  s.buffers = bufferUndo_.mark();
+  s.buffers = bufferUndo_.mark().size;
   s.flushEvents = flushEvents_;
   s.fenceEvents = fenceEvents_;
   s.maxBufferedStores = maxBufferedStores_;
@@ -252,7 +252,8 @@ void Execution::rollbackTo(const Snapshot& s) {
   // thread truncation below must wait: an entry can name a thread spawned
   // past the checkpoint, whose rec must still be addressable while its
   // (empty) pre-image is swapped back in.
-  bufferUndo_.rollbackTo(s.buffers, [this](std::int32_t tid, BufferState& pre) {
+  const support::UndoMark buffers{s.buffers, s.objects.generation};
+  bufferUndo_.rollbackTo(buffers, [this](std::int32_t tid, BufferState& pre) {
     swap(static_cast<BufferState&>(threads_[static_cast<std::size_t>(tid)]), pre);
   });
   // A snapshot deeper than this run reached was not dropped when it had to be.

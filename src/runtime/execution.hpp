@@ -46,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -124,13 +125,10 @@ struct ObjectState {
   std::int64_t a = -1;
   std::vector<int> waiters;  ///< CondVar: parked thread indices, FIFO
 
-  /// Rollback's restore, member-wise (std::swap would move the vector
-  /// three times).
-  friend void swap(ObjectState& x, ObjectState& y) noexcept {
-    std::swap(x.valueHash, y.valueHash);
-    std::swap(x.a, y.a);
-    x.waiters.swap(y.waiters);
-  }
+  /// Every field, once (support/undo_log.hpp's swapFields).
+  auto tie() noexcept { return std::tie(valueHash, a, waiters); }
+  /// Rollback's restore.
+  friend void swap(ObjectState& x, ObjectState& y) noexcept { support::swapFields(x, y); }
 };
 
 /// Registry entry for a shared object: its state plus an identity that is
@@ -205,11 +203,10 @@ class Execution {
     /// counter of the thread's flush agent's event stream.
     std::uint32_t flushCount = 0;
 
-    /// Rollback's restore, member-wise like ObjectState's.
-    friend void swap(BufferState& x, BufferState& y) noexcept {
-      x.storeBuffer.swap(y.storeBuffer);
-      std::swap(x.flushCount, y.flushCount);
-    }
+    /// Every field, once (support/undo_log.hpp's swapFields).
+    auto tie() noexcept { return std::tie(storeBuffer, flushCount); }
+    /// Rollback's restore.
+    friend void swap(BufferState& x, BufferState& y) noexcept { support::swapFields(x, y); }
   };
 
   /// Rollback snapshot of one thread.
@@ -241,7 +238,9 @@ class Execution {
     std::size_t depth = 0;  ///< events_.size() == choices_.size()
     std::size_t objectCount = 0;
     support::UndoMark objects;  ///< object-table undo log at staging
-    support::UndoMark buffers;  ///< store-buffer undo log at staging
+    /// Store-buffer undo log length at staging. Its generation is objects'
+    /// own: reset() resets both logs together.
+    std::size_t buffers = 0;
     std::uint64_t flushEvents = 0;   ///< TSO stat counters at staging time
     std::uint64_t fenceEvents = 0;
     std::uint32_t maxBufferedStores = 0;

@@ -22,9 +22,9 @@
 //                  hands the entries above `m` to `restore` newest-first and
 //                  opens a new epoch, so post-rollback changes log again and
 //                  the same mark can be rolled back to once per sibling.
-//                  Restoring by swap (each pre-image declares a
-//                  member-wise one) consumes the entry and keeps its
-//                  vectors' capacity in the pooled arena.
+//                  Restoring by swap (swapFields below) consumes the
+//                  entry and keeps its vectors' capacity in the pooled
+//                  arena.
 //   reset()        drops every entry (the arena stays allocated) and
 //                  advances the generation, so rollbackTo rejects a mark
 //                  taken before it.
@@ -37,11 +37,47 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "support/diagnostics.hpp"
 
 namespace lazyhb::support {
+
+/// A pre-image lists its fields once, in a `tie()` member returning
+/// std::tie of every field; swapFields and clearFields derive rollback's
+/// restore and a per-execution clear from that one list, so a field added
+/// there is restored and cleared everywhere. Both go field by field: the
+/// whole-struct std::swap would move each vector three times, and assigning
+/// a fresh struct would drop each vector's capacity.
+template <class State, class F>
+void forEachFieldPair(State& x, State& y, F&& f) {
+  auto xs = x.tie();
+  auto ys = y.tie();
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (f(std::get<I>(xs), std::get<I>(ys)), ...);
+  }(std::make_index_sequence<std::tuple_size_v<decltype(xs)>>{});
+}
+
+template <class State>
+void swapFields(State& x, State& y) noexcept {
+  forEachFieldPair(x, y, [](auto& a, auto& b) { std::swap(a, b); });
+}
+
+/// Returns every field of `x` to its default member initializer; vectors
+/// are clear()ed and keep their capacity.
+template <class State>
+void clearFields(State& x) noexcept {
+  State initial;
+  forEachFieldPair(x, initial, [](auto& field, auto& init) {
+    if constexpr (requires { field.clear(); }) {
+      field.clear();
+    } else {
+      field = init;
+    }
+  });
+}
 
 /// Where an UndoLog stood at mark(): its length and the reset generation it
 /// belongs to. A default UndoMark (generation 0) was never taken.

@@ -102,6 +102,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -279,21 +280,15 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     /// cannot encode; the value fingerprint folds it order-sensitively.
     std::vector<runtime::Uid> cvQueue;
 
-    /// Rollback's restore, member-wise: std::swap would move each of the
-    /// four vectors three times, a cost rollback-heavy searches pay per
-    /// undo entry.
-    friend void swap(HistoryState& x, HistoryState& y) noexcept {
-      std::swap(x.lastWrite, y.lastWrite);
-      x.readersSinceWrite.swap(y.readersSinceWrite);
-      std::swap(x.lastChainOp, y.lastChainOp);
-      std::swap(x.lastTryLock, y.lastTryLock);
-      x.mutexOpsSinceTryLock.swap(y.mutexOpsSinceTryLock);
-      std::swap(x.lastReleaseEvent, y.lastReleaseEvent);
-      std::swap(x.lastWriteEvent, y.lastWriteEvent);
-      x.lastReadPerThread.swap(y.lastReadPerThread);
-      std::swap(x.valueHash, y.valueHash);
-      x.cvQueue.swap(y.cvQueue);
+    /// Every field, once (support/undo_log.hpp's swapFields and
+    /// clearFields).
+    auto tie() noexcept {
+      return std::tie(lastWrite, readersSinceWrite, lastChainOp, lastTryLock,
+                      mutexOpsSinceTryLock, lastReleaseEvent, lastWriteEvent,
+                      lastReadPerThread, valueHash, cvQueue);
     }
+    /// Rollback's restore.
+    friend void swap(HistoryState& x, HistoryState& y) noexcept { support::swapFields(x, y); }
   };
 
   struct ObjectHistory : HistoryState {
@@ -307,19 +302,10 @@ class TraceRecorder final : public runtime::ExecutionObserver {
     /// Clears per-execution state; every vector keeps its capacity, so a
     /// steady-state execution allocates nothing here.
     void reset(runtime::Uid u, runtime::ObjectKind k) {
+      support::clearFields<HistoryState>(*this);
       uid = u;
       kind = k;
-      lastWrite = -1;
-      readersSinceWrite.clear();
-      lastChainOp = -1;
       chain.clear();
-      lastTryLock = -1;
-      mutexOpsSinceTryLock.clear();
-      lastReleaseEvent = -1;
-      lastWriteEvent = -1;
-      lastReadPerThread.clear();
-      valueHash = 0;
-      cvQueue.clear();
     }
   };
 

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "core/equivalence.hpp"
+#include "core/race_detector.hpp"
 #include "programs/registry.hpp"
+#include "support/rng.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -342,5 +347,255 @@ TEST_P(CompletenessSweep, ReducedExplorersMatchNaive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSmallPrograms, CompletenessSweep, ::testing::Range(0, 10));
+
+// --- the random explorer's walk memo ----------------------------------------
+
+/// RandomExplorer's draw, with no memo: below(enabled count) picks the
+/// nth enabled thread.
+class DrawScheduler final : public runtime::Scheduler {
+ public:
+  explicit DrawScheduler(std::uint64_t seed) : rng_(seed) {}
+  int pick(runtime::Execution& exec) override {
+    const support::ThreadSet enabled = exec.enabled();
+    auto nth = rng_.below(static_cast<std::uint64_t>(enabled.size()));
+    int tid = enabled.first();
+    while (nth-- > 0) tid = enabled.next(tid);
+    return tid;
+  }
+
+ private:
+  support::Rng rng_;
+};
+
+/// What RandomExplorer must report: every walk executed and folded by hand.
+struct PlainRandomRun {
+  explore::ExplorationResult result;
+  std::vector<std::uint64_t> ticks;
+  std::set<std::vector<int>> distinctWalks;  ///< pick sequences, by thread
+};
+
+PlainRandomRun runPlainRandom(const explore::Program& program,
+                              const explore::ExplorerOptions& options, std::uint64_t seed) {
+  PlainRandomRun out;
+  explore::ExplorationResult& r = out.result;
+  runtime::StackPool pool;
+  trace::TraceRecorder recorder(
+      trace::TraceRecorder::Options{options.keepPredecessors, options.detectRaces});
+  explore::TerminalClasses classes;
+  core::EquivalenceChecker thm21;
+  core::EquivalenceChecker thm22;
+  core::EquivalenceChecker thmValue;
+  core::RaceAggregator races;
+  runtime::Config config;
+  config.maxEventsPerSchedule = options.maxEventsPerSchedule;
+  config.memoryModel = options.memoryModel;
+  for (std::uint64_t k = 0;; ++k) {
+    if (r.schedulesExecuted >= options.scheduleLimit) {
+      r.hitScheduleLimit = true;
+      break;
+    }
+    if (options.stopOnFirstViolation && !r.violations.empty()) break;
+    runtime::Execution exec(config, pool, &recorder);
+    DrawScheduler scheduler(support::mix64(seed + k));
+    const runtime::Outcome outcome = exec.run(program, scheduler);
+    out.distinctWalks.insert(exec.choices());
+    ++r.schedulesExecuted;
+    r.totalEvents += exec.events().size();
+    r.flushEvents += exec.flushEventCount();
+    r.fenceEvents += exec.fenceEventCount();
+    r.maxBufferedStores = std::max(r.maxBufferedStores, exec.maxBufferedStores());
+    if (outcome == runtime::Outcome::Terminal) {
+      ++r.terminalSchedules;
+      const support::Hash128 hbr = recorder.fingerprint(trace::Relation::Full);
+      const support::Hash128 lazy = recorder.fingerprint(trace::Relation::Lazy);
+      const support::Hash128 value = recorder.fingerprint(trace::Relation::Value);
+      const support::Hash128 state = exec.stateFingerprint();
+      classes.hbrs.insert(hbr);
+      classes.lazyHbrs.insert(lazy);
+      classes.valueClasses.insert(value);
+      classes.states.insert(state);
+      thm21.record(hbr, state);
+      thm22.record(lazy, state);
+      thmValue.record(value, state);
+    } else if (outcome != runtime::Outcome::EventLimit) {
+      ++r.violationSchedules;
+      if (r.violations.size() < options.maxViolationsKept) {
+        r.violations.push_back(exec.violation());
+      }
+    }
+    if (options.detectRaces) races.ingest(recorder);
+    if (options.tickIntervalSchedules > 0 &&
+        r.schedulesExecuted % options.tickIntervalSchedules == 0) {
+      out.ticks.push_back(r.schedulesExecuted);
+    }
+  }
+  r.distinctHbrs = classes.hbrs.size();
+  r.distinctLazyHbrs = classes.lazyHbrs.size();
+  r.distinctValueClasses = classes.valueClasses.size();
+  r.distinctStates = classes.states.size();
+  if (options.checkTheorems) {
+    r.theorem21 = thm21.stats();
+    r.theorem22 = thm22.stats();
+    r.theoremValue = thmValue.stats();
+  }
+  r.races = races.distinctRaces();
+  r.checkpointStats.enabled = options.incremental;
+  return out;
+}
+
+void expectSameStats(const core::EquivalenceChecker::Stats& a,
+                     const core::EquivalenceChecker::Stats& b) {
+  EXPECT_EQ(a.schedules, b.schedules);
+  EXPECT_EQ(a.classes, b.classes);
+  EXPECT_EQ(a.states, b.states);
+  EXPECT_EQ(a.conflicts, b.conflicts);
+}
+
+void expectSameResult(const explore::ExplorationResult& got,
+                      const explore::ExplorationResult& want) {
+  EXPECT_EQ(got.schedulesExecuted, want.schedulesExecuted);
+  EXPECT_EQ(got.terminalSchedules, want.terminalSchedules);
+  EXPECT_EQ(got.violationSchedules, want.violationSchedules);
+  EXPECT_EQ(got.prunedSchedules, want.prunedSchedules);
+  EXPECT_EQ(got.totalEvents, want.totalEvents);
+  EXPECT_EQ(got.eventsElided, want.eventsElided);
+  EXPECT_EQ(got.eventsReplayed, want.eventsReplayed);
+  EXPECT_EQ(got.distinctHbrs, want.distinctHbrs);
+  EXPECT_EQ(got.distinctLazyHbrs, want.distinctLazyHbrs);
+  EXPECT_EQ(got.distinctValueClasses, want.distinctValueClasses);
+  EXPECT_EQ(got.distinctStates, want.distinctStates);
+  EXPECT_EQ(got.hitScheduleLimit, want.hitScheduleLimit);
+  EXPECT_EQ(got.complete, want.complete);
+  EXPECT_EQ(got.timedOut, want.timedOut);
+  ASSERT_EQ(got.violations.size(), want.violations.size());
+  for (std::size_t i = 0; i < got.violations.size(); ++i) {
+    EXPECT_EQ(got.violations[i].kind, want.violations[i].kind) << i;
+    EXPECT_EQ(got.violations[i].message, want.violations[i].message) << i;
+    EXPECT_EQ(got.violations[i].schedule, want.violations[i].schedule) << i;
+  }
+  expectSameStats(got.theorem21, want.theorem21);
+  expectSameStats(got.theorem22, want.theorem22);
+  expectSameStats(got.theoremValue, want.theoremValue);
+  ASSERT_EQ(got.races.size(), want.races.size());
+  for (std::size_t i = 0; i < got.races.size(); ++i) {
+    EXPECT_EQ(got.races[i].objectUid, want.races[i].objectUid) << i;
+    EXPECT_EQ(got.races[i].objectName, want.races[i].objectName) << i;
+    EXPECT_EQ(got.races[i].firstEvent, want.races[i].firstEvent) << i;
+    EXPECT_EQ(got.races[i].secondEvent, want.races[i].secondEvent) << i;
+  }
+  EXPECT_EQ(got.flushEvents, want.flushEvents);
+  EXPECT_EQ(got.fenceEvents, want.fenceEvents);
+  EXPECT_EQ(got.maxBufferedStores, want.maxBufferedStores);
+  EXPECT_EQ(got.cacheStats.enabled, want.cacheStats.enabled);
+  EXPECT_EQ(got.checkpointStats.enabled, want.checkpointStats.enabled);
+  EXPECT_EQ(got.checkpointStats.stages, want.checkpointStats.stages);
+  EXPECT_EQ(got.checkpointStats.bytesStaged, want.checkpointStats.bytesStaged);
+}
+
+TEST(RandomMemo, RunsEachDistinctWalkOnce) {
+  int runs = 0;
+  const explore::Program program = [&runs] {
+    ++runs;
+    figure1Program();
+  };
+  explore::ExplorerOptions options = lazyhb::testing::smallOptions(2000);
+  const PlainRandomRun plain = runPlainRandom(program, options, 42);
+  runs = 0;
+  explore::RandomExplorer explorer(options, 42);
+  const explore::ExplorationResult result = explorer.explore(program);
+  EXPECT_EQ(result.schedulesExecuted, 2000u);
+  EXPECT_EQ(static_cast<std::size_t>(runs), plain.distinctWalks.size());
+  EXPECT_LT(static_cast<std::uint64_t>(runs), result.schedulesExecuted);
+}
+
+TEST(RandomMemo, MatchesExecutingEveryWalk) {
+  struct Config {
+    const char* label;
+    std::uint32_t maxViolationsKept;
+    bool stopOnFirstViolation;
+  };
+  const Config configs[] = {{"keep16", 16, false}, {"keep1", 1, false}, {"stop", 16, true}};
+  for (const memory::MemoryModel model : {memory::MemoryModel::Sc, memory::MemoryModel::Tso}) {
+    for (const char* name : {"deadlock-ab", "lost-signal", "sb-unfenced", "noisy-counter-3x2"}) {
+      const programs::ProgramSpec* spec = programs::byName(name);
+      ASSERT_NE(spec, nullptr) << name;
+      for (const Config& config : configs) {
+        SCOPED_TRACE(std::string(name) + " " + memory::memoryModelName(model) + " " + config.label);
+        explore::ExplorerOptions options = lazyhb::testing::smallOptions(600);
+        options.memoryModel = model;
+        options.detectRaces = true;
+        options.maxViolationsKept = config.maxViolationsKept;
+        options.stopOnFirstViolation = config.stopOnFirstViolation;
+        options.tickIntervalSchedules = 7;
+        const PlainRandomRun plain = runPlainRandom(spec->body, options, 42);
+        std::vector<std::uint64_t> ticks;
+        options.onScheduleTick = [&ticks](std::uint64_t n) { ticks.push_back(n); };
+        explore::RandomExplorer explorer(options, 42);
+        expectSameResult(explorer.explore(spec->body), plain.result);
+        EXPECT_EQ(ticks, plain.ticks);
+      }
+    }
+  }
+}
+
+TEST(RandomMemo, ProgramWithoutPicksIsOneLeaf) {
+  int runs = 0;
+  explore::RandomExplorer explorer(lazyhb::testing::smallOptions(100), 7);
+  const explore::ExplorationResult result = explorer.explore([&runs] { ++runs; });
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(result.schedulesExecuted, 100u);
+  EXPECT_EQ(result.terminalSchedules, 100u);
+  EXPECT_EQ(result.distinctStates, 1u);
+}
+
+/// The steps a walk seeded `seed` takes through points enabling `counts`.
+std::vector<explore::PickTrie::Step> drawnPath(std::uint64_t seed,
+                                               const std::vector<std::uint32_t>& counts) {
+  support::Rng rng(seed);
+  std::vector<explore::PickTrie::Step> path;
+  for (const std::uint32_t n : counts) {
+    path.push_back({n, static_cast<std::uint32_t>(rng.below(n))});
+  }
+  return path;
+}
+
+TEST(RandomMemo, TrieRootCanBeALeaf) {
+  explore::PickTrie trie;
+  EXPECT_EQ(trie.find(1), nullptr);
+  explore::PickTrie::Leaf leaf;
+  leaf.record.events = 3;
+  ASSERT_TRUE(trie.insert({}, leaf));
+  for (const std::uint64_t seed : {1u, 2u, 99u}) {
+    const explore::PickTrie::Leaf* hit = trie.find(seed);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->record.events, 3u);
+  }
+}
+
+TEST(RandomMemo, TrieStopsInsertingAtItsCapButStillHits) {
+  constexpr std::size_t kCap = 1024;
+  explore::PickTrie trie(kCap);
+  const std::vector<std::uint32_t> counts = {4, 3, 4, 3, 4, 3};
+  std::vector<std::uint64_t> stored;
+  std::uint64_t seed = 0;
+  for (bool inserted = true; inserted; ++seed) {
+    if (trie.find(seed) != nullptr) continue;
+    explore::PickTrie::Leaf leaf;
+    leaf.record.events = static_cast<std::uint32_t>(seed);
+    inserted = trie.insert(drawnPath(seed, counts), leaf);
+    if (inserted) stored.push_back(seed);
+  }
+  ASSERT_FALSE(stored.empty());
+  EXPECT_LE(trie.bytes(), kCap);
+  EXPECT_EQ(trie.leafCount(), stored.size());
+  // Full: a new walk is refused, even one that would fit in a spare slot.
+  explore::PickTrie::Leaf late;
+  EXPECT_FALSE(trie.insert(drawnPath(seed, counts), late));
+  for (const std::uint64_t s : stored) {
+    const explore::PickTrie::Leaf* hit = trie.find(s);
+    ASSERT_NE(hit, nullptr) << s;
+    EXPECT_EQ(hit->record.events, s);
+  }
+}
 
 }  // namespace
