@@ -1,23 +1,12 @@
-// Shared driver for the figure/table reproduction benches: the corpus
-// flags, the --only selection, and aligned tables plus optional CSV for
-// external plotting.
-//
-// Benches whose measurement is a (programs × explorers) matrix go through
-// the campaign layer (campaignOptions/maybeWriteReport below), so their
-// tables come from the same runner as `lazyhb bench` and they can dump the
-// same versioned BENCH_*.json via --out. tab_theorem_check alone runs a
-// bespoke per-benchmark procedure (per-program random seeds) through the
-// campaign's runTasks directly.
+// Shared driver for the corpus benches: the corpus flags, the --only
+// selection, and aligned tables plus optional CSV for external plotting.
 
 #pragma once
 
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "campaign/campaign.hpp"
-#include "campaign/report.hpp"
 #include "programs/registry.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
@@ -44,42 +33,6 @@ inline std::vector<const programs::ProgramSpec*> selectCorpus(
     if (only.empty() || spec.name == only) selected.push_back(&spec);
   }
   return selected;
-}
-
-/// Build campaign options from the shared corpus flags for a matrix bench
-/// running `explorers` over the --only selection.
-inline campaign::CampaignOptions campaignOptions(
-    const support::Options& options,
-    std::vector<campaign::ExplorerSpec> explorers) {
-  campaign::CampaignOptions co;
-  co.explorers = std::move(explorers);
-  co.programs = selectCorpus(options);
-  co.explorer.scheduleLimit = static_cast<std::uint64_t>(options.getInt("limit"));
-  co.explorer.maxEventsPerSchedule =
-      static_cast<std::uint32_t>(options.getInt("max-events"));
-  co.jobs = static_cast<int>(options.getInt("jobs"));
-  return co;
-}
-
-/// Honour a bench's --out flag: write the campaign's versioned JSON report.
-/// The config block is echoed from the CampaignOptions the run actually
-/// used, so the report stays self-describing. Returns false when --out was
-/// given but the file could not be written — callers must fail their exit
-/// status, or a pipeline depending on the BENCH_*.json artifact sees
-/// success with no report.
-[[nodiscard]] inline bool maybeWriteReport(
-    const support::Options& options,
-    const campaign::CampaignOptions& campaignOptions,
-    const campaign::CampaignResult& result) {
-  const std::string out = options.getString("out");
-  if (out.empty()) return true;
-  if (!campaign::writeDocument(
-          out, campaign::writeReportJson(
-                   result, campaign::makeReportConfig(campaignOptions)))) {
-    return false;
-  }
-  if (out != "-") std::printf("report: %s\n", out.c_str());
-  return true;
 }
 
 inline void emit(const support::Table& table, bool csv) {

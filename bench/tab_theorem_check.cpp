@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "campaign/campaign.hpp"
 #include "campaign/explorer_spec.hpp"
 
 using namespace lazyhb;

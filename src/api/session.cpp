@@ -176,7 +176,7 @@ TestReport Session::run(const Program& program) const {
   if (!spec) {
     throw std::invalid_argument("lazyhb: unknown strategy '" +
                                 config_.strategy + "' (expected one of: " +
-                                campaign::explorerNamesHelp(true) + ")");
+                                campaign::explorerNamesHelp() + ")");
   }
 
   const campaign::CampaignOptions cell = sessionOptions(*this);

@@ -77,19 +77,6 @@ ProgramSummary summarizeProgram(const std::vector<const CellResult*>& row) {
 
 }  // namespace
 
-core::BenchmarkCounts CellResult::counts() const {
-  core::BenchmarkCounts c;
-  c.name = program;
-  c.id = programId;
-  c.schedules = stats.schedulesExecuted;
-  c.hbrs = stats.distinctHbrs;
-  c.lazyHbrs = stats.distinctLazyHbrs;
-  c.valueClasses = stats.distinctValueClasses;
-  c.states = stats.distinctStates;
-  c.hitScheduleLimit = stats.hitScheduleLimit;
-  return c;
-}
-
 CampaignResult foldCells(std::vector<CellResult> cells,
                          const std::vector<std::string>& explorerOrder) {
   LAZYHB_CHECK(!explorerOrder.empty());
@@ -379,8 +366,8 @@ CampaignResult runCampaign(const CampaignOptions& options) {
         if (!cell.failed()) {
           // A timed-out prefix still satisfies the §3 chain (every count is
           // a prefix of the full run's), so the check stays on.
-          cell.inequalityDiagnostic = core::checkCountingChain(
-              cell.counts(), options.explorer.scheduleLimit);
+          cell.inequalityDiagnostic = checkCountingChain(
+              cell.program, cell.stats, options.explorer.scheduleLimit);
         }
 
         if (cell.timedOut || cell.failed()) {
@@ -435,43 +422,57 @@ CampaignResult runCampaign(const CampaignOptions& options) {
   return result;
 }
 
-std::vector<core::BenchmarkCounts> fig2Counts(const CampaignResult& result) {
-  std::vector<core::BenchmarkCounts> rows;
-  rows.reserve(result.programs.size());
-  for (const CellResult& cell : result.cells) {
-    if (cell.explorer == "dpor") rows.push_back(cell.counts());
+std::string checkCountingChain(const std::string& program,
+                               const explore::ExplorationResult& stats,
+                               std::uint64_t scheduleLimit) {
+  auto fail = [&](const char* what) {
+    return program + ": counting chain violated (" + what + ")";
+  };
+  if (stats.distinctValueClasses > 0) {
+    if (stats.distinctStates > stats.distinctValueClasses) {
+      return fail("#states > #valueClasses");
+    }
+    if (stats.distinctValueClasses > stats.distinctLazyHbrs) {
+      return fail("#valueClasses > #lazyHBRs");
+    }
+  } else if (stats.distinctStates > stats.distinctLazyHbrs) {
+    return fail("#states > #lazyHBRs");
   }
-  return rows;
+  if (stats.distinctLazyHbrs > stats.distinctHbrs) return fail("#lazyHBRs > #HBRs");
+  if (stats.distinctHbrs > stats.schedulesExecuted) return fail("#HBRs > #schedules");
+  if (stats.schedulesExecuted > scheduleLimit) return fail("#schedules > limit");
+  return std::string();
 }
 
-std::vector<core::CachingCounts> fig3Counts(const CampaignResult& result) {
-  std::vector<core::CachingCounts> rows;
-  // Walk program rows; emit one row where both caching cells are present.
-  for (std::size_t i = 0; i < result.cells.size();) {
-    std::size_t j = i;
-    const CellResult* full = nullptr;
-    const CellResult* lazy = nullptr;
-    while (j < result.cells.size() &&
-           result.cells[j].programId == result.cells[i].programId) {
-      if (result.cells[j].explorer == "caching-full") full = &result.cells[j];
-      if (result.cells[j].explorer == "caching-lazy") lazy = &result.cells[j];
-      ++j;
+FigureTotals figureTotals(const std::vector<ProgramSummary>& programs) {
+  const auto percent = [](std::uint64_t part, std::uint64_t whole) {
+    return whole == 0 ? 0.0
+                      : 100.0 * static_cast<double>(part) / static_cast<double>(whole);
+  };
+  FigureTotals t;
+  for (const ProgramSummary& p : programs) {
+    if (p.hasDpor) {
+      ++t.dporPrograms;
+      if (p.belowDiagonal) {
+        ++t.belowDiagonal;
+        t.hbrsBelow += p.dporHbrs;
+        t.redundantHbrs += p.dporHbrs - p.dporLazyHbrs;
+      }
     }
-    if (full != nullptr && lazy != nullptr) {
-      core::CachingCounts row;
-      row.name = full->program;
-      row.id = full->programId;
-      row.lazyHbrsByRegularCaching = full->stats.distinctLazyHbrs;
-      row.lazyHbrsByLazyCaching = lazy->stats.distinctLazyHbrs;
-      row.schedulesRegular = full->stats.schedulesExecuted;
-      row.schedulesLazy = lazy->stats.schedulesExecuted;
-      row.hitScheduleLimit =
-          full->stats.hitScheduleLimit || lazy->stats.hitScheduleLimit;
-      rows.push_back(row);
+    if (p.hasCachingPair) {
+      ++t.cachingPrograms;
+      if (p.cachingDiffers) {
+        ++t.cachingDiffers;
+        t.extraLazyHbrs += p.lazyHbrsByLazyCaching - p.lazyHbrsByFullCaching;
+        t.regularOnDiffering += p.lazyHbrsByFullCaching;
+      } else if (p.lazyHbrsByFullCaching > p.lazyHbrsByLazyCaching) {
+        ++t.regularWon;
+      }
     }
-    i = j;
   }
-  return rows;
+  t.redundantPercent = percent(t.redundantHbrs, t.hbrsBelow);
+  t.extraPercent = percent(t.extraLazyHbrs, t.regularOnDiffering);
+  return t;
 }
 
 }  // namespace lazyhb::campaign

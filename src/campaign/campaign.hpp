@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "campaign/explorer_spec.hpp"
-#include "core/redundancy.hpp"
 #include "explore/explorer.hpp"
 #include "lazyhb/progress.hpp"
 #include "programs/registry.hpp"
@@ -59,9 +58,6 @@ struct CellResult {
     return inequalityDiagnostic.empty();
   }
   [[nodiscard]] bool failed() const noexcept { return !error.empty(); }
-  /// The cell's counts in the shape core::summarizeFig2 / checkCountingChain
-  /// consume.
-  [[nodiscard]] core::BenchmarkCounts counts() const;
 };
 
 /// One program's row across the campaign: the §3 check plus the reduction
@@ -225,16 +221,41 @@ struct CampaignOptions {
 void runTasks(std::vector<std::function<void()>> tasks, int jobs);
 
 /// Run the full (programs × explorers) matrix. The campaign entry point for
-/// the CLI's `bench` subcommand and the figure benches.
+/// the CLI's `bench` subcommand; `lazyhb figures` prints the paper's
+/// figures from the report it writes.
 [[nodiscard]] CampaignResult runCampaign(const CampaignOptions& options);
 
-/// Figure 2 rows (one per program) from a campaign that ran "dpor".
-[[nodiscard]] std::vector<core::BenchmarkCounts> fig2Counts(
-    const CampaignResult& result);
+/// Verify the §3 counting chain on one cell's counts:
+///   #states <= #valueClasses <= #lazyHBRs <= #HBRs <= #schedules <= limit.
+/// A cell with no value classes recorded falls back to the original
+/// #states <= #lazyHBRs link. Returns an empty string if the chain holds,
+/// else a diagnostic naming `program`.
+[[nodiscard]] std::string checkCountingChain(const std::string& program,
+                                             const explore::ExplorationResult& stats,
+                                             std::uint64_t scheduleLimit);
 
-/// Figure 3 rows (one per program) from a campaign that ran both
-/// "caching-full" and "caching-lazy".
-[[nodiscard]] std::vector<core::CachingCounts> fig3Counts(
-    const CampaignResult& result);
+/// The paper's Figure 2 and Figure 3 aggregates over a campaign's
+/// per-program rows. Each half counts only the programs whose row carries
+/// its section (hasDpor / hasCachingPair).
+struct FigureTotals {
+  // Figure 2: unique HBRs under DPOR that the lazy HBR proves redundant
+  // (the paper: 33 of 79 below the diagonal, 910,007 = 80% redundant).
+  int dporPrograms = 0;
+  int belowDiagonal = 0;
+  std::uint64_t hbrsBelow = 0;      ///< summed dporHbrs over below-diagonal rows
+  std::uint64_t redundantHbrs = 0;  ///< hbrsBelow minus their summed dporLazyHbrs
+  double redundantPercent = 0.0;    ///< redundantHbrs / hbrsBelow * 100
+
+  // Figure 3: terminal lazy HBRs reached by regular vs. lazy HBR caching
+  // (the paper: 18 of 79 differ, 8,969 = 84% more).
+  int cachingPrograms = 0;
+  int cachingDiffers = 0;               ///< lazy caching reached strictly more
+  int regularWon = 0;                   ///< regular caching reached strictly more
+  std::uint64_t extraLazyHbrs = 0;      ///< summed (lazy - regular) over differing rows
+  std::uint64_t regularOnDiffering = 0;  ///< summed regular over the same rows
+  double extraPercent = 0.0;            ///< extraLazyHbrs / regularOnDiffering * 100
+};
+
+[[nodiscard]] FigureTotals figureTotals(const std::vector<ProgramSummary>& programs);
 
 }  // namespace lazyhb::campaign

@@ -74,18 +74,13 @@ std::optional<std::vector<ExplorerSpec>> parseExplorerList(const std::string& cs
   return specs;
 }
 
-std::string explorerNamesHelp(bool includeExtended) {
+std::string explorerNamesHelp() {
   std::string out;
-  for (const ExplorerSpec& spec : allExplorers()) {
-    if (!out.empty()) out += ", ";
-    out += spec.name;
-  }
-  if (includeExtended) {
-    for (const ExplorerSpec& spec : extendedExplorers()) {
-      out += ", " + spec.name;
-    }
-  }
-  return out;
+  for (const ExplorerSpec& spec : allExplorers()) out += spec.name + ", ";
+  for (const ExplorerSpec& spec : extendedExplorers()) out += spec.name + ", ";
+  out.resize(out.size() - 2);
+  return out + "; the first " + std::to_string(allExplorers().size()) +
+         " make up the default matrix";
 }
 
 }  // namespace lazyhb::campaign

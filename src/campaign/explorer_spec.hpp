@@ -1,7 +1,7 @@
 // lazyhb/campaign/explorer_spec.hpp
 //
-// The one explorer factory shared by the CLI, the figure benches and the
-// campaign runner. An ExplorerSpec is a *value* naming an explorer
+// The one explorer factory shared by the CLI, the Session API, the benches
+// and the campaign runner. An ExplorerSpec is a *value* naming an explorer
 // configuration; `create()` builds a fresh explorer instance from it.
 // Because explorers are single-use (ExplorerBase::explore may run once),
 // every campaign cell constructs its own explorer from the spec — which is
@@ -31,9 +31,9 @@ struct ExplorerSpec {
     Dpor,
     CachingFull,
     CachingLazy,
-    // Ablation variants (parseable, but not part of allExplorers()):
-    DporNoSleep,   ///< Flanagan–Godefroid backtracking without sleep sets
-    CachingValue,  ///< value-class caching (coarser than caching-lazy)
+    // Outside the default matrix (extendedExplorers(); select by name):
+    DporNoSleep,   ///< ablation: DPOR backtracking without sleep sets
+    CachingValue,  ///< value-class caching, coarser than caching-lazy
   };
 
   Kind kind = Kind::Dfs;
@@ -65,9 +65,8 @@ struct ExplorerSpec {
 [[nodiscard]] std::optional<std::vector<ExplorerSpec>> parseExplorerList(
     const std::string& csv, std::string* badName = nullptr);
 
-/// "dfs, random, dpor, caching-full, caching-lazy" — for usage strings.
-/// With includeExtended, the ablation variants are appended too (use in
-/// unknown-name error messages, where every accepted spelling belongs).
-[[nodiscard]] std::string explorerNamesHelp(bool includeExtended = false);
+/// Every mode name parseExplorerSpec accepts, the default matrix marked —
+/// for help text and unknown-name errors.
+[[nodiscard]] std::string explorerNamesHelp();
 
 }  // namespace lazyhb::campaign

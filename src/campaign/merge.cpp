@@ -272,8 +272,8 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
     // Re-check the §3 chain from the merged cell's own counts — a merged
     // report must not inherit inequality verdicts it cannot verify.
     if (!cell.failed()) {
-      cell.inequalityDiagnostic =
-          core::checkCountingChain(cell.counts(), outcome.config.scheduleLimit);
+      cell.inequalityDiagnostic = checkCountingChain(
+          cell.program, cell.stats, outcome.config.scheduleLimit);
     }
     cells.push_back(std::move(cell));
   }

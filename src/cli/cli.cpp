@@ -1,5 +1,6 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -42,6 +43,8 @@ void printTopLevelUsage() {
       "            with --checkpoint/--resume, divisible with --shard i/N)\n"
       "  merge     merge shard/resume bench reports into one report with\n"
       "            recomputed totals\n"
+      "  figures   print the paper's Figure 2, Figure 3, section-3 chain and\n"
+      "            explorer ablation from bench reports\n"
       "  replay    re-execute a recorded schedule and render its trace\n"
       "\n"
       "Run `lazyhb <command> --help` for the command's options.\n"
@@ -226,8 +229,7 @@ int cmdExplore(int argc, char** argv) {
                            "run one program under one explorer and report stats");
   options.addString("program", "", "program name (see `lazyhb list`)");
   options.addString("explorer", "dfs",
-                    "dfs | random | dpor | caching-full | caching-lazy "
-                    "(also the extended variants dpor-nosleep, caching-value)");
+                    "explorer mode: " + campaign::explorerNamesHelp());
   addExplorerFlags(options);
   options.addString("out", "",
                     "write the lazyhb-test-report JSON to this path ('-': "
@@ -241,7 +243,7 @@ int cmdExplore(int argc, char** argv) {
   const std::string mode = options.getString("explorer");
   if (!campaign::parseExplorerSpec(mode)) {
     std::fprintf(stderr, "lazyhb: unknown explorer '%s' (expected %s)\n",
-                 mode.c_str(), campaign::explorerNamesHelp(true).c_str());
+                 mode.c_str(), campaign::explorerNamesHelp().c_str());
     return kExitUsage;
   }
   Session session;
@@ -435,8 +437,8 @@ int cmdBench(int argc, char** argv) {
       "run the (program x explorer) campaign matrix in parallel and emit a "
       "machine-readable JSON report");
   options.addString("explorers", "",
-                    "comma-separated explorer modes (default: all of " +
-                        campaign::explorerNamesHelp() + ")");
+                    "comma-separated explorer modes (empty: the default "
+                    "matrix): " + campaign::explorerNamesHelp());
   options.addString("programs", "",
                     "comma-separated program or family names (default: the "
                     "full corpus)");
@@ -478,7 +480,7 @@ int cmdBench(int argc, char** argv) {
       campaign::parseExplorerList(options.getString("explorers"), &bad);
   if (!explorers) {
     std::fprintf(stderr, "lazyhb: unknown explorer '%s' (expected %s)\n",
-                 bad.c_str(), campaign::explorerNamesHelp(true).c_str());
+                 bad.c_str(), campaign::explorerNamesHelp().c_str());
     return kExitUsage;
   }
 
@@ -650,6 +652,31 @@ int cmdBench(int argc, char** argv) {
 
 // --- merge -------------------------------------------------------------------
 
+/// Read the report files at `paths` and merge them (a single report merges
+/// with itself alone: re-folded, every cell's chain re-checked). Returns
+/// kExitOk, or the exit status after printing the error: kExitIo when a
+/// file cannot be read, kExitViolation when the reports do not merge.
+int mergeReportFiles(const std::vector<std::string>& paths,
+                     campaign::MergeOutcome* merged) {
+  // Inputs are named report files ("-" is not read as stdin here).
+  std::vector<std::string> documents;
+  try {
+    for (const std::string& path : paths) {
+      documents.push_back(campaign::readDocument(path));
+    }
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return kExitIo;
+  }
+  try {
+    *merged = campaign::mergeReports(documents, paths);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return kExitViolation;
+  }
+  return kExitOk;
+}
+
 int cmdMerge(int argc, char** argv) {
   support::Options options(
       "lazyhb merge [report.json ...]",
@@ -669,24 +696,9 @@ int cmdMerge(int argc, char** argv) {
                  "arguments\n");
     return kExitUsage;
   }
-
-  // Merge inputs are named report files ("-" is not read as stdin here).
-  std::vector<std::string> documents;
-  try {
-    for (const std::string& path : paths) {
-      documents.push_back(campaign::readDocument(path));
-    }
-  } catch (const std::runtime_error& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    return kExitIo;
-  }
-
   campaign::MergeOutcome merged;
-  try {
-    merged = campaign::mergeReports(documents, paths);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    return kExitViolation;
+  if (const int status = mergeReportFiles(paths, &merged); status != kExitOk) {
+    return status;
   }
 
   const std::string out = options.getString("out");
@@ -705,6 +717,180 @@ int cmdMerge(int argc, char** argv) {
                     : "VIOLATED");
   }
   return merged.result.inequalityViolations == 0 ? kExitOk : kExitViolation;
+}
+
+// --- figures -----------------------------------------------------------------
+
+/// The stats of `program`'s `explorer` cell; the caller knows it exists
+/// (its ProgramSummary section is present).
+const explore::ExplorationResult& cellStats(const campaign::CampaignResult& result,
+                                            int programId, const char* explorer) {
+  return std::find_if(result.cells.begin(), result.cells.end(),
+                      [&](const campaign::CellResult& cell) {
+                        return cell.programId == programId &&
+                               cell.explorer == explorer;
+                      })
+      ->stats;
+}
+
+/// Figure 2, from the programs that have a dpor cell.
+void printFigure2(const campaign::CampaignResult& result,
+                  const campaign::FigureTotals& totals) {
+  std::printf("\nFigure 2: #HBRs vs #lazy HBRs explored by DPOR\n");
+  support::Table table({"id", "program", "schedules", "#HBRs", "#lazyHBRs",
+                        "hit-limit", "below-diagonal"});
+  for (const campaign::ProgramSummary& p : result.programs) {
+    if (!p.hasDpor) continue;
+    const explore::ExplorationResult& dpor = cellStats(result, p.id, "dpor");
+    table.beginRow();
+    table.cell(static_cast<std::int64_t>(p.id));
+    table.cell(p.program);
+    table.cell(dpor.schedulesExecuted);
+    table.cell(p.dporHbrs);
+    table.cell(p.dporLazyHbrs);
+    table.cell(std::string(dpor.hitScheduleLimit ? "yes" : "no"));
+    table.cell(std::string(p.belowDiagonal ? "BELOW" : "-"));
+  }
+  std::fputs(table.toText().c_str(), stdout);
+  std::printf("ours:  %d/%d programs below the diagonal; %s of %s unique HBRs "
+              "on them are redundant (%.0f%%)\n",
+              totals.belowDiagonal, totals.dporPrograms,
+              support::withCommas(totals.redundantHbrs).c_str(),
+              support::withCommas(totals.hbrsBelow).c_str(),
+              totals.redundantPercent);
+  std::printf("paper: 33/79 programs below the diagonal; 910,007 of the "
+              "unique HBRs on them are redundant (80%%)\n");
+}
+
+/// Figure 3, from the programs that have both caching cells.
+void printFigure3(const campaign::CampaignResult& result,
+                  const campaign::FigureTotals& totals) {
+  std::printf("\nFigure 3: terminal lazy HBRs reached by regular vs. lazy HBR "
+              "caching\n");
+  support::Table table({"id", "program", "lazyHBRs(HBR-caching)",
+                        "lazyHBRs(lazy-caching)", "sched(reg)", "sched(lazy)",
+                        "hit-limit", "differs"});
+  for (const campaign::ProgramSummary& p : result.programs) {
+    if (!p.hasCachingPair) continue;
+    const explore::ExplorationResult& full = cellStats(result, p.id, "caching-full");
+    const explore::ExplorationResult& lazy = cellStats(result, p.id, "caching-lazy");
+    table.beginRow();
+    table.cell(static_cast<std::int64_t>(p.id));
+    table.cell(p.program);
+    table.cell(p.lazyHbrsByFullCaching);
+    table.cell(p.lazyHbrsByLazyCaching);
+    table.cell(full.schedulesExecuted);
+    table.cell(lazy.schedulesExecuted);
+    const bool hitLimit = full.hitScheduleLimit || lazy.hitScheduleLimit;
+    table.cell(std::string(hitLimit ? "yes" : "no"));
+    table.cell(std::string(p.cachingDiffers ? "LAZY+" : "-"));
+  }
+  std::fputs(table.toText().c_str(), stdout);
+  std::printf("ours:  %d/%d programs differ; lazy HBR caching explored %s "
+              "(%.0f%%) more terminal lazy HBRs across them; regular caching "
+              "won on %d (expected 0)\n",
+              totals.cachingDiffers, totals.cachingPrograms,
+              support::withCommas(totals.extraLazyHbrs).c_str(),
+              totals.extraPercent, totals.regularWon);
+  std::printf("paper: 18/79 programs differ; lazy HBR caching explored 8,969 "
+              "(84%%) more terminal lazy HBRs across them\n");
+}
+
+/// The section-3 chain: every dfs cell, plus every cell of any explorer
+/// that breaks the chain or failed. Returns the number of the latter.
+int printChain(const campaign::CampaignResult& result) {
+  std::printf("\nSection 3: #states <= #valueClasses <= #lazyHBRs <= #HBRs <= "
+              "#schedules per cell\n");
+  support::Table table({"id", "program", "explorer", "#states",
+                        "#valueClasses", "#lazyHBRs", "#HBRs", "#schedules",
+                        "chain"});
+  int dfsCells = 0;
+  int dfsBroken = 0;
+  int broken = 0;
+  for (const campaign::CellResult& cell : result.cells) {
+    const bool ok = !cell.failed() && cell.inequalityHolds();
+    const bool dfs = cell.explorer == "dfs";
+    broken += ok ? 0 : 1;
+    dfsCells += dfs ? 1 : 0;
+    dfsBroken += (dfs && !ok) ? 1 : 0;
+    if (!dfs && ok) continue;
+    table.beginRow();
+    table.cell(static_cast<std::int64_t>(cell.programId));
+    table.cell(cell.program);
+    table.cell(cell.explorer);
+    table.cell(cell.stats.distinctStates);
+    table.cell(cell.stats.distinctValueClasses);
+    table.cell(cell.stats.distinctLazyHbrs);
+    table.cell(cell.stats.distinctHbrs);
+    table.cell(cell.stats.schedulesExecuted);
+    table.cell(cell.failed() ? cell.error
+               : ok          ? std::string("ok")
+                             : cell.inequalityDiagnostic);
+  }
+  if (table.rowCount() > 0) std::fputs(table.toText().c_str(), stdout);
+  std::printf("%d/%zu cells break the chain or failed (dfs: %d/%d); the chain "
+              "holds by construction, so any break is an implementation bug\n",
+              broken, result.cells.size(), dfsBroken, dfsCells);
+  return broken;
+}
+
+/// The explorer ablation: per-explorer totals over the whole campaign.
+void printAblation(const campaign::CampaignResult& result) {
+  std::printf("\nExplorer ablation: totals per explorer\n");
+  support::Table table({"explorer", "cells", "schedules(total)",
+                        "lazyHBRs(total)", "states(total)",
+                        "cells-with-violation", "complete"});
+  for (const campaign::ExplorerTotals& t : result.perExplorer) {
+    std::uint64_t withViolation = 0;
+    std::uint64_t complete = 0;
+    for (const campaign::CellResult& cell : result.cells) {
+      if (cell.explorer != t.explorer) continue;
+      withViolation += cell.stats.violationSchedules > 0 ? 1 : 0;
+      complete += cell.stats.complete ? 1 : 0;
+    }
+    table.beginRow();
+    table.cell(t.explorer);
+    table.cell(t.cells);
+    table.cell(t.schedules);
+    table.cell(t.lazyHbrs);
+    table.cell(t.states);
+    table.cell(withViolation);
+    table.cell(complete);
+  }
+  std::fputs(table.toText().c_str(), stdout);
+}
+
+int cmdFigures(int argc, char** argv) {
+  support::Options options(
+      "lazyhb figures REPORT [REPORT ...]",
+      "print the paper's Figure 2 and Figure 3, the section-3 counting chain "
+      "and the explorer ablation from bench reports (shards are merged "
+      "first); each figure needs its explorers in the report: Figure 2 dpor, "
+      "Figure 3 caching-full and caching-lazy");
+  if (!options.parse(argc, argv)) return options.parseError() ? kExitUsage : kExitOk;
+
+  const std::vector<std::string>& paths = options.positional();
+  if (paths.empty()) {
+    std::fprintf(stderr,
+                 "lazyhb: no report — pass bench report files as positional "
+                 "arguments\n");
+    return kExitUsage;
+  }
+  campaign::MergeOutcome merged;
+  if (const int status = mergeReportFiles(paths, &merged); status != kExitOk) {
+    return status;
+  }
+  const campaign::CampaignResult& result = merged.result;
+
+  std::printf("%zu program(s) x %zu explorer(s), %llu-schedule budget\n",
+              result.programs.size(), result.perExplorer.size(),
+              static_cast<unsigned long long>(merged.config.scheduleLimit));
+  const campaign::FigureTotals totals = campaign::figureTotals(result.programs);
+  if (totals.dporPrograms > 0) printFigure2(result, totals);
+  if (totals.cachingPrograms > 0) printFigure3(result, totals);
+  const int broken = printChain(result);
+  printAblation(result);
+  return broken == 0 ? kExitOk : kExitViolation;
 }
 
 // --- replay ------------------------------------------------------------------
@@ -816,6 +1002,7 @@ int run(int argc, char** argv) {
   if (command == "compare") return cmdCompare(subArgc, subArgv);
   if (command == "bench") return cmdBench(subArgc, subArgv);
   if (command == "merge") return cmdMerge(subArgc, subArgv);
+  if (command == "figures") return cmdFigures(subArgc, subArgv);
   if (command == "replay") return cmdReplay(subArgc, subArgv);
   std::fprintf(stderr, "lazyhb: unknown command '%s'\n\n", command.c_str());
   printTopLevelUsage();

@@ -1,8 +1,8 @@
 // lazyhb/support/table.hpp
 //
-// Column-aligned text tables and CSV emission for the experiment harnesses.
-// Every figure/table bench prints both a human-readable table (stdout) and,
-// on request, machine-readable CSV so plots can be regenerated externally.
+// Column-aligned text tables and CSV emission for the CLI and the benches:
+// a human-readable table on stdout and, on request, machine-readable CSV so
+// plots can be regenerated externally.
 
 #pragma once
 

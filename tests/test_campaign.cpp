@@ -9,11 +9,14 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/explorer_spec.hpp"
+#include "campaign/merge.hpp"
 #include "campaign/report.hpp"
 #include "core/hbr_cache.hpp"
 #include "programs/registry.hpp"
@@ -41,6 +44,26 @@ TEST(ExplorerSpec, RejectsUnknownNames) {
   EXPECT_FALSE(campaign::parseExplorerSpec("caching").has_value());
   EXPECT_FALSE(campaign::parseExplorerSpec("DFS").has_value());  // case matters
   EXPECT_FALSE(campaign::parseExplorerSpec("dfs ").has_value());
+}
+
+TEST(ExplorerSpec, HelpNamesEveryAcceptedMode) {
+  std::string help = campaign::explorerNamesHelp();
+  for (char& c : help) {
+    if (c == ',' || c == ';') c = ' ';
+  }
+  std::set<std::string> words;
+  std::istringstream in(help);
+  for (std::string word; in >> word;) words.insert(word);
+
+  std::vector<campaign::ExplorerSpec> accepted = campaign::allExplorers();
+  for (const campaign::ExplorerSpec& spec : campaign::extendedExplorers()) {
+    accepted.push_back(spec);
+  }
+  EXPECT_EQ(accepted.size(), 7u);
+  for (const campaign::ExplorerSpec& spec : accepted) {
+    EXPECT_TRUE(campaign::parseExplorerSpec(spec.name).has_value()) << spec.name;
+    EXPECT_TRUE(words.count(spec.name)) << spec.name << " missing from: " << help;
+  }
 }
 
 TEST(ExplorerSpec, ParseListSplitsAndValidates) {
@@ -308,25 +331,6 @@ TEST(Campaign, CacheStatsSurfaceFootprint) {
   }
 }
 
-TEST(Campaign, Fig2AndFig3ViewsMatchCells) {
-  const auto result = campaign::runCampaign(smallCampaign(2));
-  const auto fig2 = campaign::fig2Counts(result);
-  ASSERT_EQ(fig2.size(), result.programs.size());
-  for (std::size_t p = 0; p < fig2.size(); ++p) {
-    EXPECT_EQ(fig2[p].name, result.programs[p].program);
-    EXPECT_EQ(fig2[p].hbrs, result.programs[p].dporHbrs);
-    EXPECT_EQ(fig2[p].lazyHbrs, result.programs[p].dporLazyHbrs);
-  }
-  const auto fig3 = campaign::fig3Counts(result);
-  ASSERT_EQ(fig3.size(), result.programs.size());
-  for (std::size_t p = 0; p < fig3.size(); ++p) {
-    EXPECT_EQ(fig3[p].lazyHbrsByRegularCaching,
-              result.programs[p].lazyHbrsByFullCaching);
-    EXPECT_EQ(fig3[p].lazyHbrsByLazyCaching,
-              result.programs[p].lazyHbrsByLazyCaching);
-  }
-}
-
 TEST(Campaign, ProgressCallbackSeesEveryCell) {
   auto options = smallCampaign(4);
   std::vector<std::size_t> doneValues;
@@ -406,6 +410,32 @@ TEST(Report, VersionedAndStructurallySound) {
   }
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
+}
+
+TEST(Report, FigureTotalsSurviveTheReportRoundTrip) {
+  const campaign::CampaignOptions options = smallCampaign(2);
+  const auto direct = campaign::runCampaign(options);
+  const std::string json =
+      campaign::writeReportJson(direct, campaign::makeReportConfig(options));
+  const campaign::MergeOutcome read = campaign::mergeReports({json}, {"small"});
+
+  const campaign::FigureTotals want = campaign::figureTotals(direct.programs);
+  const campaign::FigureTotals got = campaign::figureTotals(read.result.programs);
+  EXPECT_EQ(want.dporPrograms, 4);
+  EXPECT_EQ(want.cachingPrograms, 4);
+  EXPECT_GT(want.belowDiagonal, 0);
+  EXPECT_EQ(got.dporPrograms, want.dporPrograms);
+  EXPECT_EQ(got.belowDiagonal, want.belowDiagonal);
+  EXPECT_EQ(got.hbrsBelow, want.hbrsBelow);
+  EXPECT_EQ(got.redundantHbrs, want.redundantHbrs);
+  EXPECT_EQ(got.redundantPercent, want.redundantPercent);
+  EXPECT_EQ(got.cachingPrograms, want.cachingPrograms);
+  EXPECT_EQ(got.cachingDiffers, want.cachingDiffers);
+  EXPECT_EQ(got.regularWon, want.regularWon);
+  EXPECT_EQ(got.extraLazyHbrs, want.extraLazyHbrs);
+  EXPECT_EQ(got.regularOnDiffering, want.regularOnDiffering);
+  EXPECT_EQ(got.extraPercent, want.extraPercent);
+  EXPECT_EQ(read.result.inequalityViolations, 0);
 }
 
 TEST(Report, HbrCacheFootprintGrowsWithInsertions) {

@@ -1,14 +1,15 @@
 // Unit tests for the core module: the HBR prefix cache, the theorem
-// checkers, the Figure 2/3 summary aggregation and race aggregation.
+// checkers and race aggregation; plus the Figure 2/3 totals and the §3
+// chain check the campaign layer builds on them.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "core/equivalence.hpp"
 #include "core/hbr_cache.hpp"
-#include "core/redundancy.hpp"
 
 namespace {
 
@@ -130,57 +131,85 @@ TEST(EquivalenceChecker, ManyClassesOneState) {
   EXPECT_EQ(checker.stats().conflicts, 0u);
 }
 
-core::BenchmarkCounts counts(const char* name, std::uint64_t schedules,
-                             std::uint64_t hbrs, std::uint64_t lazyHbrs,
-                             std::uint64_t states) {
-  core::BenchmarkCounts c;
-  c.name = name;
-  c.schedules = schedules;
-  c.hbrs = hbrs;
-  c.lazyHbrs = lazyHbrs;
-  c.states = states;
+explore::ExplorationResult counts(std::uint64_t schedules, std::uint64_t hbrs,
+                                  std::uint64_t lazyHbrs, std::uint64_t states) {
+  explore::ExplorationResult c;
+  c.schedulesExecuted = schedules;
+  c.distinctHbrs = hbrs;
+  c.distinctLazyHbrs = lazyHbrs;
+  c.distinctStates = states;
   return c;
 }
 
+campaign::ProgramSummary dporRow(std::uint64_t hbrs, std::uint64_t lazyHbrs) {
+  campaign::ProgramSummary p;
+  p.hasDpor = true;
+  p.dporHbrs = hbrs;
+  p.dporLazyHbrs = lazyHbrs;
+  p.belowDiagonal = lazyHbrs < hbrs;
+  return p;
+}
+
+campaign::ProgramSummary cachingRow(std::uint64_t regular, std::uint64_t lazy) {
+  campaign::ProgramSummary p;
+  p.hasCachingPair = true;
+  p.lazyHbrsByFullCaching = regular;
+  p.lazyHbrsByLazyCaching = lazy;
+  p.cachingDiffers = lazy > regular;
+  return p;
+}
+
 TEST(Redundancy, Fig2SummaryMatchesPaperArithmetic) {
-  // Mirror the paper's aggregate definition on a toy set: two benchmarks
-  // below the diagonal (with 100+20 HBRs, 10+2 lazy) and one on it.
-  std::vector<core::BenchmarkCounts> rows{
-      counts("a", 1000, 100, 10, 5),
-      counts("b", 500, 20, 2, 2),
-      counts("c", 10, 7, 7, 3),
-  };
-  const auto summary = core::summarizeFig2(rows);
-  EXPECT_EQ(summary.benchmarks, 3);
-  EXPECT_EQ(summary.belowDiagonal, 2);
-  EXPECT_EQ(summary.hbrsBelow, 120u);
-  EXPECT_EQ(summary.lazyHbrsBelow, 12u);
-  EXPECT_EQ(summary.redundantHbrs, 108u);
-  EXPECT_NEAR(summary.redundantPercent, 90.0, 0.01);
+  // Mirror the paper's aggregate definition on a toy set: two programs
+  // below the diagonal (with 100+20 HBRs, 10+2 lazy), one on it, and one
+  // without a dpor cell.
+  const std::vector<campaign::ProgramSummary> rows{
+      dporRow(100, 10), dporRow(20, 2), dporRow(7, 7), cachingRow(5, 9)};
+  const campaign::FigureTotals totals = campaign::figureTotals(rows);
+  EXPECT_EQ(totals.dporPrograms, 3);
+  EXPECT_EQ(totals.belowDiagonal, 2);
+  EXPECT_EQ(totals.hbrsBelow, 120u);
+  EXPECT_EQ(totals.redundantHbrs, 108u);
+  EXPECT_NEAR(totals.redundantPercent, 90.0, 0.01);
 }
 
 TEST(Redundancy, Fig3SummaryCountsDifferingOnly) {
-  std::vector<core::CachingCounts> rows(3);
-  rows[0].lazyHbrsByRegularCaching = 10;
-  rows[0].lazyHbrsByLazyCaching = 25;  // differs: +15
-  rows[1].lazyHbrsByRegularCaching = 7;
-  rows[1].lazyHbrsByLazyCaching = 7;  // equal
-  rows[2].lazyHbrsByRegularCaching = 3;
-  rows[2].lazyHbrsByLazyCaching = 6;  // differs: +3
-  const auto summary = core::summarizeFig3(rows);
-  EXPECT_EQ(summary.differing, 2);
-  EXPECT_EQ(summary.regularWon, 0);
-  EXPECT_EQ(summary.extraLazyHbrs, 18u);
-  EXPECT_EQ(summary.regularOnDiffering, 13u);
-  EXPECT_NEAR(summary.extraPercent, 100.0 * 18.0 / 13.0, 0.01);
+  const std::vector<campaign::ProgramSummary> rows{
+      cachingRow(10, 25),  // differs: +15
+      cachingRow(7, 7),    // equal
+      cachingRow(3, 6),    // differs: +3
+      cachingRow(4, 2),    // regular won
+      dporRow(9, 1)};      // no caching pair
+  const campaign::FigureTotals totals = campaign::figureTotals(rows);
+  EXPECT_EQ(totals.cachingPrograms, 4);
+  EXPECT_EQ(totals.cachingDiffers, 2);
+  EXPECT_EQ(totals.regularWon, 1);
+  EXPECT_EQ(totals.extraLazyHbrs, 18u);
+  EXPECT_EQ(totals.regularOnDiffering, 13u);
+  EXPECT_NEAR(totals.extraPercent, 100.0 * 18.0 / 13.0, 0.01);
 }
 
 TEST(Redundancy, CountingChainDiagnostics) {
-  EXPECT_EQ(core::checkCountingChain(counts("ok", 100, 50, 20, 10), 1000), "");
-  EXPECT_NE(core::checkCountingChain(counts("bad1", 100, 50, 60, 10), 1000), "");
-  EXPECT_NE(core::checkCountingChain(counts("bad2", 100, 200, 20, 10), 1000), "");
-  EXPECT_NE(core::checkCountingChain(counts("bad3", 100, 50, 20, 30), 1000), "");
-  EXPECT_NE(core::checkCountingChain(counts("bad4", 2000, 50, 20, 10), 1000), "");
+  EXPECT_EQ(campaign::checkCountingChain("ok", counts(100, 50, 20, 10), 1000), "");
+  EXPECT_EQ(campaign::checkCountingChain("bad1", counts(100, 50, 60, 10), 1000),
+            "bad1: counting chain violated (#lazyHBRs > #HBRs)");
+  EXPECT_EQ(campaign::checkCountingChain("bad2", counts(100, 200, 20, 10), 1000),
+            "bad2: counting chain violated (#HBRs > #schedules)");
+  EXPECT_EQ(campaign::checkCountingChain("bad3", counts(100, 50, 20, 30), 1000),
+            "bad3: counting chain violated (#states > #lazyHBRs)");
+  EXPECT_EQ(campaign::checkCountingChain("bad4", counts(2000, 50, 20, 10), 1000),
+            "bad4: counting chain violated (#schedules > limit)");
+
+  // With value classes recorded, the extended links are checked instead.
+  explore::ExplorationResult value = counts(100, 50, 20, 10);
+  value.distinctValueClasses = 15;
+  EXPECT_EQ(campaign::checkCountingChain("v", value, 1000), "");
+  value.distinctValueClasses = 25;
+  EXPECT_EQ(campaign::checkCountingChain("v", value, 1000),
+            "v: counting chain violated (#valueClasses > #lazyHBRs)");
+  value.distinctValueClasses = 5;
+  EXPECT_EQ(campaign::checkCountingChain("v", value, 1000),
+            "v: counting chain violated (#states > #valueClasses)");
 }
 
 }  // namespace

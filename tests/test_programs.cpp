@@ -7,7 +7,7 @@
 
 #include <set>
 
-#include "core/redundancy.hpp"
+#include "campaign/campaign.hpp"
 #include "programs/registry.hpp"
 #include "test_helpers.hpp"
 
@@ -65,13 +65,7 @@ TEST_P(CorpusSweep, CountingChainAndTheoremsHold) {
   }
 
   // The paper's §3 counting chain.
-  core::BenchmarkCounts counts;
-  counts.name = spec.name;
-  counts.schedules = result.schedulesExecuted;
-  counts.hbrs = result.distinctHbrs;
-  counts.lazyHbrs = result.distinctLazyHbrs;
-  counts.states = result.distinctStates;
-  EXPECT_EQ(core::checkCountingChain(counts, options.scheduleLimit), "") << spec.name;
+  EXPECT_EQ(campaign::checkCountingChain(spec.name, result, options.scheduleLimit), "");
 
   // Theorems 2.1 and 2.2 on every terminal schedule seen.
   EXPECT_EQ(result.theorem21.conflicts, 0u) << spec.name;
@@ -125,13 +119,7 @@ TEST_P(WeakMemTsoSweep, TsoBugClassificationAndChainsHold) {
     EXPECT_NE(v.kind, runtime::Outcome::UsageError) << spec.name << ": " << v.message;
   }
 
-  core::BenchmarkCounts counts;
-  counts.name = spec.name;
-  counts.schedules = result.schedulesExecuted;
-  counts.hbrs = result.distinctHbrs;
-  counts.lazyHbrs = result.distinctLazyHbrs;
-  counts.states = result.distinctStates;
-  EXPECT_EQ(core::checkCountingChain(counts, options.scheduleLimit), "") << spec.name;
+  EXPECT_EQ(campaign::checkCountingChain(spec.name, result, options.scheduleLimit), "");
   EXPECT_EQ(result.theorem21.conflicts, 0u) << spec.name;
   EXPECT_EQ(result.theorem22.conflicts, 0u) << spec.name;
 
