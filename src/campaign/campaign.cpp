@@ -6,9 +6,11 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "campaign/checkpoint.hpp"
+#include "campaign/report.hpp"
 #include "support/diagnostics.hpp"
 
 namespace lazyhb::campaign {
@@ -27,6 +29,32 @@ const CellResult* cellFor(const std::vector<const CellResult*>& row,
     if (cell->explorer == explorerName) return cell;
   }
   return nullptr;
+}
+
+/// Add the 64-bit counts of `cell` into `sum`; the flags and the TSO buffer
+/// high-water mark do not add up and keep their defaults.
+void addCounts(explore::ExplorationResult& sum, const explore::ExplorationResult& cell) {
+  forEachCount(
+      [](const Count&, auto& total, const auto& value) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(total)>, std::uint64_t>) {
+          total += value;
+        }
+      },
+      sum, cell);
+}
+
+/// A lifecycle event about `cell`, as far as the cell has got (a cell that
+/// has not run yet reports no schedules, attempt 1 and no wall time).
+ProgressEvent cellEvent(ProgressEvent::Kind kind, const CellResult& cell) {
+  ProgressEvent event;
+  event.kind = kind;
+  event.scenario = cell.program;
+  event.strategy = cell.explorer;
+  event.schedulesExecuted = cell.stats.schedulesExecuted;
+  event.attempt = cell.attempts;
+  event.wallSeconds = cell.wallSeconds;
+  event.fromCheckpoint = cell.fromCheckpoint;
+  return event;
 }
 
 ProgramSummary summarizeProgram(const std::vector<const CellResult*>& row) {
@@ -98,25 +126,8 @@ CampaignResult foldCells(std::vector<CellResult> cells,
   for (const CellResult& cell : result.cells) {
     ExplorerTotals& totals = result.perExplorer[explorerIndex(cell.explorer)];
     ++totals.cells;
-    totals.schedules += cell.stats.schedulesExecuted;
-    totals.terminal += cell.stats.terminalSchedules;
-    totals.pruned += cell.stats.prunedSchedules;
-    totals.violations += cell.stats.violationSchedules;
-    totals.events += cell.stats.totalEvents;
-    totals.eventsElided += cell.stats.eventsElided;
-    totals.eventsReplayed += cell.stats.eventsReplayed;
-    totals.hbrs += cell.stats.distinctHbrs;
-    totals.lazyHbrs += cell.stats.distinctLazyHbrs;
-    totals.valueClasses += cell.stats.distinctValueClasses;
-    totals.states += cell.stats.distinctStates;
+    addCounts(totals.stats, cell.stats);
     totals.wallSeconds += cell.wallSeconds;
-    totals.cacheEntries += cell.stats.cacheStats.entries;
-    totals.cacheHits += cell.stats.cacheStats.hits;
-    totals.cacheApproxBytes += cell.stats.cacheStats.approxBytes;
-    totals.checkpointStages += cell.stats.checkpointStats.stages;
-    totals.checkpointBytesStaged += cell.stats.checkpointStats.bytesStaged;
-    totals.checkpointEvictions += cell.stats.checkpointStats.evictions;
-    totals.checkpointReplayFallbacks += cell.stats.checkpointStats.replayFallbacks;
     if (!cell.inequalityHolds()) ++totals.inequalityViolations;
 
     result.totalSchedules += cell.stats.schedulesExecuted;
@@ -134,9 +145,9 @@ CampaignResult foldCells(std::vector<CellResult> cells,
   for (ExplorerTotals& totals : result.perExplorer) {
     if (totals.wallSeconds > 0.0) {
       totals.eventsPerSecond =
-          static_cast<double>(totals.events) / totals.wallSeconds;
+          static_cast<double>(totals.stats.totalEvents) / totals.wallSeconds;
       totals.executedEventsPerSecond =
-          static_cast<double>(totals.events - totals.eventsElided) /
+          static_cast<double>(totals.stats.totalEvents - totals.stats.eventsElided) /
           totals.wallSeconds;
     }
   }
@@ -241,35 +252,19 @@ CampaignResult runCampaign(const CampaignOptions& options) {
   std::mutex progressMutex;
   std::size_t cellsDone = 0;
 
-  // Serialize every callback (the contract in lazyhb/progress.hpp); the
-  // done-count increments under the same lock so consumers see it monotone.
-  const auto emitEvent = [&](ProgressEvent event) {
-    if (!options.onProgress) return;
+  // Every progress event passes through here, under one lock: callbacks are
+  // serialized (the contract in lazyhb/progress.hpp), and a CellFinished
+  // counts its cell under the same lock so consumers see the count
+  // monotone. Cells are counted even with no callback installed:
+  // CampaignFinished reads the count.
+  const auto emit = [&](ProgressEvent event) {
     const std::lock_guard<std::mutex> guard(progressMutex);
+    if (event.kind == ProgressEvent::Kind::CellFinished) ++cellsDone;
+    if (!options.onProgress) return;
+    event.scheduleLimit = options.explorer.scheduleLimit;
     event.cellsDone = cellsDone;
     event.cellsTotal = shardCells;
     options.onProgress(event);
-  };
-  const auto emitFinished = [&](const CellResult& cell) {
-    if (!options.onProgress) return;
-    const std::lock_guard<std::mutex> guard(progressMutex);
-    ProgressEvent event;
-    event.kind = ProgressEvent::Kind::CellFinished;
-    event.scenario = cell.program;
-    event.strategy = cell.explorer;
-    event.schedulesExecuted = cell.stats.schedulesExecuted;
-    event.scheduleLimit = options.explorer.scheduleLimit;
-    event.attempt = cell.attempts;
-    event.wallSeconds = cell.wallSeconds;
-    event.fromCheckpoint = cell.fromCheckpoint;
-    event.cellsDone = ++cellsDone;
-    event.cellsTotal = shardCells;
-    options.onProgress(event);
-  };
-  // Count even when no callback is installed: CampaignFinished reads it.
-  const auto markDone = [&] {
-    const std::lock_guard<std::mutex> guard(progressMutex);
-    ++cellsDone;
   };
 
   std::vector<std::function<void()>> tasks;
@@ -286,11 +281,7 @@ CampaignResult runCampaign(const CampaignOptions& options) {
       if (journal != nullptr && journal->completed(index)) {
         CellResult cell = journal->loaded(index);
         cell.fromCheckpoint = true;
-        if (options.onProgress) {
-          emitFinished(cell);
-        } else {
-          markDone();
-        }
+        emit(cellEvent(ProgressEvent::Kind::CellFinished, cell));
         submit(index, std::move(cell));
         continue;
       }
@@ -309,22 +300,13 @@ CampaignResult runCampaign(const CampaignOptions& options) {
         cellOptions.checkpointable = program->checkpointable;
         cellOptions.wallTimeoutSeconds = options.cellTimeoutSeconds;
 
-        {
-          ProgressEvent event;
-          event.kind = ProgressEvent::Kind::CellStarted;
-          event.scenario = cell.program;
-          event.strategy = cell.explorer;
-          event.scheduleLimit = options.explorer.scheduleLimit;
-          emitEvent(std::move(event));
-        }
+        emit(cellEvent(ProgressEvent::Kind::CellStarted, cell));
 
         // The supervisor: re-run a timed-out or throwing cell up to
         // cellRetries extra times; a cell that fails every attempt is
         // recorded with its error and zero counts, and the campaign
         // continues past it.
-        int attempt = 0;
-        for (;;) {
-          ++attempt;
+        for (;; ++cell.attempts) {
           cell.stats = {};
           cell.error.clear();
           const auto cellStart = Clock::now();
@@ -339,21 +321,12 @@ CampaignResult runCampaign(const CampaignOptions& options) {
             cell.error = "unknown exception";
           }
           cell.wallSeconds = secondsSince(cellStart);
-          if ((cell.failed() || cell.stats.timedOut) && attempt < maxAttempts) {
-            ProgressEvent event;
-            event.kind = ProgressEvent::Kind::CellRetried;
-            event.scenario = cell.program;
-            event.strategy = cell.explorer;
-            event.schedulesExecuted = cell.stats.schedulesExecuted;
-            event.scheduleLimit = options.explorer.scheduleLimit;
-            event.attempt = attempt;
-            event.wallSeconds = cell.wallSeconds;
-            emitEvent(std::move(event));
-            continue;
+          if ((!cell.failed() && !cell.stats.timedOut) ||
+              cell.attempts >= maxAttempts) {
+            break;
           }
-          break;
+          emit(cellEvent(ProgressEvent::Kind::CellRetried, cell));
         }
-        cell.attempts = attempt;
         cell.timedOut = cell.stats.timedOut;
         if (cell.wallSeconds > 0.0) {
           cell.eventsPerSecond =
@@ -371,26 +344,15 @@ CampaignResult runCampaign(const CampaignOptions& options) {
         }
 
         if (cell.timedOut || cell.failed()) {
-          ProgressEvent event;
-          event.kind = cell.failed() ? ProgressEvent::Kind::CellFailed
-                                     : ProgressEvent::Kind::CellTimedOut;
-          event.scenario = cell.program;
-          event.strategy = cell.explorer;
-          event.schedulesExecuted = cell.stats.schedulesExecuted;
-          event.scheduleLimit = options.explorer.scheduleLimit;
-          event.attempt = cell.attempts;
-          event.wallSeconds = cell.wallSeconds;
-          emitEvent(std::move(event));
+          emit(cellEvent(cell.failed() ? ProgressEvent::Kind::CellFailed
+                                       : ProgressEvent::Kind::CellTimedOut,
+                         cell));
         }
 
         // Journal before announcing: once a consumer sees CellFinished the
         // cell must survive a kill.
         if (journal != nullptr) journal->record(index, cell);
-        if (options.onProgress) {
-          emitFinished(cell);
-        } else {
-          markDone();
-        }
+        emit(cellEvent(ProgressEvent::Kind::CellFinished, cell));
         submit(index, std::move(cell));
       });
     }
@@ -411,14 +373,11 @@ CampaignResult runCampaign(const CampaignOptions& options) {
   result.shardIndex = options.shardIndex;
   result.shardCount = options.shardCount;
 
-  if (options.onProgress) {
-    ProgressEvent event;
-    event.kind = ProgressEvent::Kind::CampaignFinished;
-    event.schedulesExecuted = result.totalSchedules;
-    event.scheduleLimit = options.explorer.scheduleLimit;
-    event.wallSeconds = result.wallSeconds;
-    emitEvent(std::move(event));
-  }
+  ProgressEvent finished;
+  finished.kind = ProgressEvent::Kind::CampaignFinished;
+  finished.schedulesExecuted = result.totalSchedules;
+  finished.wallSeconds = result.wallSeconds;
+  emit(std::move(finished));
   return result;
 }
 

@@ -96,30 +96,12 @@ struct ProgramSummary {
 struct ExplorerTotals {
   std::string explorer;
   std::uint64_t cells = 0;
-  std::uint64_t schedules = 0;
-  std::uint64_t terminal = 0;
-  std::uint64_t pruned = 0;
-  std::uint64_t violations = 0;
-  std::uint64_t events = 0;
-  std::uint64_t eventsElided = 0;    ///< prefix events skipped via rollback
-  std::uint64_t eventsReplayed = 0;  ///< prefix events re-executed to diverge
-  std::uint64_t hbrs = 0;      ///< summed distinct terminal HBRs
-  std::uint64_t lazyHbrs = 0;  ///< summed distinct terminal lazy HBRs
-  std::uint64_t valueClasses = 0;  ///< summed distinct terminal value classes
-  std::uint64_t states = 0;    ///< summed distinct terminal states
+  /// The cells' 64-bit counts summed; the flags and the TSO buffer
+  /// high-water mark keep their defaults.
+  explore::ExplorationResult stats;
   double wallSeconds = 0.0;    ///< summed per-cell wall time (CPU view)
   double eventsPerSecond = 0.0;          ///< logical events / wallSeconds
   double executedEventsPerSecond = 0.0;  ///< (events - eventsElided) / wallSeconds
-  std::uint64_t cacheEntries = 0;
-  std::uint64_t cacheHits = 0;
-  std::uint64_t cacheApproxBytes = 0;
-  /// Summed incremental-checkpoint economics (schema v6; zero when the
-  /// explorer ran non-incrementally). Perf diagnostics only — bench_diff
-  /// never count-compares them.
-  std::uint64_t checkpointStages = 0;
-  std::uint64_t checkpointBytesStaged = 0;
-  std::uint64_t checkpointEvictions = 0;
-  std::uint64_t checkpointReplayFallbacks = 0;
   int inequalityViolations = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "support/diagnostics.hpp"
@@ -24,7 +23,24 @@ struct ParsedReport {
 };
 
 [[noreturn]] void raise(const std::string& label, const std::string& message) {
-  throw std::runtime_error("lazyhb: " + label + ": " + message);
+  throw ReportFormatError("lazyhb: " + label + ": " + message);
+}
+
+/// What a document that is not a report holds: a committed BENCH_PR*.json
+/// wraps two older reports in "before" and "after".
+std::string describeNonReport(const support::JsonValue& root) {
+  const support::JsonValue* before = root.find("before");
+  const support::JsonValue* after = root.find("after");
+  if (before == nullptr || after == nullptr) {
+    return "not a " + std::string(kReportSchemaName) + " document";
+  }
+  std::string versions = std::to_string(before->intAt("version", -1));
+  if (after->intAt("version", -1) != before->intAt("version", -1)) {
+    versions += "/v" + std::to_string(after->intAt("version", -1));
+  }
+  return "a before/after wrapper of schema v" + versions +
+         " reports; merge and figures read schema v" +
+         std::to_string(kReportSchemaVersion) + " reports (re-run `lazyhb bench`)";
 }
 
 ParsedReport parseReport(const std::string& document, const std::string& label) {
@@ -36,7 +52,7 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
   if (root == nullptr) raise(label, "not valid JSON (" + parseError + ")");
   if (!root->isObject()) raise(label, "not a report object");
   if (root->stringAt("schema") != kReportSchemaName) {
-    raise(label, "not a " + std::string(kReportSchemaName) + " document");
+    raise(label, describeNonReport(*root));
   }
   const auto version = root->intAt("version", -1);
   if (version != kReportSchemaVersion) {
@@ -55,16 +71,7 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
         if (value == nullptr) {
           raise(label, "config." + std::string(key) + " is missing");
         }
-        using Field = std::decay_t<decltype(member)>;
-        if constexpr (std::is_same_v<Field, bool>) {
-          member = value->asBool();
-        } else if constexpr (std::is_same_v<Field, std::string>) {
-          member = value->asString();
-        } else if constexpr (std::is_signed_v<Field>) {
-          member = static_cast<Field>(value->asInt());
-        } else {
-          member = static_cast<Field>(value->asUint());
-        }
+        value->readInto(member);
       },
       report.config);
   report.config.quick = config->boolAt("quick");
@@ -122,50 +129,18 @@ ParsedReport parseReport(const std::string& document, const std::string& label) 
   return report;
 }
 
-using Stats = explore::ExplorationResult;
-
-/// One count field the determinism contract covers, by its report name.
-struct CountField {
-  const char* name;
-  std::uint64_t (*get)(const Stats&);
-};
-
-/// Two clean runs of one configuration must agree on all of these: every
-/// count tools/bench_diff.py compares, plus the elided/replayed events,
-/// which one configuration fixes.
-constexpr CountField kCountFields[] = {
-    {"schedules", [](const Stats& s) -> std::uint64_t { return s.schedulesExecuted; }},
-    {"terminal", [](const Stats& s) -> std::uint64_t { return s.terminalSchedules; }},
-    {"pruned", [](const Stats& s) -> std::uint64_t { return s.prunedSchedules; }},
-    {"violations", [](const Stats& s) -> std::uint64_t { return s.violationSchedules; }},
-    {"hbrs", [](const Stats& s) -> std::uint64_t { return s.distinctHbrs; }},
-    {"lazy_hbrs", [](const Stats& s) -> std::uint64_t { return s.distinctLazyHbrs; }},
-    {"value_classes", [](const Stats& s) -> std::uint64_t { return s.distinctValueClasses; }},
-    {"states", [](const Stats& s) -> std::uint64_t { return s.distinctStates; }},
-    {"events", [](const Stats& s) -> std::uint64_t { return s.totalEvents; }},
-    {"events_elided", [](const Stats& s) -> std::uint64_t { return s.eventsElided; }},
-    {"events_replayed", [](const Stats& s) -> std::uint64_t { return s.eventsReplayed; }},
-    {"complete", [](const Stats& s) -> std::uint64_t { return s.complete; }},
-    {"hit_schedule_limit", [](const Stats& s) -> std::uint64_t { return s.hitScheduleLimit; }},
-    {"cache.lookups", [](const Stats& s) -> std::uint64_t { return s.cacheStats.lookups; }},
-    {"cache.hits", [](const Stats& s) -> std::uint64_t { return s.cacheStats.hits; }},
-    {"cache.insertions", [](const Stats& s) -> std::uint64_t { return s.cacheStats.insertions; }},
-    {"cache.entries", [](const Stats& s) -> std::uint64_t { return s.cacheStats.entries; }},
-    {"tso.flush_events", [](const Stats& s) -> std::uint64_t { return s.flushEvents; }},
-    {"tso.fence_events", [](const Stats& s) -> std::uint64_t { return s.fenceEvents; }},
-};
-
-/// The count fields on which `a` and `b` differ, each as "name=a vs b";
-/// empty when they agree on all of them.
+/// The Contract and Configuration counts on which `a` and `b` differ, each
+/// as "name=a vs b"; empty when they agree on all of them. Two clean runs
+/// of one configuration must agree on every one.
 std::string countConflicts(const CellResult& a, const CellResult& b) {
   std::string out;
-  for (const CountField& field : kCountFields) {
-    const std::uint64_t x = field.get(a.stats);
-    const std::uint64_t y = field.get(b.stats);
-    if (x == y) continue;
-    if (!out.empty()) out += ", ";
-    out += std::string(field.name) + "=" + std::to_string(x) + " vs " + std::to_string(y);
-  }
+  forEachCount(
+      [&](const Count& count, const auto& x, const auto& y) {
+        if (count.kind > CountClass::Configuration || x == y) return;
+        if (!out.empty()) out += ", ";
+        out += count.name() + "=" + std::to_string(x) + " vs " + std::to_string(y);
+      },
+      a.stats, b.stats);
   return out;
 }
 

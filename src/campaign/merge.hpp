@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,10 +41,17 @@ struct MergeOutcome {
   MergeProvenance provenance;
 };
 
+/// A document that is not a readable schema-v8 report: malformed JSON, a
+/// wrong schema or version, or a malformed or incomplete cell.
+struct ReportFormatError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Merge parsed-from-disk report documents. `labels[i]` names documents[i]
 /// in provenance and error messages (the CLI passes filenames). Throws
-/// std::runtime_error on malformed input, schema/version mismatch,
-/// incompatible configurations, or conflicting duplicate cells.
+/// ReportFormatError when a document cannot be read as a report, and
+/// std::runtime_error on incompatible configurations or conflicting
+/// duplicate cells.
 [[nodiscard]] MergeOutcome mergeReports(const std::vector<std::string>& documents,
                                         const std::vector<std::string>& labels);
 

@@ -44,36 +44,78 @@ void writeProgram(support::JsonWriter& json, const ProgramSummary& program) {
 }
 
 void writeExplorerTotals(support::JsonWriter& json, const ExplorerTotals& t) {
+  const explore::ExplorationResult& sum = t.stats;
   json.beginObject();
   json.field("explorer", t.explorer);
   json.field("cells", t.cells);
-  json.field("schedules", t.schedules);
-  json.field("terminal", t.terminal);
-  json.field("pruned", t.pruned);
-  json.field("violations", t.violations);
-  json.field("events", t.events);
-  json.field("events_elided", t.eventsElided);
-  json.field("events_replayed", t.eventsReplayed);
-  json.field("hbrs", t.hbrs);
-  json.field("lazy_hbrs", t.lazyHbrs);
-  json.field("value_classes", t.valueClasses);
-  json.field("states", t.states);
+  json.field("schedules", sum.schedulesExecuted);
+  json.field("terminal", sum.terminalSchedules);
+  json.field("pruned", sum.prunedSchedules);
+  json.field("violations", sum.violationSchedules);
+  json.field("events", sum.totalEvents);
+  json.field("events_elided", sum.eventsElided);
+  json.field("events_replayed", sum.eventsReplayed);
+  json.field("hbrs", sum.distinctHbrs);
+  json.field("lazy_hbrs", sum.distinctLazyHbrs);
+  json.field("value_classes", sum.distinctValueClasses);
+  json.field("states", sum.distinctStates);
   json.field("wall_seconds", t.wallSeconds);
   json.field("events_per_second", t.eventsPerSecond);
   json.field("executed_events_per_second", t.executedEventsPerSecond);
-  json.field("cache_entries", t.cacheEntries);
-  json.field("cache_hits", t.cacheHits);
-  json.field("cache_approx_bytes", t.cacheApproxBytes);
-  json.field("checkpoint_stages", t.checkpointStages);
-  json.field("checkpoint_bytes_staged", t.checkpointBytesStaged);
-  json.field("checkpoint_evictions", t.checkpointEvictions);
-  json.field("checkpoint_replay_fallbacks", t.checkpointReplayFallbacks);
+  json.field("cache_entries", sum.cacheStats.entries);
+  json.field("cache_hits", sum.cacheStats.hits);
+  json.field("cache_approx_bytes", sum.cacheStats.approxBytes);
+  json.field("checkpoint_stages", sum.checkpointStats.stages);
+  json.field("checkpoint_bytes_staged", sum.checkpointStats.bytesStaged);
+  json.field("checkpoint_evictions", sum.checkpointStats.evictions);
+  json.field("checkpoint_replay_fallbacks", sum.checkpointStats.replayFallbacks);
   json.field("inequality_violations",
              static_cast<std::int64_t>(t.inequalityViolations));
   json.endObject();
 }
 
+/// Whether a cell carries the counts of `group` (the top level always does).
+bool groupPresent(const explore::ExplorationResult& stats, CountGroup group) {
+  switch (group) {
+    case CountGroup::Top: return true;
+    case CountGroup::Cache: return stats.cacheStats.enabled;
+    case CountGroup::Checkpoint: return stats.checkpointStats.enabled;
+    case CountGroup::Tso: break;
+  }
+  bool nonzero = false;
+  forEachCount(
+      [&](const Count& count, const auto& value) {
+        nonzero = nonzero || (count.group == group && value != 0);
+      },
+      stats);
+  return nonzero;
+}
+
+void writeCounts(support::JsonWriter& json, const explore::ExplorationResult& stats,
+                 CountGroup group) {
+  forEachCount(
+      [&](const Count& count, const auto& value) {
+        if (count.group == group) json.field(count.key, value);
+      },
+      stats);
+}
+
 }  // namespace
+
+std::string Count::name() const {
+  return group == CountGroup::Top ? std::string(key)
+                                  : std::string(countGroupKey(group)) + "." + key;
+}
+
+const char* countGroupKey(CountGroup group) {
+  switch (group) {
+    case CountGroup::Top: return "";
+    case CountGroup::Cache: return "cache";
+    case CountGroup::Checkpoint: return "checkpoint";
+    case CountGroup::Tso: return "tso";
+  }
+  return "";
+}
 
 void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
   json.beginObject();
@@ -81,21 +123,7 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
   json.field("program", cell.program);
   json.field("family", cell.family);
   json.field("explorer", cell.explorer);
-  json.field("schedules", cell.stats.schedulesExecuted);
-  json.field("terminal", cell.stats.terminalSchedules);
-  json.field("pruned", cell.stats.prunedSchedules);
-  json.field("violations", cell.stats.violationSchedules);
-  json.field("hbrs", cell.stats.distinctHbrs);
-  json.field("lazy_hbrs", cell.stats.distinctLazyHbrs);
-  // Schema v7: distinct terminal value classes — the observation-centric
-  // count the extended §3 chain runs through.
-  json.field("value_classes", cell.stats.distinctValueClasses);
-  json.field("states", cell.stats.distinctStates);
-  json.field("events", cell.stats.totalEvents);
-  json.field("events_elided", cell.stats.eventsElided);
-  json.field("events_replayed", cell.stats.eventsReplayed);
-  json.field("complete", cell.stats.complete);
-  json.field("hit_schedule_limit", cell.stats.hitScheduleLimit);
+  writeCounts(json, cell.stats, CountGroup::Top);
   json.field("wall_seconds", cell.wallSeconds);
   json.field("events_per_second", cell.eventsPerSecond);
   json.field("executed_events_per_second", cell.executedEventsPerSecond);
@@ -109,37 +137,11 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
   if (cell.attempts > 1) json.field("attempts", static_cast<std::int64_t>(cell.attempts));
   if (cell.failed()) json.field("error", cell.error);
   if (cell.fromCheckpoint) json.field("from_checkpoint", true);
-  if (cell.stats.cacheStats.enabled) {
-    const explore::PrefixCacheStats& cache = cell.stats.cacheStats;
-    json.key("cache").beginObject();
-    json.field("lookups", cache.lookups);
-    json.field("hits", cache.hits);
-    json.field("insertions", cache.insertions);
-    json.field("entries", cache.entries);
-    json.field("approx_bytes", cache.approxBytes);
-    json.endObject();
-  }
-  if (cell.stats.checkpointStats.enabled) {
-    // Schema v6: the incremental engine's checkpoint economics. Staging and
-    // eviction are pure performance policy, so these are diagnostics for
-    // the bench_diff scoreboard, never count-compared.
-    const explore::CheckpointStats& ckpt = cell.stats.checkpointStats;
-    json.key("checkpoint").beginObject();
-    json.field("stages", ckpt.stages);
-    json.field("bytes_staged", ckpt.bytesStaged);
-    json.field("evictions", ckpt.evictions);
-    json.field("replay_fallbacks", ckpt.replayFallbacks);
-    json.endObject();
-  }
-  if (cell.stats.flushEvents > 0 || cell.stats.fenceEvents > 0 ||
-      cell.stats.maxBufferedStores > 0) {
-    // Schema v8: TSO store-buffer activity. Emitted only when nonzero, so
-    // every SC cell block stays byte-identical to its v7 encoding.
-    json.key("tso").beginObject();
-    json.field("flush_events", cell.stats.flushEvents);
-    json.field("fence_events", cell.stats.fenceEvents);
-    json.field("max_buffered_stores",
-               static_cast<std::uint64_t>(cell.stats.maxBufferedStores));
+  for (const CountGroup group :
+       {CountGroup::Cache, CountGroup::Checkpoint, CountGroup::Tso}) {
+    if (!groupPresent(cell.stats, group)) continue;
+    json.key(countGroupKey(group)).beginObject();
+    writeCounts(json, cell.stats, group);
     json.endObject();
   }
   json.endObject();
@@ -153,8 +155,8 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
   };
   if (!value.isObject()) return fail("cell is not an object");
   for (const char* key :
-       {"program_id", "program", "family", "explorer", "schedules", "hbrs",
-        "lazy_hbrs", "states", "events"}) {
+       {"program_id", "program", "family", "explorer", "wall_seconds",
+        "events_per_second", "executed_events_per_second", "inequality"}) {
     if (!value.has(key)) {
       return fail(std::string("cell is missing '") + key + "'");
     }
@@ -168,52 +170,34 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
   if (cell->program.empty() || cell->explorer.empty()) {
     return fail("cell has an empty program or explorer name");
   }
-  cell->stats.schedulesExecuted = value.uintAt("schedules");
-  cell->stats.terminalSchedules = value.uintAt("terminal");
-  cell->stats.prunedSchedules = value.uintAt("pruned");
-  cell->stats.violationSchedules = value.uintAt("violations");
-  cell->stats.distinctHbrs = value.uintAt("hbrs");
-  cell->stats.distinctLazyHbrs = value.uintAt("lazy_hbrs");
-  // Absent in pre-v7 cell blocks; 0 means "not recorded" downstream.
-  cell->stats.distinctValueClasses = value.uintAt("value_classes");
-  cell->stats.distinctStates = value.uintAt("states");
-  cell->stats.totalEvents = value.uintAt("events");
-  cell->stats.eventsElided = value.uintAt("events_elided");
-  cell->stats.eventsReplayed = value.uintAt("events_replayed");
-  cell->stats.complete = value.boolAt("complete");
-  cell->stats.hitScheduleLimit = value.boolAt("hit_schedule_limit");
+  // Every count of a present group is required: a count read as 0 from a
+  // key that is not there would be written back out as a real 0.
+  std::string missing;
+  forEachCount(
+      [&](const Count& count, auto& member) {
+        const support::JsonValue* block = count.group == CountGroup::Top
+                                              ? &value
+                                              : value.find(countGroupKey(count.group));
+        if (block == nullptr || !missing.empty()) return;
+        if (const support::JsonValue* field = block->find(count.key)) {
+          field->readInto(member);
+        } else {
+          missing = count.name();
+        }
+      },
+      cell->stats);
+  if (!missing.empty()) return fail("cell is missing '" + missing + "'");
+  cell->stats.cacheStats.enabled = value.has("cache");
+  cell->stats.checkpointStats.enabled = value.has("checkpoint");
   cell->wallSeconds = value.doubleAt("wall_seconds");
   cell->eventsPerSecond = value.doubleAt("events_per_second");
   cell->executedEventsPerSecond = value.doubleAt("executed_events_per_second");
-  if (const support::JsonValue* inequality = value.find("inequality")) {
-    cell->inequalityDiagnostic = inequality->stringAt("diagnostic");
-  }
+  cell->inequalityDiagnostic = value.find("inequality")->stringAt("diagnostic");
   cell->timedOut = value.boolAt("timed_out");
   cell->stats.timedOut = cell->timedOut;
   cell->attempts = static_cast<int>(value.intAt("attempts", 1));
   cell->error = value.stringAt("error");
   cell->fromCheckpoint = value.boolAt("from_checkpoint");
-  if (const support::JsonValue* cache = value.find("cache")) {
-    cell->stats.cacheStats.enabled = true;
-    cell->stats.cacheStats.lookups = cache->uintAt("lookups");
-    cell->stats.cacheStats.hits = cache->uintAt("hits");
-    cell->stats.cacheStats.insertions = cache->uintAt("insertions");
-    cell->stats.cacheStats.entries = cache->uintAt("entries");
-    cell->stats.cacheStats.approxBytes = cache->uintAt("approx_bytes");
-  }
-  if (const support::JsonValue* ckpt = value.find("checkpoint")) {
-    cell->stats.checkpointStats.enabled = true;
-    cell->stats.checkpointStats.stages = ckpt->uintAt("stages");
-    cell->stats.checkpointStats.bytesStaged = ckpt->uintAt("bytes_staged");
-    cell->stats.checkpointStats.evictions = ckpt->uintAt("evictions");
-    cell->stats.checkpointStats.replayFallbacks = ckpt->uintAt("replay_fallbacks");
-  }
-  if (const support::JsonValue* tso = value.find("tso")) {
-    cell->stats.flushEvents = tso->uintAt("flush_events");
-    cell->stats.fenceEvents = tso->uintAt("fence_events");
-    cell->stats.maxBufferedStores =
-        static_cast<std::uint32_t>(tso->uintAt("max_buffered_stores"));
-  }
   return true;
 }
 

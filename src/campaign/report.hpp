@@ -85,6 +85,71 @@ void forEachIdentityField(Visit&& visit, Configs&... configs) {
 /// Write the identity fields of `config` into the open JSON object.
 void writeIdentityFields(support::JsonWriter& json, const ReportConfig& config);
 
+/// Where a count sits in a report cell: at the top level, or in a block
+/// written only when the cache ran, checkpointing ran, or (tso) any of its
+/// counts is nonzero, so SC cells keep their v7 encoding.
+enum class CountGroup : std::uint8_t { Top, Cache, Checkpoint, Tso };
+
+/// Which comparisons a count must survive; a comparison covers one class
+/// and every class before it.
+enum class CountClass : std::uint8_t {
+  Contract,       ///< equal under any --jobs, --incremental or budget (bench_diff)
+  Configuration,  ///< fixed by one configuration (merge, not bench_diff)
+  Scoreboard,     ///< performance diagnostics that nothing compares
+};
+
+/// One entry of the count list.
+struct Count {
+  const char* key;  ///< the report key within its group
+  CountGroup group;
+  CountClass kind;
+
+  /// The report key qualified by its block ("cache.hits", "schedules").
+  [[nodiscard]] std::string name() const;
+};
+
+/// The JSON key of a count block ("cache", "checkpoint", "tso").
+[[nodiscard]] const char* countGroupKey(CountGroup group);
+
+/// The exploration counts of a report cell, declared once. Calls
+/// `visit(count, results.member...)` once per count, passing that member of
+/// each of `results`, in the v8 cell key order. The report codec, merge's
+/// conflict check, the per-explorer totals and the determinism tests all
+/// walk this list, so a new count is one line here (plus, for a Contract
+/// count, the matching lists in tools/bench_diff.py).
+template <typename Visit, typename... Results>
+void forEachCount(Visit&& visit, Results&... results) {
+  using enum CountGroup;
+  using enum CountClass;
+  visit(Count{"schedules", Top, Contract}, results.schedulesExecuted...);
+  visit(Count{"terminal", Top, Contract}, results.terminalSchedules...);
+  visit(Count{"pruned", Top, Contract}, results.prunedSchedules...);
+  visit(Count{"violations", Top, Contract}, results.violationSchedules...);
+  visit(Count{"hbrs", Top, Contract}, results.distinctHbrs...);
+  visit(Count{"lazy_hbrs", Top, Contract}, results.distinctLazyHbrs...);
+  visit(Count{"value_classes", Top, Contract}, results.distinctValueClasses...);
+  visit(Count{"states", Top, Contract}, results.distinctStates...);
+  visit(Count{"events", Top, Contract}, results.totalEvents...);
+  visit(Count{"events_elided", Top, Configuration}, results.eventsElided...);
+  visit(Count{"events_replayed", Top, Configuration}, results.eventsReplayed...);
+  visit(Count{"complete", Top, Contract}, results.complete...);
+  visit(Count{"hit_schedule_limit", Top, Contract}, results.hitScheduleLimit...);
+  visit(Count{"lookups", Cache, Contract}, results.cacheStats.lookups...);
+  visit(Count{"hits", Cache, Contract}, results.cacheStats.hits...);
+  visit(Count{"insertions", Cache, Contract}, results.cacheStats.insertions...);
+  visit(Count{"entries", Cache, Contract}, results.cacheStats.entries...);
+  visit(Count{"approx_bytes", Cache, Scoreboard}, results.cacheStats.approxBytes...);
+  visit(Count{"stages", Checkpoint, Scoreboard}, results.checkpointStats.stages...);
+  visit(Count{"bytes_staged", Checkpoint, Scoreboard},
+        results.checkpointStats.bytesStaged...);
+  visit(Count{"evictions", Checkpoint, Scoreboard}, results.checkpointStats.evictions...);
+  visit(Count{"replay_fallbacks", Checkpoint, Scoreboard},
+        results.checkpointStats.replayFallbacks...);
+  visit(Count{"flush_events", Tso, Contract}, results.flushEvents...);
+  visit(Count{"fence_events", Tso, Contract}, results.fenceEvents...);
+  visit(Count{"max_buffered_stores", Tso, Scoreboard}, results.maxBufferedStores...);
+}
+
 /// Where a merged report's cells came from: one entry per (transitively)
 /// merged input. Emitted as the top-level "merge" block; absent from
 /// directly-run reports.
@@ -105,10 +170,11 @@ struct MergeProvenance {
 void writeCellJson(support::JsonWriter& json, const CellResult& cell);
 
 /// Parse a cell object written by writeCellJson back into a CellResult.
-/// Returns false (and sets *error) on a malformed or incomplete block.
-/// Fields the report does not carry (violation reproducers, race reports,
-/// theorem tallies) come back at their defaults — the journal and the
-/// merger only ever need the report-visible projection.
+/// Returns false (and sets *error, naming the key) on a malformed block, or
+/// one that lacks a key the writer always writes or a count of a block it
+/// carries. Fields the report does not carry (violation reproducers, race
+/// reports, theorem tallies) come back at their defaults — the journal and
+/// the merger only ever need the report-visible projection.
 [[nodiscard]] bool parseCellJson(const support::JsonValue& value,
                                  CellResult* cell, std::string* error);
 

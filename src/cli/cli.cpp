@@ -25,7 +25,7 @@ namespace {
 constexpr int kExitOk = 0;
 constexpr int kExitViolation = 1;
 constexpr int kExitUsage = 2;
-constexpr int kExitIo = 3;  ///< correct arguments, but a file could not be written
+constexpr int kExitIo = 3;  ///< correct arguments, but a file could not be read or written
 
 void printTopLevelUsage() {
   std::printf(
@@ -561,16 +561,16 @@ int cmdBench(int argc, char** argv) {
     table.beginRow();
     table.cell(t.explorer);
     table.cell(t.cells);
-    table.cell(t.schedules);
-    table.cell(t.terminal);
-    table.cell(t.pruned);
-    table.cell(t.violations);
-    table.cell(t.hbrs);
-    table.cell(t.lazyHbrs);
-    table.cell(t.valueClasses);
-    table.cell(t.states);
-    table.cell(t.cacheEntries);
-    table.cell(static_cast<double>(t.cacheApproxBytes) / (1024.0 * 1024.0));
+    table.cell(t.stats.schedulesExecuted);
+    table.cell(t.stats.terminalSchedules);
+    table.cell(t.stats.prunedSchedules);
+    table.cell(t.stats.violationSchedules);
+    table.cell(t.stats.distinctHbrs);
+    table.cell(t.stats.distinctLazyHbrs);
+    table.cell(t.stats.distinctValueClasses);
+    table.cell(t.stats.distinctStates);
+    table.cell(t.stats.cacheStats.entries);
+    table.cell(static_cast<double>(t.stats.cacheStats.approxBytes) / (1024.0 * 1024.0));
     table.cell(t.wallSeconds);
   }
   std::printf("campaign: %zu programs x %zu explorers = %zu cells, %d job(s)\n",
@@ -670,6 +670,9 @@ int mergeReportFiles(const std::vector<std::string>& paths,
   }
   try {
     *merged = campaign::mergeReports(documents, paths);
+  } catch (const campaign::ReportFormatError& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return kExitIo;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s\n", error.what());
     return kExitViolation;
@@ -851,9 +854,9 @@ void printAblation(const campaign::CampaignResult& result) {
     table.beginRow();
     table.cell(t.explorer);
     table.cell(t.cells);
-    table.cell(t.schedules);
-    table.cell(t.lazyHbrs);
-    table.cell(t.states);
+    table.cell(t.stats.schedulesExecuted);
+    table.cell(t.stats.distinctLazyHbrs);
+    table.cell(t.stats.distinctStates);
     table.cell(withViolation);
     table.cell(complete);
   }

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace lazyhb::support {
@@ -65,6 +66,21 @@ class JsonValue {
     }
   }
   [[nodiscard]] const std::string& asString() const noexcept { return string_; }
+
+  /// Read this value into `out` by the type of `out`: a bool, a string, or
+  /// a signed or unsigned integer.
+  template <typename T>
+  void readInto(T& out) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      out = asBool();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out = asString();
+    } else if constexpr (std::is_signed_v<T>) {
+      out = static_cast<T>(asInt());
+    } else {
+      out = static_cast<T>(asUint());
+    }
+  }
 
   [[nodiscard]] const std::vector<JsonValue>& items() const noexcept { return items_; }
 

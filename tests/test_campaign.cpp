@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -20,7 +21,9 @@
 #include "campaign/report.hpp"
 #include "core/hbr_cache.hpp"
 #include "programs/registry.hpp"
+#include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -262,16 +265,8 @@ TEST(Campaign, PerCellCountsIdenticalAcrossJobCounts) {
     const std::string label = a.program + " x " + a.explorer;
     EXPECT_EQ(a.program, b.program) << label;
     EXPECT_EQ(a.explorer, b.explorer) << label;
-    EXPECT_EQ(a.stats.schedulesExecuted, b.stats.schedulesExecuted) << label;
-    EXPECT_EQ(a.stats.terminalSchedules, b.stats.terminalSchedules) << label;
-    EXPECT_EQ(a.stats.prunedSchedules, b.stats.prunedSchedules) << label;
-    EXPECT_EQ(a.stats.violationSchedules, b.stats.violationSchedules) << label;
-    EXPECT_EQ(a.stats.distinctHbrs, b.stats.distinctHbrs) << label;
-    EXPECT_EQ(a.stats.distinctLazyHbrs, b.stats.distinctLazyHbrs) << label;
-    EXPECT_EQ(a.stats.distinctStates, b.stats.distinctStates) << label;
-    EXPECT_EQ(a.stats.totalEvents, b.stats.totalEvents) << label;
-    EXPECT_EQ(a.stats.complete, b.stats.complete) << label;
-    EXPECT_EQ(a.stats.cacheStats.entries, b.stats.cacheStats.entries) << label;
+    lazyhb::testing::expectSameCounts(a.stats, b.stats,
+                                      campaign::CountClass::Configuration, label);
     EXPECT_EQ(a.inequalityDiagnostic, b.inequalityDiagnostic) << label;
   }
   EXPECT_EQ(serial.totalSchedules, parallel.totalSchedules);
@@ -292,7 +287,7 @@ TEST(Campaign, InequalityHoldsAndTotalsAddUp) {
   std::uint64_t perExplorerSchedules = 0;
   for (const campaign::ExplorerTotals& totals : result.perExplorer) {
     EXPECT_EQ(totals.cells, 4u);
-    perExplorerSchedules += totals.schedules;
+    perExplorerSchedules += totals.stats.schedulesExecuted;
   }
   EXPECT_EQ(perExplorerSchedules, schedules);
 }
@@ -436,6 +431,41 @@ TEST(Report, FigureTotalsSurviveTheReportRoundTrip) {
   EXPECT_EQ(got.regularOnDiffering, want.regularOnDiffering);
   EXPECT_EQ(got.extraPercent, want.extraPercent);
   EXPECT_EQ(read.result.inequalityViolations, 0);
+}
+
+TEST(Report, EveryCountSurvivesTheCellRoundTrip) {
+  // Each listed count gets its own nonzero value (flags read true), so a
+  // count the writer drops or the parser reads into another member shows.
+  campaign::CellResult cell;
+  cell.programId = 3;
+  cell.program = "p";
+  cell.family = "f";
+  cell.explorer = "caching-lazy";
+  cell.stats.cacheStats.enabled = true;
+  cell.stats.checkpointStats.enabled = true;
+  std::uint64_t next = 1000;
+  campaign::forEachCount(
+      [&](const campaign::Count&, auto& member) {
+        using Field = std::decay_t<decltype(member)>;
+        if constexpr (std::is_same_v<Field, bool>) {
+          member = true;
+        } else {
+          member = static_cast<Field>(next++);
+        }
+      },
+      cell.stats);
+
+  support::JsonWriter json;
+  campaign::writeCellJson(json, cell);
+  std::string error;
+  const auto value = support::JsonValue::parse(json.str(), &error);
+  ASSERT_NE(value, nullptr) << error;
+  campaign::CellResult read;
+  ASSERT_TRUE(campaign::parseCellJson(*value, &read, &error)) << error;
+  lazyhb::testing::expectSameCounts(read.stats, cell.stats,
+                                    campaign::CountClass::Scoreboard, "round trip");
+  EXPECT_TRUE(read.stats.cacheStats.enabled);
+  EXPECT_TRUE(read.stats.checkpointStats.enabled);
 }
 
 TEST(Report, HbrCacheFootprintGrowsWithInsertions) {

@@ -453,19 +453,8 @@ void expectSameStats(const core::EquivalenceChecker::Stats& a,
 
 void expectSameResult(const explore::ExplorationResult& got,
                       const explore::ExplorationResult& want) {
-  EXPECT_EQ(got.schedulesExecuted, want.schedulesExecuted);
-  EXPECT_EQ(got.terminalSchedules, want.terminalSchedules);
-  EXPECT_EQ(got.violationSchedules, want.violationSchedules);
-  EXPECT_EQ(got.prunedSchedules, want.prunedSchedules);
-  EXPECT_EQ(got.totalEvents, want.totalEvents);
-  EXPECT_EQ(got.eventsElided, want.eventsElided);
-  EXPECT_EQ(got.eventsReplayed, want.eventsReplayed);
-  EXPECT_EQ(got.distinctHbrs, want.distinctHbrs);
-  EXPECT_EQ(got.distinctLazyHbrs, want.distinctLazyHbrs);
-  EXPECT_EQ(got.distinctValueClasses, want.distinctValueClasses);
-  EXPECT_EQ(got.distinctStates, want.distinctStates);
-  EXPECT_EQ(got.hitScheduleLimit, want.hitScheduleLimit);
-  EXPECT_EQ(got.complete, want.complete);
+  lazyhb::testing::expectSameCounts(got, want, campaign::CountClass::Scoreboard,
+                                    "memo vs executing");
   EXPECT_EQ(got.timedOut, want.timedOut);
   ASSERT_EQ(got.violations.size(), want.violations.size());
   for (std::size_t i = 0; i < got.violations.size(); ++i) {
@@ -483,13 +472,8 @@ void expectSameResult(const explore::ExplorationResult& got,
     EXPECT_EQ(got.races[i].firstEvent, want.races[i].firstEvent) << i;
     EXPECT_EQ(got.races[i].secondEvent, want.races[i].secondEvent) << i;
   }
-  EXPECT_EQ(got.flushEvents, want.flushEvents);
-  EXPECT_EQ(got.fenceEvents, want.fenceEvents);
-  EXPECT_EQ(got.maxBufferedStores, want.maxBufferedStores);
   EXPECT_EQ(got.cacheStats.enabled, want.cacheStats.enabled);
   EXPECT_EQ(got.checkpointStats.enabled, want.checkpointStats.enabled);
-  EXPECT_EQ(got.checkpointStats.stages, want.checkpointStats.stages);
-  EXPECT_EQ(got.checkpointStats.bytesStaged, want.checkpointStats.bytesStaged);
 }
 
 TEST(RandomMemo, RunsEachDistinctWalkOnce) {

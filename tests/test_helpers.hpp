@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "campaign/report.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/explorer.hpp"
 #include "explore/random_explorer.hpp"
@@ -38,6 +41,22 @@ inline explore::ExplorationResult runCaching(const explore::Program& p, trace::R
                                              std::uint64_t limit = 200'000) {
   explore::TreeExplorer explorer(smallOptions(limit), r);
   return explorer.explore(p);
+}
+
+/// EXPECT_EQ on every count of campaign::forEachCount whose class is
+/// `widest` or an earlier one: Contract across incremental modes,
+/// Configuration across --jobs, shards and resumes, Scoreboard for two runs
+/// that must agree on everything.
+inline void expectSameCounts(const explore::ExplorationResult& a,
+                             const explore::ExplorationResult& b,
+                             campaign::CountClass widest, const std::string& label) {
+  campaign::forEachCount(
+      [&](const campaign::Count& count, const auto& x, const auto& y) {
+        if (count.kind <= widest) {
+          EXPECT_EQ(x, y) << label << ": " << count.name();
+        }
+      },
+      a, b);
 }
 
 /// The exact program of the paper's Figure 1 (plus the spawn/join scaffold a

@@ -28,7 +28,9 @@
 #include "explore/replay.hpp"
 #include "programs/registry.hpp"
 #include "runtime/api.hpp"
+#include "random_program_gen.hpp"
 #include "support/rng.hpp"
+#include "test_helpers.hpp"
 #include "trace/clock_arena.hpp"
 #include "trace/trace_recorder.hpp"
 
@@ -145,56 +147,8 @@ TEST(IncrementalReplay, HeapBasedProgramFallsBackAndMatches) {
 
 // --- randomly generated checkpointable programs ------------------------------
 
-struct GenOp {
-  enum class Kind : std::uint8_t { Read, Write, Lock, Unlock, TryLockPulse };
-  Kind kind = Kind::Read;
-  int object = 0;
-};
-
-struct GenProgram {
-  int vars = 2;
-  int mutexes = 2;
-  std::vector<std::vector<GenOp>> threads;
-};
-
-GenProgram generate(std::uint64_t seed) {
-  support::Rng rng(seed);
-  GenProgram p;
-  p.vars = rng.intIn(1, 2);
-  p.mutexes = rng.intIn(1, 2);
-  const int threadCount = rng.intIn(2, 3);
-  for (int t = 0; t < threadCount; ++t) {
-    std::vector<GenOp> ops;
-    std::vector<int> held;
-    const int steps = rng.intIn(2, 4);
-    for (int s = 0; s < steps; ++s) {
-      const int roll = rng.intIn(0, 9);
-      if (roll < 4) {
-        ops.push_back({rng.chance(1, 2) ? GenOp::Kind::Read : GenOp::Kind::Write,
-                       rng.intIn(0, p.vars - 1)});
-      } else if (roll < 7 && held.size() < 2) {
-        const int m = rng.intIn(0, p.mutexes - 1);
-        bool alreadyHeld = false;
-        for (const int h : held) alreadyHeld = alreadyHeld || h == m;
-        if (!alreadyHeld) {
-          ops.push_back({GenOp::Kind::Lock, m});
-          held.push_back(m);
-        }
-      } else if (roll < 8 && !held.empty()) {
-        ops.push_back({GenOp::Kind::Unlock, held.back()});
-        held.pop_back();
-      } else {
-        ops.push_back({GenOp::Kind::TryLockPulse, rng.intIn(0, p.mutexes - 1)});
-      }
-    }
-    while (!held.empty()) {
-      ops.push_back({GenOp::Kind::Unlock, held.back()});
-      held.pop_back();
-    }
-    p.threads.push_back(std::move(ops));
-  }
-  return p;
-}
+using lazyhb::testing::GenOp;
+using lazyhb::testing::GenProgram;
 
 /// Materialize with InlineVec storage: the checkpointable-contract shape.
 explore::Program materializeCheckpointable(const GenProgram& gen) {
@@ -236,7 +190,7 @@ explore::Program materializeCheckpointable(const GenProgram& gen) {
 
 TEST(IncrementalReplay, RandomCheckpointableProgramsTraceIdentically) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const GenProgram gen = generate(seed);
+    const GenProgram gen = lazyhb::testing::generate(seed);
     expectIdenticalTraces(materializeCheckpointable(gen), /*checkpointable=*/true,
                           "seed " + std::to_string(seed));
   }
@@ -252,18 +206,11 @@ explore::ExplorerOptions optionsFor(bool incremental, bool checkpointable) {
   return options;
 }
 
+/// Incremental on and off must agree on every Contract count.
 void expectSameCounts(const explore::ExplorationResult& a,
                       const explore::ExplorationResult& b,
                       const std::string& label) {
-  EXPECT_EQ(a.schedulesExecuted, b.schedulesExecuted) << label;
-  EXPECT_EQ(a.terminalSchedules, b.terminalSchedules) << label;
-  EXPECT_EQ(a.prunedSchedules, b.prunedSchedules) << label;
-  EXPECT_EQ(a.violationSchedules, b.violationSchedules) << label;
-  EXPECT_EQ(a.totalEvents, b.totalEvents) << label;
-  EXPECT_EQ(a.distinctHbrs, b.distinctHbrs) << label;
-  EXPECT_EQ(a.distinctLazyHbrs, b.distinctLazyHbrs) << label;
-  EXPECT_EQ(a.distinctStates, b.distinctStates) << label;
-  EXPECT_EQ(a.complete, b.complete) << label;
+  lazyhb::testing::expectSameCounts(a, b, campaign::CountClass::Contract, label);
 }
 
 TEST(IncrementalReplay, CachingAndDporCountsIdenticalAcrossModes) {

@@ -32,6 +32,7 @@
 #include "lazyhb/lazyhb.hpp"
 #include "programs/registry.hpp"
 #include "support/json_reader.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -80,15 +81,8 @@ void expectSameCounts(const campaign::CellResult& a,
   const std::string label = a.program + " x " + a.explorer;
   EXPECT_EQ(a.program, b.program) << label;
   EXPECT_EQ(a.explorer, b.explorer) << label;
-  EXPECT_EQ(a.stats.schedulesExecuted, b.stats.schedulesExecuted) << label;
-  EXPECT_EQ(a.stats.terminalSchedules, b.stats.terminalSchedules) << label;
-  EXPECT_EQ(a.stats.prunedSchedules, b.stats.prunedSchedules) << label;
-  EXPECT_EQ(a.stats.violationSchedules, b.stats.violationSchedules) << label;
-  EXPECT_EQ(a.stats.totalEvents, b.stats.totalEvents) << label;
-  EXPECT_EQ(a.stats.distinctHbrs, b.stats.distinctHbrs) << label;
-  EXPECT_EQ(a.stats.distinctLazyHbrs, b.stats.distinctLazyHbrs) << label;
-  EXPECT_EQ(a.stats.distinctStates, b.stats.distinctStates) << label;
-  EXPECT_EQ(a.stats.complete, b.stats.complete) << label;
+  lazyhb::testing::expectSameCounts(a.stats, b.stats,
+                                    campaign::CountClass::Configuration, label);
 }
 
 /// Run one shard of the small campaign and render its v5 report.
@@ -508,6 +502,82 @@ TEST(Merge, RejectsConflictingDuplicateCounts) {
   // Same counts: no conflict, one copy survives.
   const auto merged = campaign::mergeReports({doc1, doc1}, {"one", "copy"});
   EXPECT_EQ(merged.result.cells.size(), 1u);
+}
+
+TEST(Merge, RejectsACellMissingAnyCountKey) {
+  // A cell carrying all three optional blocks, so every listed count is in
+  // the document; a copy without any one of them must not read, and the
+  // error names the missing key.
+  campaign::CellResult cell = fabricatedCell(10);
+  cell.stats.distinctValueClasses = 2;
+  cell.stats.cacheStats = {true, 8, 3, 5, 5, 640};
+  cell.stats.checkpointStats = {true, 4, 512, 1, 1};
+  cell.stats.flushEvents = 4;
+  const std::string base = fabricatedDocument(cell);
+  ASSERT_NO_THROW((void)campaign::mergeReports({base}, {"base"}));
+  const std::size_t cellsAt = base.find("\"cells\": [");
+  ASSERT_NE(cellsAt, std::string::npos);
+
+  int dropped = 0;
+  campaign::forEachCount(
+      [&](const campaign::Count& count, const auto&) {
+        // A top-level count sits six spaces in, a block's count eight.
+        std::size_t from = cellsAt;
+        std::string line = "\n      \"";
+        if (count.group != campaign::CountGroup::Top) {
+          from = base.find(std::string("\"") + campaign::countGroupKey(count.group) +
+                               "\": {",
+                           cellsAt);
+          line = "\n        \"";
+        }
+        const std::size_t at = base.find(line + count.key + "\": ", from);
+        ASSERT_NE(at, std::string::npos) << count.name();
+        // Drop the line and keep the JSON valid: the first key of a block
+        // takes its own comma along, any other key the one before it.
+        const std::size_t end = base.find('\n', at + 1);
+        const std::string missing =
+            base[at - 1] != ','
+                ? base.substr(0, at) + base.substr(end)
+                : base.substr(0, at - 1) + base.substr(base[end - 1] == ',' ? end - 1 : end);
+        ++dropped;
+        try {
+          (void)campaign::mergeReports({missing}, {"missing.json"});
+          ADD_FAILURE() << "read a cell without " << count.name();
+        } catch (const campaign::ReportFormatError& error) {
+          EXPECT_NE(std::string(error.what()).find("missing '" + count.name() + "'"),
+                    std::string::npos)
+              << error.what();
+        }
+      },
+      cell.stats);
+  EXPECT_GT(dropped, 0);
+}
+
+TEST(Merge, SaysWhatADocumentThatIsNoReportIs) {
+  EXPECT_THROW((void)campaign::mergeReports({"{}"}, {"empty.json"}),
+               campaign::ReportFormatError);
+  const std::string wrapper =
+      R"({"before": {"schema": "lazyhb-bench-report", "version": 7},)"
+      R"( "after": {"schema": "lazyhb-bench-report", "version": 7}})";
+  try {
+    (void)campaign::mergeReports({wrapper}, {"BENCH.json"});
+    ADD_FAILURE() << "read a before/after wrapper";
+  } catch (const campaign::ReportFormatError& error) {
+    EXPECT_NE(std::string(error.what()).find("a before/after wrapper of schema v7 reports"),
+              std::string::npos)
+        << error.what();
+  }
+  // Conflicting counts are not a format error: the inputs read fine.
+  campaign::CellResult other = fabricatedCell(10);
+  other.stats.distinctStates += 1;
+  try {
+    (void)campaign::mergeReports(
+        {fabricatedDocument(fabricatedCell(10)), fabricatedDocument(other)}, {"a", "b"});
+    ADD_FAILURE() << "merged conflicting copies";
+  } catch (const campaign::ReportFormatError& error) {
+    ADD_FAILURE() << "a conflict read as a format error: " << error.what();
+  } catch (const std::runtime_error&) {
+  }
 }
 
 TEST(Merge, PrefersTheHealthyCopyOfATimedOutCell) {

@@ -74,6 +74,13 @@ cross-PR perf history the nightly workflow appends to.
 
 Exit status: 0 when all counts match, 1 on any count mismatch (or on cell
 sets that do not line up), 2 on usage/schema errors.
+
+The count lists below (COUNT_FIELDS, OPTIONAL_COUNT_FIELDS,
+CACHE_COUNT_FIELDS, TSO_COUNT_FIELDS) must name exactly the Contract class
+of campaign::forEachCount in src/campaign/report.hpp, the one list the
+report codec and `lazyhb merge` walk. They stay spelled out here because
+this tool also reads v1-v7 reports. CI's "Merge and bench_diff count
+agreement" step checks that the two agree leaf by leaf.
 """
 
 import argparse
