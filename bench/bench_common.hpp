@@ -7,18 +7,23 @@
 #include <string>
 #include <vector>
 
+#include "lazyhb/options.hpp"
 #include "programs/registry.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
 namespace lazyhb::bench {
 
-/// Options shared by every corpus bench.
+/// Options shared by every corpus bench; the run knobs default to
+/// RunOptions'.
 inline support::Options corpusOptions(const char* name, const char* description) {
+  const RunOptions defaults;
   support::Options options(name, description);
-  options.addInt("limit", 10000, "schedule budget per benchmark (paper: 100000)");
+  options.addInt("limit", static_cast<std::int64_t>(defaults.scheduleLimit),
+                 "schedule budget per benchmark (paper: 100000)");
   options.addInt("jobs", 4, "worker threads (benchmarks explored in parallel)");
-  options.addInt("max-events", 65536, "per-schedule event budget");
+  options.addInt("max-events", defaults.maxEventsPerSchedule,
+                 "per-schedule event budget");
   options.addFlag("csv", "also print machine-readable CSV");
   options.addString("only", "", "run a single benchmark by name");
   return options;

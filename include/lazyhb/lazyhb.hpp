@@ -7,6 +7,8 @@
 //     InlineVec (runtime/api.hpp);
 //   * scenario registration — LAZYHB_SCENARIO, lazyhb::scenarios()
 //     (lazyhb/scenario.hpp);
+//   * the run knobs, each with its one default — lazyhb::RunOptions,
+//     SupervisorOptions, MemoryModel (lazyhb/options.hpp);
 //   * the exploration facade — lazyhb::Session, TestReport, traceSchedule
 //     (lazyhb/session.hpp);
 //   * the batch-campaign facade — lazyhb::Suite, SuiteReport, with
@@ -25,6 +27,7 @@
 
 #include "runtime/api.hpp"
 
+#include "lazyhb/options.hpp"
 #include "lazyhb/progress.hpp"
 #include "lazyhb/scenario.hpp"
 #include "lazyhb/session.hpp"

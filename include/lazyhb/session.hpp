@@ -17,10 +17,13 @@
 //     std::fputs(trace.rendered.c_str(), stderr);
 //   }
 //
-// Configuration errors (unknown strategy or scenario name) throw
-// std::invalid_argument from run(); everything else is reported through the
-// TestReport. Counts produced through Session are byte-identical to driving
-// the underlying explorers directly — the parity test suite pins this.
+// Each run-knob setter sets one field of a RunOptions (lazyhb/options.hpp),
+// which declares the defaults. Configuration errors throw
+// std::invalid_argument: an unknown memory model from its setter, an
+// unknown strategy or scenario name from run(). Everything else is reported
+// through the TestReport. Counts produced through Session are byte-identical
+// to driving the underlying explorers directly — the parity test suite pins
+// this.
 
 #pragma once
 
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "lazyhb/options.hpp"
 #include "lazyhb/progress.hpp"
 #include "lazyhb/scenario.hpp"
 
@@ -88,7 +92,7 @@ struct TestReport {
   bool incremental = true;
   bool checkpointable = false;
   /// Memory model the exploration ran under: "sc" | "tso".
-  std::string memoryModel = "sc";
+  std::string memoryModel = memoryModelName(RunOptions{}.memoryModel);
 
   // Exploration counts (the extended §3 chain reads distinctStates <=
   // distinctValueClasses <= distinctLazyHbrs <= distinctHbrs <=
@@ -137,48 +141,34 @@ struct TestReport {
 /// configured Session can test many programs.
 class Session {
  public:
-  Session();
-
   /// Exploration strategy, one of strategies() (default "caching-lazy").
   /// Validated at run().
   Session& strategy(std::string name);
-  /// Maximum number of schedules to execute (default 10,000; the paper's
-  /// experiments use 100,000).
+  /// RunOptions::scheduleLimit (the paper's experiments use 100,000).
   Session& schedules(std::uint64_t limit);
-  /// Per-schedule event budget, guarding against unbounded loops.
+  /// RunOptions::maxEventsPerSchedule.
   Session& maxEventsPerSchedule(std::uint32_t events);
-  /// Seed for the "random" strategy (ignored by the others).
+  /// Seed for the "random" strategy (ignored by the others; default
+  /// kDefaultSeed).
   Session& seed(std::uint64_t value);
-  /// Memory model to explore under: "sc" (sequential consistency, the
-  /// default — semantics and counts identical to every prior release) or
-  /// "tso" (x86-style total store order: writes enter a per-thread FIFO
-  /// store buffer, flushes become scheduler-visible transitions, reads
-  /// forward from the local buffer; see docs/memory-models.md). Validated
-  /// at run().
+  /// RunOptions::memoryModel by name: "sc" (sequential consistency) or
+  /// "tso" (x86-style store buffers; docs/memory-models.md). Throws
+  /// std::invalid_argument for any other name.
   Session& memoryModel(std::string model);
-  /// Run the sync-HB data-race detector on every execution.
+  /// RunOptions::detectRaces.
   Session& detectRaces(bool on = true);
-  /// Feed every terminal schedule through the Theorem 2.1/2.2 checkers.
+  /// RunOptions::checkTheorems.
   Session& checkTheorems(bool on = true);
-  /// Stop the whole exploration at the first violation (testing-tool mode;
-  /// the default keeps exploring and counting).
+  /// RunOptions::stopOnFirstViolation.
   Session& stopOnFirstViolation(bool on = true);
-  /// Keep at most this many violation records (default 16).
+  /// RunOptions::maxViolationsKept.
   Session& keepViolations(std::uint32_t max);
-  /// Incremental prefix replay (checkpoint/rollback; default on). Counts
-  /// are byte-identical either way; only wall time changes.
+  /// RunOptions::incremental.
   Session& incremental(bool on);
-  /// Assert the program satisfies the checkpointable contract (see
-  /// ScenarioTraits::checkpointable); enables full runtime rollback.
-  /// run(name) inherits this from the scenario's registered traits.
+  /// RunOptions::checkpointable. run(name) inherits this from the
+  /// scenario's registered traits.
   Session& checkpointable(bool on = true);
-  /// Byte budget for staged incremental-replay snapshots (0 = unlimited;
-  /// default: the LAZYHB_SNAPSHOT_BUDGET environment variable, else
-  /// 256 MiB). When staging would exceed it, the engine evicts the staged
-  /// checkpoint furthest from the search frontier and later rollbacks into
-  /// the evicted region replay from the deepest surviving shallower stage.
-  /// Counts are byte-identical at any budget; only wall time and memory
-  /// change.
+  /// RunOptions::snapshotBudgetBytes.
   Session& snapshotBudget(std::uint64_t bytes);
   /// Progress hook: a ProgressEvent of kind ScheduleTick every
   /// progressInterval() executed schedules, synchronously on the exploring
@@ -208,18 +198,8 @@ class Session {
 
   struct Config {
     std::string strategy = "caching-lazy";
-    std::uint64_t scheduleLimit = 10'000;
-    std::uint32_t maxEventsPerSchedule = 1u << 16;
-    std::uint64_t seed = 42;
-    std::string memoryModel = "sc";
-    bool detectRaces = false;
-    bool checkTheorems = false;
-    bool stopOnFirstViolation = false;
-    std::uint32_t maxViolationsKept = 16;
-    bool incremental = true;
-    bool checkpointable = false;
-    /// Set to defaultSnapshotBudgetBytes() by the Session constructor.
-    std::uint64_t snapshotBudgetBytes = 0;
+    RunOptions run;
+    std::uint64_t seed = kDefaultSeed;
     ProgressCallback progress;
     std::uint64_t progressInterval = 1024;
     std::string scenarioLabel;  ///< names run(name) ticks; empty for ad-hoc
@@ -228,7 +208,7 @@ class Session {
   Config config_;
 };
 
-/// Options for traceSchedule.
+/// Options for traceSchedule. The execution knobs default to RunOptions'.
 struct TraceOptions {
   /// Relation whose inter-thread edges annotate the trace:
   /// "sync" | "full" | "lazy".
@@ -236,10 +216,10 @@ struct TraceOptions {
   /// Memory model to re-execute under: "sc" | "tso". Must match the model
   /// the schedule was recorded under — TSO schedules carry flush picks
   /// (>= 32) that no SC execution can apply.
-  std::string memoryModel = "sc";
-  bool detectRaces = false;
+  std::string memoryModel = memoryModelName(RunOptions{}.memoryModel);
+  bool detectRaces = RunOptions{}.detectRaces;
   bool renderTrace = true;
-  std::uint32_t maxEventsPerSchedule = 1u << 16;
+  std::uint32_t maxEventsPerSchedule = RunOptions{}.maxEventsPerSchedule;
 };
 
 /// Deterministic re-execution of a recorded schedule.
@@ -261,7 +241,7 @@ struct ScheduleTrace {
 
 /// Re-execute `schedule` (e.g. a TestViolation::schedule) under `program`
 /// and render the interleaving. Throws std::invalid_argument for an unknown
-/// relation name in `options`.
+/// relation or memory model name in `options`.
 [[nodiscard]] ScheduleTrace traceSchedule(const Program& program,
                                           const std::vector<int>& schedule,
                                           const TraceOptions& options = {});

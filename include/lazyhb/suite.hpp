@@ -21,11 +21,13 @@
 //   if (!report.allInequalitiesHold()) { /* §3 chain broke — a bug */ }
 //   writeFile("shard0.json", report.toJson());  // `lazyhb merge`-able
 //
-// Configuration errors (unknown strategy/scenario name, bad shard spec)
-// throw std::invalid_argument from run(); journal problems (config
-// mismatch, nothing to resume) throw std::runtime_error. Counts are
-// byte-identical to the CLI's `bench` for the same configuration — the
-// parity tests pin this.
+// The per-cell knobs are a Session's (RunOptions), the rest are a
+// SupervisorOptions (both lazyhb/options.hpp). Configuration errors throw
+// std::invalid_argument: an unknown memory model from its setter, an
+// unknown strategy/scenario name or a bad shard spec from run(). Journal
+// problems (config mismatch, nothing to resume) throw std::runtime_error.
+// Counts are byte-identical to the CLI's `bench` for the same configuration
+// — the parity tests pin this.
 
 #pragma once
 
@@ -115,8 +117,6 @@ struct SuiteReport {
 /// run() executes the configured matrix and returns a fresh SuiteReport.
 class Suite {
  public:
-  Suite();
-
   /// Select a scenario or a whole family by name (repeatable; order is
   /// kept, duplicates collapse). No add() at all runs the full registered
   /// corpus. Validated at run().
@@ -124,42 +124,33 @@ class Suite {
   /// Strategies to run each scenario under (default: the five canonical
   /// modes). Validated at run().
   Suite& strategies(std::vector<std::string> names);
-  /// Schedule budget per cell (default 10,000; the paper's experiments use
-  /// 100,000).
+  /// Session::schedules for every cell.
   Suite& schedules(std::uint64_t limit);
-  /// Per-schedule event budget, guarding against unbounded loops.
+  /// Session::maxEventsPerSchedule for every cell.
   Suite& maxEventsPerSchedule(std::uint32_t events);
-  /// Seed for the "random" strategy; identical in every cell.
+  /// Session::seed for every cell.
   Suite& seed(std::uint64_t value);
-  /// Incremental prefix replay (default on); counts are byte-identical
-  /// either way.
+  /// Session::incremental for every cell.
   Suite& incremental(bool on);
-  /// Memory model every cell explores under: "sc" (default) or "tso"
-  /// (x86-style store buffering; see docs/memory-models.md). Validated at
-  /// run(). The report's config.memory_model echoes this — TSO and SC
-  /// reports never merge.
+  /// Session::memoryModel for every cell ("sc" or "tso"; throws
+  /// std::invalid_argument for any other name). The report's
+  /// config.memory_model echoes it — TSO and SC reports never merge.
   Suite& memoryModel(std::string model);
-  /// Campaign worker threads fanning cells out (<= 0: one per hardware
-  /// thread). Counts are byte-identical at any value.
+  /// SupervisorOptions::jobs. Counts are byte-identical at any value.
   Suite& jobs(int count);
-  /// Run only this 0-based slice of the cell matrix (cells with
-  /// index % count == index_). Shard reports merge back to the unsharded
-  /// count set via `lazyhb merge`. Validated at run().
+  /// SupervisorOptions::shardIndex and ::shardCount (0-based). Validated at
+  /// run().
   Suite& shard(int index, int count);
-  /// Journal finished cells into this directory and resume from it when it
-  /// already holds a matching journal (see docs/campaign-service.md).
+  /// SupervisorOptions::checkpointDir.
   Suite& checkpointDir(std::string directory);
-  /// Require checkpointDir() to hold an existing journal — run() then
-  /// throws std::runtime_error instead of silently starting fresh.
+  /// SupervisorOptions::requireExistingJournal: run() then throws
+  /// std::runtime_error instead of silently starting fresh.
   Suite& resumeOnly(bool on = true);
-  /// Per-cell wall-clock budget in seconds (0 = none); a cell over budget
-  /// stops at the next schedule boundary and is marked timedOut.
+  /// SupervisorOptions::cellTimeoutSeconds.
   Suite& cellTimeout(double seconds);
-  /// Extra attempts after a timeout or exception before a cell is recorded
-  /// as timedOut/failed (the campaign survives poisoned cells either way).
+  /// SupervisorOptions::cellRetries.
   Suite& cellRetries(int count);
-  /// Campaign lifecycle events (serialized; lazyhb/progress.hpp documents
-  /// the contract).
+  /// SupervisorOptions::onProgress.
   Suite& onProgress(ProgressCallback callback);
 
   /// Run the configured matrix. Throws std::invalid_argument for unknown
@@ -173,14 +164,7 @@ class Suite {
     /// The per-cell knobs, held and mapped to the engine exactly as a
     /// Session's are.
     Session cell;
-    int jobs = 0;
-    int shardIndex = 0;
-    int shardCount = 1;
-    std::string checkpointDir;
-    bool resumeOnly = false;
-    double cellTimeoutSeconds = 0.0;
-    int cellRetries = 0;
-    ProgressCallback progress;
+    SupervisorOptions supervisor;
   };
 
   Config config_;

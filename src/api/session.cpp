@@ -1,8 +1,8 @@
 // Implementation of the public embedding facade (lazyhb/session.hpp).
 //
-// Session is a thin, loss-free adapter: run() maps the builder's config
-// onto ExplorerOptions (sessionOptions, the mapping Suite and the CLI's
-// bench share), constructs the explorer through the same
+// Session is a thin, loss-free adapter: its setters fill one RunOptions,
+// run() slices that into ExplorerOptions (sessionOptions, the mapping Suite
+// and the CLI's bench share), constructs the explorer through the same
 // campaign::ExplorerSpec factory every other consumer uses, and copies the
 // ExplorationResult field-for-field into the public TestReport. No count is
 // computed differently from the direct construction path — the parity test
@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -57,7 +58,7 @@ const programs::ProgramSpec& resolveScenario(const std::string& name) {
   return *spec;
 }
 
-memory::MemoryModel resolveMemoryModel(const std::string& name) {
+MemoryModel resolveMemoryModel(const std::string& name) {
   const auto model = memory::parseMemoryModel(name);
   if (!model) {
     throw std::invalid_argument("lazyhb: unknown memory model '" + name +
@@ -69,22 +70,18 @@ memory::MemoryModel resolveMemoryModel(const std::string& name) {
 
 }  // namespace
 
-Session::Session() {
-  config_.snapshotBudgetBytes = explore::defaultSnapshotBudgetBytes();
-}
-
 Session& Session::strategy(std::string name) {
   config_.strategy = std::move(name);
   return *this;
 }
 
 Session& Session::schedules(std::uint64_t limit) {
-  config_.scheduleLimit = limit;
+  config_.run.scheduleLimit = limit;
   return *this;
 }
 
 Session& Session::maxEventsPerSchedule(std::uint32_t events) {
-  config_.maxEventsPerSchedule = events;
+  config_.run.maxEventsPerSchedule = events;
   return *this;
 }
 
@@ -94,42 +91,42 @@ Session& Session::seed(std::uint64_t value) {
 }
 
 Session& Session::memoryModel(std::string model) {
-  config_.memoryModel = std::move(model);
+  config_.run.memoryModel = resolveMemoryModel(model);
   return *this;
 }
 
 Session& Session::detectRaces(bool on) {
-  config_.detectRaces = on;
+  config_.run.detectRaces = on;
   return *this;
 }
 
 Session& Session::checkTheorems(bool on) {
-  config_.checkTheorems = on;
+  config_.run.checkTheorems = on;
   return *this;
 }
 
 Session& Session::stopOnFirstViolation(bool on) {
-  config_.stopOnFirstViolation = on;
+  config_.run.stopOnFirstViolation = on;
   return *this;
 }
 
 Session& Session::keepViolations(std::uint32_t max) {
-  config_.maxViolationsKept = max;
+  config_.run.maxViolationsKept = max;
   return *this;
 }
 
 Session& Session::incremental(bool on) {
-  config_.incremental = on;
+  config_.run.incremental = on;
   return *this;
 }
 
 Session& Session::checkpointable(bool on) {
-  config_.checkpointable = on;
+  config_.run.checkpointable = on;
   return *this;
 }
 
 Session& Session::snapshotBudget(std::uint64_t bytes) {
-  config_.snapshotBudgetBytes = bytes;
+  config_.run.snapshotBudgetBytes = bytes;
   return *this;
 }
 
@@ -144,19 +141,9 @@ Session& Session::progressInterval(std::uint64_t schedules) {
 }
 
 campaign::CampaignOptions sessionOptions(const Session& session) {
-  const Session::Config& config = session.config_;
   campaign::CampaignOptions options;
-  options.explorer.scheduleLimit = config.scheduleLimit;
-  options.explorer.maxEventsPerSchedule = config.maxEventsPerSchedule;
-  options.explorer.memoryModel = resolveMemoryModel(config.memoryModel);
-  options.explorer.detectRaces = config.detectRaces;
-  options.explorer.checkTheorems = config.checkTheorems;
-  options.explorer.stopOnFirstViolation = config.stopOnFirstViolation;
-  options.explorer.maxViolationsKept = config.maxViolationsKept;
-  options.explorer.incremental = config.incremental;
-  options.explorer.checkpointable = config.checkpointable;
-  options.explorer.snapshotBudgetBytes = config.snapshotBudgetBytes;
-  options.seed = config.seed;
+  static_cast<RunOptions&>(options.explorer) = session.config_.run;
+  options.seed = session.config_.seed;
   return options;
 }
 
@@ -186,7 +173,7 @@ TestReport Session::run(const Program& program) const {
     const ProgressCallback callback = config_.progress;
     const std::string scenarioLabel = config_.scenarioLabel;
     const std::string strategyName = config_.strategy;
-    const std::uint64_t limit = config_.scheduleLimit;
+    const std::uint64_t limit = config_.run.scheduleLimit;
     options.tickIntervalSchedules =
         config_.progressInterval == 0 ? 1 : config_.progressInterval;
     options.onScheduleTick = [callback, scenarioLabel, strategyName,
@@ -209,12 +196,12 @@ TestReport Session::run(const Program& program) const {
 
   TestReport report;
   report.strategy = config_.strategy;
-  report.scheduleLimit = config_.scheduleLimit;
-  report.maxEventsPerSchedule = config_.maxEventsPerSchedule;
+  report.scheduleLimit = options.scheduleLimit;
+  report.maxEventsPerSchedule = options.maxEventsPerSchedule;
   report.seed = config_.seed;
-  report.incremental = config_.incremental;
-  report.checkpointable = config_.checkpointable;
-  report.memoryModel = config_.memoryModel;
+  report.incremental = options.incremental;
+  report.checkpointable = options.checkpointable;
+  report.memoryModel = memoryModelName(options.memoryModel);
 
   report.schedulesExecuted = result.schedulesExecuted;
   report.terminalSchedules = result.terminalSchedules;
@@ -256,7 +243,7 @@ TestReport Session::run(const Program& program) const {
 TestReport Session::run(const std::string& scenarioName) const {
   const programs::ProgramSpec& spec = resolveScenario(scenarioName);
   Session configured = *this;
-  configured.config_.checkpointable = spec.checkpointable;
+  configured.config_.run.checkpointable = spec.checkpointable;
   configured.config_.scenarioLabel = spec.name;
   TestReport report = configured.run(spec.body);
   report.scenario = spec.name;
@@ -377,25 +364,26 @@ std::string TestReport::summary() const {
 ScheduleTrace traceSchedule(const Program& program,
                             const std::vector<int>& schedule,
                             const TraceOptions& options) {
-  explore::ReplayOptions replayOptions;
-  replayOptions.renderTrace = options.renderTrace;
-  replayOptions.detectRaces = options.detectRaces;
-  replayOptions.maxEventsPerSchedule = options.maxEventsPerSchedule;
-  replayOptions.memoryModel = resolveMemoryModel(options.memoryModel);
+  RunOptions run;
+  run.detectRaces = options.detectRaces;
+  run.maxEventsPerSchedule = options.maxEventsPerSchedule;
+  run.memoryModel = resolveMemoryModel(options.memoryModel);
+  std::optional<trace::Relation> render;
   if (options.relation == "sync") {
-    replayOptions.renderRelation = trace::Relation::Sync;
+    render = trace::Relation::Sync;
   } else if (options.relation == "full") {
-    replayOptions.renderRelation = trace::Relation::Full;
+    render = trace::Relation::Full;
   } else if (options.relation == "lazy") {
-    replayOptions.renderRelation = trace::Relation::Lazy;
+    render = trace::Relation::Lazy;
   } else {
     throw std::invalid_argument("lazyhb: unknown relation '" +
                                 options.relation +
                                 "' (expected sync, full or lazy)");
   }
+  if (!options.renderTrace) render.reset();
 
   const explore::ReplayResult result =
-      explore::replaySchedule(program, schedule, replayOptions);
+      explore::replaySchedule(program, schedule, run, render);
 
   ScheduleTrace out;
   out.applied = result.outcome != runtime::Outcome::Abandoned;

@@ -11,9 +11,9 @@
 
 namespace lazyhb {
 
-/// The campaign options `session` describes: CampaignOptions::explorer and
-/// ::seed from its knobs, every other field at its default. Throws
-/// std::invalid_argument for an unknown memory model name.
+/// The campaign options `session` describes: its RunOptions sliced into
+/// CampaignOptions::explorer, its seed into ::seed, every other field at its
+/// default.
 [[nodiscard]] campaign::CampaignOptions sessionOptions(const Session& session);
 
 }  // namespace lazyhb

@@ -20,8 +20,6 @@
 
 namespace lazyhb {
 
-Suite::Suite() = default;
-
 Suite& Suite::add(std::string scenarioOrFamily) {
   config_.selectors.push_back(std::move(scenarioOrFamily));
   return *this;
@@ -58,38 +56,38 @@ Suite& Suite::memoryModel(std::string model) {
 }
 
 Suite& Suite::jobs(int count) {
-  config_.jobs = count;
+  config_.supervisor.jobs = count;
   return *this;
 }
 
 Suite& Suite::shard(int index, int count) {
-  config_.shardIndex = index;
-  config_.shardCount = count;
+  config_.supervisor.shardIndex = index;
+  config_.supervisor.shardCount = count;
   return *this;
 }
 
 Suite& Suite::checkpointDir(std::string directory) {
-  config_.checkpointDir = std::move(directory);
+  config_.supervisor.checkpointDir = std::move(directory);
   return *this;
 }
 
 Suite& Suite::resumeOnly(bool on) {
-  config_.resumeOnly = on;
+  config_.supervisor.requireExistingJournal = on;
   return *this;
 }
 
 Suite& Suite::cellTimeout(double seconds) {
-  config_.cellTimeoutSeconds = seconds;
+  config_.supervisor.cellTimeoutSeconds = seconds;
   return *this;
 }
 
 Suite& Suite::cellRetries(int count) {
-  config_.cellRetries = count;
+  config_.supervisor.cellRetries = count;
   return *this;
 }
 
 Suite& Suite::onProgress(ProgressCallback callback) {
-  config_.progress = std::move(callback);
+  config_.supervisor.onProgress = std::move(callback);
   return *this;
 }
 
@@ -98,6 +96,7 @@ static_assert(kSuiteReportSchemaVersion == campaign::kReportSchemaVersion,
 
 SuiteReport Suite::run() const {
   campaign::CampaignOptions options = sessionOptions(config_.cell);
+  static_cast<SupervisorOptions&>(options) = config_.supervisor;
 
   for (const std::string& name : config_.strategies) {
     const auto spec = campaign::parseExplorerSpec(name);
@@ -115,15 +114,6 @@ SuiteReport Suite::run() const {
                                 "' names no scenario or family "
                                 "(see lazyhb::scenarios())");
   }
-
-  options.jobs = config_.jobs;
-  options.shardIndex = config_.shardIndex;
-  options.shardCount = config_.shardCount;
-  options.checkpointDir = config_.checkpointDir;
-  options.requireExistingJournal = config_.resumeOnly;
-  options.cellTimeoutSeconds = config_.cellTimeoutSeconds;
-  options.cellRetries = config_.cellRetries;
-  options.onProgress = config_.progress;
 
   const campaign::CampaignResult result = campaign::runCampaign(options);
 

@@ -24,7 +24,7 @@
 
 #include "campaign/explorer_spec.hpp"
 #include "explore/explorer.hpp"
-#include "lazyhb/progress.hpp"
+#include "lazyhb/options.hpp"
 #include "programs/registry.hpp"
 
 namespace lazyhb::campaign {
@@ -134,7 +134,10 @@ struct CampaignResult {
   int cellsRetried = 0;                 ///< cells that needed more than one attempt
 };
 
-struct CampaignOptions {
+/// One campaign: its matrix and per-cell options, plus the supervisor knobs
+/// of lazyhb/options.hpp (jobs, shard slice, journal, cell timeout and
+/// retries, progress).
+struct CampaignOptions : SupervisorOptions {
   /// Explorer modes to run (empty: all five).
   std::vector<ExplorerSpec> explorers;
   /// Programs to run (empty: the whole registered corpus).
@@ -143,46 +146,7 @@ struct CampaignOptions {
   explore::ExplorerOptions explorer;
   /// Seed for the random explorer; identical in every cell so per-cell
   /// results do not depend on matrix position.
-  std::uint64_t seed = 42;
-  /// Worker threads; <= 0 picks std::thread::hardware_concurrency().
-  int jobs = 0;
-
-  // --- supervisor -----------------------------------------------------------
-  /// Per-cell wall-clock budget in seconds (0 = none). A cell that exceeds
-  /// it stops at the next schedule boundary and is marked timedOut; the
-  /// campaign continues. Timed-out counts are wall-clock-dependent, so
-  /// report consumers exclude them from count comparisons.
-  double cellTimeoutSeconds = 0.0;
-  /// Extra attempts after a timeout or an exception before the cell is
-  /// recorded as timedOut/failed. A cell whose explorer throws on every
-  /// attempt is recorded with zero counts and its error message — the
-  /// campaign survives a poisoned cell instead of dying.
-  int cellRetries = 0;
-
-  // --- sharding -------------------------------------------------------------
-  /// Run only the cells with matrix index % shardCount == shardIndex
-  /// (0-based round-robin over the program-major cell order, so every shard
-  /// sees a balanced explorer mix). Shard reports merge back to the
-  /// unsharded count set via campaign::mergeReports / `lazyhb merge`.
-  int shardIndex = 0;
-  int shardCount = 1;
-
-  // --- durability -----------------------------------------------------------
-  /// Non-empty: journal every finished cell into this directory (one atomic
-  /// file per cell + a config manifest). When the directory already holds a
-  /// matching journal, its completed cells are loaded instead of re-run
-  /// (resume); a config mismatch throws std::runtime_error. See
-  /// campaign/checkpoint.hpp and docs/campaign-service.md.
-  std::string checkpointDir;
-  /// Require `checkpointDir` to contain an existing journal (the CLI's
-  /// --resume): throw std::runtime_error when there is nothing to resume.
-  bool requireExistingJournal = false;
-
-  /// Progress hook: the campaign lifecycle events of lazyhb/progress.hpp
-  /// (CellStarted/CellFinished/CellRetried/CellTimedOut/CellFailed and one
-  /// final CampaignFinished). Invoked from worker threads but serialized —
-  /// never two callbacks concurrently.
-  ProgressCallback onProgress;
+  std::uint64_t seed = kDefaultSeed;
 };
 
 /// Fold cells — already in program-major matrix order, but possibly a

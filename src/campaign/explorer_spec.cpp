@@ -7,7 +7,7 @@
 
 namespace lazyhb::campaign {
 
-std::unique_ptr<explore::Explorer> ExplorerSpec::create(
+std::unique_ptr<explore::ExplorerBase> ExplorerSpec::create(
     const explore::ExplorerOptions& options, std::uint64_t seed) const {
   LAZYHB_CHECK(options.workers == 1);
   switch (kind) {

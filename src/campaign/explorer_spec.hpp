@@ -44,7 +44,7 @@ struct ExplorerSpec {
   /// caching-lazy / caching-value keyed on no relation or on Full / Lazy /
   /// Value, dpor and dpor-nosleep built from DporOptions (no cache).
   /// `options.workers` must be 1.
-  [[nodiscard]] std::unique_ptr<explore::Explorer> create(
+  [[nodiscard]] std::unique_ptr<explore::ExplorerBase> create(
       const explore::ExplorerOptions& options, std::uint64_t seed) const;
 };
 

@@ -179,6 +179,35 @@ void checkConfigCompatible(const ParsedReport& base, const ParsedReport& other) 
   if (other.explorers != base.explorers) mismatch("explorers");
 }
 
+/// A cell names its program twice, by id and by name. Every input must pair
+/// them the same way, or the merged report would hold one program under
+/// two ids (or two programs under one id) and count it twice.
+void checkProgramIds(const std::vector<ParsedReport>& reports) {
+  struct Pairing {
+    int id = 0;
+    std::string program;
+    std::string label;
+  };
+  std::map<int, Pairing> byId;
+  std::map<std::string, Pairing> byName;
+  for (const ParsedReport& report : reports) {
+    for (const CellResult& cell : report.cells) {
+      const Pairing pairing{cell.programId, cell.program, report.label};
+      const Pairing& sameId = byId.emplace(cell.programId, pairing).first->second;
+      const Pairing& sameName = byName.emplace(cell.program, pairing).first->second;
+      const Pairing& earlier = sameId.program != cell.program ? sameId : sameName;
+      if (earlier.id == cell.programId && earlier.program == cell.program) continue;
+      throw std::runtime_error(
+          "lazyhb: cell (" + std::to_string(cell.programId) + ", " +
+          cell.program + ") in '" + report.label + "' conflicts with (" +
+          std::to_string(earlier.id) + ", " + earlier.program + ") in '" +
+          earlier.label +
+          "': a program id and its name must pair the same way in every "
+          "input");
+    }
+  }
+}
+
 }  // namespace
 
 MergeOutcome mergeReports(const std::vector<std::string>& documents,
@@ -196,6 +225,7 @@ MergeOutcome mergeReports(const std::vector<std::string>& documents,
   for (std::size_t i = 1; i < reports.size(); ++i) {
     checkConfigCompatible(reports.front(), reports[i]);
   }
+  checkProgramIds(reports);
   const std::vector<std::string>& explorerOrder = reports.front().explorers;
   const auto explorerPosition = [&](const CellResult& cell,
                                     const std::string& label) {

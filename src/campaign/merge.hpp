@@ -16,6 +16,9 @@
 //     complete runs of one configuration can never disagree under the
 //     determinism contract, so differing counts mean the inputs lie about
 //     their configuration (or a bug worth hearing about).
+//   * a program id paired with two names, or a name with two ids, across
+//     the inputs — a hard error: the merged report would count one program
+//     twice.
 //
 // Aggregates are never merged numerically: the merged cell set is re-folded
 // through campaign::foldCells — the same fold a direct run uses — and every
@@ -50,8 +53,8 @@ struct ReportFormatError : std::runtime_error {
 /// Merge parsed-from-disk report documents. `labels[i]` names documents[i]
 /// in provenance and error messages (the CLI passes filenames). Throws
 /// ReportFormatError when a document cannot be read as a report, and
-/// std::runtime_error on incompatible configurations or conflicting
-/// duplicate cells.
+/// std::runtime_error on incompatible configurations, conflicting
+/// duplicate cells or a program id that names two programs.
 [[nodiscard]] MergeOutcome mergeReports(const std::vector<std::string>& documents,
                                         const std::vector<std::string>& labels);
 

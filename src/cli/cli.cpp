@@ -13,7 +13,6 @@
 #include "campaign/merge.hpp"
 #include "campaign/report.hpp"
 #include "lazyhb/lazyhb.hpp"
-#include "memory/memory_model.hpp"
 #include "programs/registry.hpp"
 #include "support/json_writer.hpp"
 #include "support/options.hpp"
@@ -66,24 +65,13 @@ const programs::ProgramSpec* resolveProgram(const std::string& name) {
   return spec;
 }
 
-/// Validate --memory-model into *name. Prints a usage error listing the
-/// valid set and returns false for anything else.
-bool parseMemoryModelFlag(const support::Options& options, std::string* name) {
-  const std::string value = options.getString("memory-model");
-  if (!memory::parseMemoryModel(value)) {
-    std::fprintf(stderr, "lazyhb: unknown memory model '%s' (expected %s)\n",
-                 value.c_str(), memory::memoryModelNamesHelp());
-    return false;
-  }
-  *name = value;
-  return true;
-}
-
 /// The flags of every command that executes a program: replay takes just
-/// these, and addRunFlags builds on them.
+/// these, and addRunFlags builds on them. Every default is RunOptions'.
 void addExecutionFlags(support::Options& options) {
-  options.addInt("max-events", 65536, "per-schedule event budget");
-  options.addString("memory-model", "sc",
+  const RunOptions defaults;
+  options.addInt("max-events", defaults.maxEventsPerSchedule,
+                 "per-schedule event budget");
+  options.addString("memory-model", memoryModelName(defaults.memoryModel),
                     "memory model to explore under: sc | tso (tso buffers "
                     "writes per thread and adds scheduler-visible flush "
                     "transitions; see docs/memory-models.md)");
@@ -92,12 +80,15 @@ void addExecutionFlags(support::Options& options) {
 /// The run knobs explore, compare and bench share — declared here once and
 /// parsed once, by parseRunFlags.
 void addRunFlags(support::Options& options) {
-  options.addInt("limit", 10000,
+  const RunOptions defaults;
+  options.addInt("limit", static_cast<std::int64_t>(defaults.scheduleLimit),
                  "schedule budget per program and explorer (paper: 100000)");
-  options.addInt("seed", 42, "random explorer seed");
-  options.addString("incremental", "on",
+  options.addInt("seed", static_cast<std::int64_t>(kDefaultSeed),
+                 "random explorer seed");
+  options.addString("incremental", defaults.incremental ? "on" : "off",
                     "incremental prefix replay (checkpoint/rollback): on | off");
-  options.addInt("snapshot-budget", -1,
+  options.addInt("snapshot-budget",
+                 static_cast<std::int64_t>(defaults.snapshotBudgetBytes),
                  "byte budget for staged rollback snapshots (0: unlimited; "
                  "default: LAZYHB_SNAPSHOT_BUDGET or 256 MiB); over budget, "
                  "the checkpoint furthest from the search frontier is "
@@ -115,25 +106,29 @@ bool parseRunFlags(const support::Options& options, Session* session) {
                  incremental.c_str());
     return false;
   }
-  // -1 (the flag default) keeps the engine default; 0 means unlimited.
-  const std::int64_t snapshotBudget = options.getInt("snapshot-budget");
-  if (snapshotBudget < -1) {
-    std::fprintf(stderr,
-                 "lazyhb: --snapshot-budget expects a byte count >= 0 "
-                 "(0: unlimited), got %lld\n",
-                 static_cast<long long>(snapshotBudget));
+  // Applied only when given: the default (RunOptions') may not fit the
+  // flag's signed range.
+  if (options.wasSet("snapshot-budget")) {
+    const std::int64_t snapshotBudget = options.getInt("snapshot-budget");
+    if (snapshotBudget < 0) {
+      std::fprintf(stderr,
+                   "lazyhb: --snapshot-budget expects a byte count >= 0 "
+                   "(0: unlimited), got %lld\n",
+                   static_cast<long long>(snapshotBudget));
+      return false;
+    }
+    session->snapshotBudget(static_cast<std::uint64_t>(snapshotBudget));
+  }
+  try {
+    session->memoryModel(options.getString("memory-model"));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
     return false;
   }
-  std::string memoryModel;
-  if (!parseMemoryModelFlag(options, &memoryModel)) return false;
   session->schedules(static_cast<std::uint64_t>(options.getInt("limit")))
       .maxEventsPerSchedule(static_cast<std::uint32_t>(options.getInt("max-events")))
       .seed(static_cast<std::uint64_t>(options.getInt("seed")))
-      .memoryModel(memoryModel)
       .incremental(incremental == "on");
-  if (snapshotBudget >= 0) {
-    session->snapshotBudget(static_cast<std::uint64_t>(snapshotBudget));
-  }
   return true;
 }
 
@@ -442,7 +437,9 @@ int cmdBench(int argc, char** argv) {
   options.addString("programs", "",
                     "comma-separated program or family names (default: the "
                     "full corpus)");
-  options.addInt("jobs", 0, "worker threads (0: one per hardware thread)");
+  const SupervisorOptions supervisor;
+  options.addInt("jobs", supervisor.jobs,
+                 "worker threads (0: one per hardware thread)");
   addRunFlags(options);
   options.addString("out", "",
                     "write the JSON report to this path ('-': stdout; empty: "
@@ -462,11 +459,12 @@ int cmdBench(int argc, char** argv) {
   options.addString("resume", "",
                     "like --checkpoint, but require an existing journal in "
                     "the directory (error when there is nothing to resume)");
-  options.addInt("cell-timeout", 0,
+  options.addInt("cell-timeout",
+                 static_cast<std::int64_t>(supervisor.cellTimeoutSeconds),
                  "per-cell wall-clock budget in seconds (0: none); cells "
                  "over budget are marked timed_out and the campaign "
                  "continues");
-  options.addInt("cell-retries", 0,
+  options.addInt("cell-retries", supervisor.cellRetries,
                  "re-run a timed-out or crashing cell up to this many extra "
                  "times before recording it");
   options.addFlag("progress", "print one line per finished cell");
@@ -930,7 +928,8 @@ int cmdReplay(int argc, char** argv) {
   options.addString("schedule", "",
                     "comma-separated thread picks, e.g. 0,1,1,0 (empty: "
                     "first-enabled everywhere)");
-  options.addString("relation", "full", "relation to render: sync | full | lazy");
+  options.addString("relation", TraceOptions{}.relation,
+                    "relation to render: sync | full | lazy");
   addExecutionFlags(options);
   options.addFlag("races", "run the sync-HB data-race detector");
   options.addFlag("no-trace", "skip the rendered trace, print fingerprints only");
@@ -951,16 +950,14 @@ int cmdReplay(int argc, char** argv) {
   traceOptions.maxEventsPerSchedule =
       static_cast<std::uint32_t>(options.getInt("max-events"));
   traceOptions.relation = options.getString("relation");
-  if (!parseMemoryModelFlag(options, &traceOptions.memoryModel)) {
-    return kExitUsage;
-  }
+  traceOptions.memoryModel = options.getString("memory-model");
 
   ScheduleTrace result;
   try {
     result = traceSchedule(spec->body, schedule, traceOptions);
-  } catch (const std::invalid_argument&) {
-    std::fprintf(stderr, "lazyhb: unknown relation '%s'\n",
-                 traceOptions.relation.c_str());
+  } catch (const std::invalid_argument& error) {
+    // An unknown relation or memory model name.
+    std::fprintf(stderr, "%s\n", error.what());
     return kExitUsage;
   }
 

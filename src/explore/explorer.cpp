@@ -5,6 +5,17 @@
 
 #include "support/diagnostics.hpp"
 
+namespace lazyhb {
+
+std::uint64_t defaultSnapshotBudgetBytes() noexcept {
+  static const std::uint64_t value =
+      explore::parseSnapshotBudgetBytes(std::getenv("LAZYHB_SNAPSHOT_BUDGET"))
+          .value_or(std::uint64_t{256} * 1024 * 1024);
+  return value;
+}
+
+}  // namespace lazyhb
+
 namespace lazyhb::explore {
 
 std::optional<std::uint64_t> parseSnapshotBudgetBytes(const char* text) noexcept {
@@ -16,13 +27,6 @@ std::optional<std::uint64_t> parseSnapshotBudgetBytes(const char* text) noexcept
   const unsigned long long parsed = std::strtoull(text, &end, 10);
   if (*end != '\0' || errno == ERANGE) return std::nullopt;
   return static_cast<std::uint64_t>(parsed);
-}
-
-std::uint64_t defaultSnapshotBudgetBytes() noexcept {
-  static const std::uint64_t value =
-      parseSnapshotBudgetBytes(std::getenv("LAZYHB_SNAPSHOT_BUDGET"))
-          .value_or(std::uint64_t{256} * 1024 * 1024);
-  return value;
 }
 
 ExplorerBase::ExplorerBase(ExplorerOptions options,

@@ -1,6 +1,6 @@
 // lazyhb/explore/explorer.hpp
 //
-// The exploration framework: an Explorer repeatedly executes a program under
+// The exploration framework: an explorer repeatedly executes a program under
 // controlled schedules until its search space or budget is exhausted, and
 // accumulates the statistics the paper's evaluation is built from —
 // schedules executed, distinct terminal HBRs / lazy HBRs / states, and any
@@ -31,7 +31,7 @@
 #include "core/hbr_cache.hpp"
 #include "core/race_detector.hpp"
 #include "explore/prefix_replay.hpp"
-#include "memory/memory_model.hpp"
+#include "lazyhb/options.hpp"
 #include "runtime/execution.hpp"
 #include "support/hash.hpp"
 #include "trace/trace_recorder.hpp"
@@ -43,67 +43,22 @@ namespace lazyhb::explore {
 /// deterministic apart from scheduling.
 using Program = std::function<void()>;
 
-/// Default byte budget for the incremental engine's staged snapshots (see
-/// ExplorerOptions::snapshotBudgetBytes): the LAZYHB_SNAPSHOT_BUDGET
-/// environment variable when set (bytes; 0 = unlimited), else 256 MiB —
-/// roomy next to the HbrCache approxMemoryBytes footprints the campaign
-/// reports, so eviction only engages on genuinely deep trees.
-[[nodiscard]] std::uint64_t defaultSnapshotBudgetBytes() noexcept;
-
 /// Parse a LAZYHB_SNAPSHOT_BUDGET value: plain decimal bytes. nullopt when
 /// malformed — empty, signed, leading whitespace, trailing junk or out of
 /// range — in which case defaultSnapshotBudgetBytes() keeps its default.
 [[nodiscard]] std::optional<std::uint64_t> parseSnapshotBudgetBytes(
     const char* text) noexcept;
 
-struct ExplorerOptions {
-  /// Maximum number of executions (the paper's experiments use 100,000).
-  std::uint64_t scheduleLimit = 100'000;
-  /// Per-schedule event budget (guards against unbounded loops).
-  std::uint32_t maxEventsPerSchedule = 1u << 16;
-  /// Stop the whole exploration at the first violation (testing-tool mode).
-  /// The paper's counting experiments keep exploring; that is the default.
-  bool stopOnFirstViolation = false;
-  /// Run the sync-HB data-race detector on every execution.
-  bool detectRaces = false;
+/// The public run knobs (lazyhb/options.hpp) plus the fields only the
+/// engine sets.
+struct ExplorerOptions : RunOptions {
   /// Record per-event predecessor lists (exact canonical forms in tests).
   bool keepPredecessors = false;
-  /// Feed every terminal schedule through the Theorem 2.1/2.2 checkers.
-  bool checkTheorems = false;
-  /// Keep at most this many violation records.
-  std::uint32_t maxViolationsKept = 16;
-  /// Incremental prefix replay (explore/prefix_replay.hpp): tree searches
-  /// checkpoint at revisitable scheduling points and roll back instead of
-  /// re-running the shared prefix of consecutive schedules. Counts are
-  /// byte-identical either way; only wall time changes.
-  bool incremental = true;
-  /// The program under test satisfies the checkpointable contract
-  /// (runtime/execution.hpp): all cross-schedule state in registered lazyhb
-  /// objects or trivially-copyable stack locals. Enables full runtime
-  /// rollback on fast-fiber builds; without it (or under ASan/ucontext)
-  /// incremental mode still elides the recorder's share of replayed
-  /// prefixes.
-  bool checkpointable = false;
-  /// Byte budget for staged incremental-replay snapshots (runtime fiber
-  /// images plus recorder cursors), 0 = unlimited. When staging would
-  /// exceed the budget, the engine evicts the shallowest staged depth
-  /// first — the one furthest from the frontier of a deepest-first tree
-  /// walk — and later divergences into the evicted region fall back to
-  /// replaying from the deepest surviving shallower stage (or a full
-  /// restart). Counts are byte-identical at any budget; only wall time
-  /// and memory change.
-  std::uint64_t snapshotBudgetBytes = defaultSnapshotBudgetBytes();
   /// Always 1: every search runs on the calling thread (campaigns
   /// parallelise across cells with --jobs and --shard). Kept so report
   /// configs can still echo it; ExplorerSpec::create rejects any other
   /// value.
   int workers = 1;
-  /// Memory model every execution runs under (memory/memory_model.hpp).
-  /// Sc is the default and leaves all behaviour — counts, fingerprints,
-  /// event labels — byte-identical to a build without the field. Tso adds
-  /// per-thread store buffers whose flush points become scheduler-visible
-  /// transitions; every strategy explores them like thread picks.
-  memory::MemoryModel memoryModel = memory::MemoryModel::Sc;
   /// Wall-clock budget for the whole exploration in seconds (0 = none).
   /// Checked at schedule boundaries; on expiry the search stops and the
   /// result is marked timedOut — its counts are then a wall-clock-dependent
@@ -215,23 +170,6 @@ struct ExplorationResult {
   [[nodiscard]] bool foundViolation() const noexcept { return !violations.empty(); }
 };
 
-/// The exploration interface: run a program's schedule space once, return
-/// the accumulated statistics. Every strategy implements it through
-/// ExplorerBase below.
-class Explorer {
- public:
-  virtual ~Explorer() = default;
-
-  Explorer() = default;
-  Explorer(const Explorer&) = delete;
-  Explorer& operator=(const Explorer&) = delete;
-
-  /// Run the full exploration. May be called once per explorer instance.
-  [[nodiscard]] virtual ExplorationResult explore(const Program& program) = 0;
-
-  [[nodiscard]] virtual const ExplorerOptions& options() const noexcept = 0;
-};
-
 using Hash128Set = std::unordered_set<support::Hash128, support::Hash128Hasher>;
 
 /// The distinct terminal fingerprints of a search, one set per class kind.
@@ -244,8 +182,8 @@ struct TerminalClasses {
 
 /// Shared plumbing for the explorers: owns the stack pool, the
 /// trace recorder, the optional HBR-prefix cache and the statistics, and
-/// runs one schedule at a time.
-class ExplorerBase : public Explorer {
+/// runs one schedule at a time. Every strategy derives from it.
+class ExplorerBase {
  public:
   /// `cacheRelation`, when set, keys a prefix cache on that relation (Full,
   /// Lazy or Value): strategies probe it through prefixCached(), and every
@@ -257,12 +195,13 @@ class ExplorerBase : public Explorer {
                         std::optional<trace::Relation> cacheRelation = std::nullopt,
                         bool fullClocks = false);
 
-  /// Run the full exploration. May be called once per explorer instance.
-  [[nodiscard]] ExplorationResult explore(const Program& program) override;
+  virtual ~ExplorerBase() = default;
 
-  [[nodiscard]] const ExplorerOptions& options() const noexcept override {
-    return options_;
-  }
+  ExplorerBase(const ExplorerBase&) = delete;
+  ExplorerBase& operator=(const ExplorerBase&) = delete;
+
+  /// Run the full exploration. May be called once per explorer instance.
+  [[nodiscard]] ExplorationResult explore(const Program& program);
 
  protected:
   /// Strategy hook: run schedules (via executeSchedule) until done.

@@ -18,9 +18,10 @@ int FixedScheduler::pick(runtime::Execution& exec) {
 }
 
 ReplayResult replaySchedule(const Program& program, const std::vector<int>& choices,
-                            const ReplayOptions& options) {
+                            const RunOptions& options,
+                            std::optional<trace::Relation> render) {
   trace::TraceRecorder recorder(
-      trace::TraceRecorder::Options{options.renderTrace, options.detectRaces});
+      trace::TraceRecorder::Options{render.has_value(), options.detectRaces});
   runtime::StackPool pool;
   runtime::Config config;
   config.maxEventsPerSchedule = options.maxEventsPerSchedule;
@@ -36,9 +37,7 @@ ReplayResult replaySchedule(const Program& program, const std::vector<int>& choi
   result.stateFingerprint = exec.stateFingerprint();
   result.eventCount = recorder.eventCount();
   result.races = recorder.races();
-  if (options.renderTrace) {
-    result.renderedTrace = trace::renderSchedule(recorder, options.renderRelation);
-  }
+  if (render) result.renderedTrace = trace::renderSchedule(recorder, *render);
   return result;
 }
 

@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,20 +42,14 @@ struct ReplayResult {
   std::vector<trace::RaceReport> races;
 };
 
-struct ReplayOptions {
-  bool renderTrace = true;
-  trace::Relation renderRelation = trace::Relation::Full;
-  bool detectRaces = false;
-  std::uint32_t maxEventsPerSchedule = 1u << 16;
-  /// Must match the model the schedule was found under: a TSO schedule's
-  /// flush picks are meaningless to an SC execution (and vice versa the
-  /// pick sequences diverge at the first buffered store).
-  memory::MemoryModel memoryModel = memory::MemoryModel::Sc;
-};
-
-/// Re-execute `program` following `choices`.
-[[nodiscard]] ReplayResult replaySchedule(const Program& program,
-                                          const std::vector<int>& choices,
-                                          const ReplayOptions& options = {});
+/// Re-execute `program` following `choices` under the execution knobs of
+/// `options` (maxEventsPerSchedule, detectRaces and memoryModel, which must
+/// be the model the schedule was found under: a TSO schedule's flush picks
+/// are meaningless to an SC execution). With `render` set, the result also
+/// carries the schedule rendered with that relation's inter-thread edges.
+[[nodiscard]] ReplayResult replaySchedule(
+    const Program& program, const std::vector<int>& choices,
+    const RunOptions& options = {},
+    std::optional<trace::Relation> render = trace::Relation::Full);
 
 }  // namespace lazyhb::explore

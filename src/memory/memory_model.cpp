@@ -1,6 +1,6 @@
 #include "memory/memory_model.hpp"
 
-namespace lazyhb::memory {
+namespace lazyhb {
 
 const char* memoryModelName(MemoryModel model) noexcept {
   switch (model) {
@@ -10,6 +10,8 @@ const char* memoryModelName(MemoryModel model) noexcept {
   return "?";
 }
 
+namespace memory {
+
 std::optional<MemoryModel> parseMemoryModel(std::string_view name) noexcept {
   if (name == "sc") return MemoryModel::Sc;
   if (name == "tso") return MemoryModel::Tso;
@@ -18,4 +20,5 @@ std::optional<MemoryModel> parseMemoryModel(std::string_view name) noexcept {
 
 const char* memoryModelNamesHelp() noexcept { return "sc, tso"; }
 
-}  // namespace lazyhb::memory
+}  // namespace memory
+}  // namespace lazyhb

@@ -25,8 +25,9 @@
 // just one more event with one more "thread" (the flush agent of t).
 //
 // This header is the subsystem's whole vocabulary; runtime/execution.hpp
-// consumes it for the engine semantics, and the campaign/CLI layers consume
-// the parse/name helpers for --memory-model plumbing.
+// consumes it for the engine semantics. The model enum and its name are
+// public (lazyhb/options.hpp): a front end parses a model name once, with
+// parseMemoryModel, into RunOptions, and everything below reads the enum.
 
 #pragma once
 
@@ -34,15 +35,15 @@
 #include <optional>
 #include <string_view>
 
+#include "lazyhb/options.hpp"
 #include "support/hash.hpp"
 
 namespace lazyhb::memory {
 
-/// The memory models an Execution can run under (Config::memoryModel).
-enum class MemoryModel : std::uint8_t {
-  Sc,   ///< sequential consistency (default)
-  Tso,  ///< total store order: per-thread FIFO store buffers
-};
+/// The memory models an Execution can run under (Config::memoryModel): the
+/// public enum of lazyhb/options.hpp, with its canonical name.
+using lazyhb::MemoryModel;
+using lazyhb::memoryModelName;
 
 /// Scheduler picks >= this value denote store-buffer flushes: pick
 /// `kFlushPickOffset + t` commits the oldest buffered store of thread t.
@@ -71,9 +72,6 @@ inline constexpr int kTsoMaxRealThreads = kFlushPickOffset;
 [[nodiscard]] constexpr std::uint64_t flushAgentUid(std::uint64_t threadUid) noexcept {
   return support::mix64(threadUid ^ 0xF1A5EDB0FFull);
 }
-
-/// Canonical name ("sc" / "tso").
-[[nodiscard]] const char* memoryModelName(MemoryModel model) noexcept;
 
 /// Parse a canonical name; nullopt for anything else.
 [[nodiscard]] std::optional<MemoryModel> parseMemoryModel(std::string_view name) noexcept;

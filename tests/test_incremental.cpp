@@ -385,7 +385,7 @@ TEST(IncrementalReplay, CountsIdenticalAcrossBudgetAndWorkerMatrix) {
       "disjoint-lock-2", "noisy-counter-3x1", "prodcons-1x1", "trylock-vs-lock",
       "sem-rendezvous",  "racy-counter-3",    "pingpong-2",   "deadlock-ab",
   };
-  const std::uint64_t budgets[] = {512, explore::defaultSnapshotBudgetBytes(), 0};
+  const std::uint64_t budgets[] = {512, defaultSnapshotBudgetBytes(), 0};
   for (const char* name : names) {
     const programs::ProgramSpec* spec = programs::byName(name);
     ASSERT_NE(spec, nullptr) << name;

@@ -113,9 +113,7 @@ campaign::CellResult fabricatedCell(std::uint64_t schedules) {
   return cell;
 }
 
-std::string fabricatedDocument(campaign::CellResult cell) {
-  std::vector<campaign::CellResult> cells;
-  cells.push_back(std::move(cell));
+std::string fabricatedDocument(std::vector<campaign::CellResult> cells) {
   const campaign::CampaignResult result =
       campaign::foldCells(std::move(cells), {"dfs"});
   campaign::ReportConfig config;
@@ -463,7 +461,7 @@ TEST(Merge, RejectsConflictingDuplicateCounts) {
   base.stats.cacheStats = {true, 8, 3, 5, 5, 640};
   base.stats.flushEvents = 4;
   base.stats.fenceEvents = 2;
-  const std::string doc1 = fabricatedDocument(base);
+  const std::string doc1 = fabricatedDocument({base});
   using Change = void (*)(campaign::CellResult&);
   const std::vector<std::pair<const char*, Change>> conflicts = {
       {"schedules", [](campaign::CellResult& c) { c.stats.schedulesExecuted += 1; }},
@@ -489,7 +487,7 @@ TEST(Merge, RejectsConflictingDuplicateCounts) {
   for (const auto& [field, change] : conflicts) {
     campaign::CellResult other = base;
     change(other);
-    const std::string doc2 = fabricatedDocument(other);
+    const std::string doc2 = fabricatedDocument({other});
     try {
       (void)campaign::mergeReports({doc1, doc2}, {"one", "two"});
       ADD_FAILURE() << field << ": conflicting copies merged";
@@ -504,6 +502,39 @@ TEST(Merge, RejectsConflictingDuplicateCounts) {
   EXPECT_EQ(merged.result.cells.size(), 1u);
 }
 
+TEST(Merge, RejectsAProgramIdThatNamesAnotherProgram) {
+  campaign::CellResult fabricated = fabricatedCell(10);
+  campaign::CellResult other = fabricatedCell(10);
+  other.programId = 2;
+  other.program = "other";
+  const std::string both = fabricatedDocument({fabricated, other});
+  EXPECT_EQ(campaign::mergeReports({both}, {"both"}).result.cells.size(), 2u);
+
+  // The same 'fabricated' cell with its id moved: onto the id 'other'
+  // holds, and onto an id no input uses. Either way the merged report would
+  // count one program under two ids, so the merge is a conflict (exit 1),
+  // not a malformed input (exit 3), and the message names both pairs.
+  const std::vector<std::pair<int, std::string>> cases = {
+      {2, "(2, other) in 'both'"}, {3, "(1, fabricated) in 'both'"}};
+  for (const auto& [id, earlier] : cases) {
+    campaign::CellResult moved = fabricated;
+    moved.programId = id;
+    const std::string copy = fabricatedDocument({moved});
+    try {
+      (void)campaign::mergeReports({both, copy}, {"both", "copy"});
+      ADD_FAILURE() << "id " << id << ": the mislabelled copy merged";
+    } catch (const campaign::ReportFormatError& e) {
+      ADD_FAILURE() << "id " << id << ": read as malformed: " << e.what();
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("(" + std::to_string(id) + ", fabricated) in 'copy'"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(earlier), std::string::npos) << message;
+    }
+  }
+}
+
 TEST(Merge, RejectsACellMissingAnyCountKey) {
   // A cell carrying all three optional blocks, so every listed count is in
   // the document; a copy without any one of them must not read, and the
@@ -513,7 +544,7 @@ TEST(Merge, RejectsACellMissingAnyCountKey) {
   cell.stats.cacheStats = {true, 8, 3, 5, 5, 640};
   cell.stats.checkpointStats = {true, 4, 512, 1, 1};
   cell.stats.flushEvents = 4;
-  const std::string base = fabricatedDocument(cell);
+  const std::string base = fabricatedDocument({cell});
   ASSERT_NO_THROW((void)campaign::mergeReports({base}, {"base"}));
   const std::size_t cellsAt = base.find("\"cells\": [");
   ASSERT_NE(cellsAt, std::string::npos);
@@ -572,7 +603,7 @@ TEST(Merge, SaysWhatADocumentThatIsNoReportIs) {
   other.stats.distinctStates += 1;
   try {
     (void)campaign::mergeReports(
-        {fabricatedDocument(fabricatedCell(10)), fabricatedDocument(other)}, {"a", "b"});
+        {fabricatedDocument({fabricatedCell(10)}), fabricatedDocument({other})}, {"a", "b"});
     ADD_FAILURE() << "merged conflicting copies";
   } catch (const campaign::ReportFormatError& error) {
     ADD_FAILURE() << "a conflict read as a format error: " << error.what();
@@ -585,8 +616,8 @@ TEST(Merge, PrefersTheHealthyCopyOfATimedOutCell) {
   partial.timedOut = true;
   partial.stats.timedOut = true;
   partial.stats.complete = false;
-  const std::string timedOutDoc = fabricatedDocument(partial);
-  const std::string cleanDoc = fabricatedDocument(fabricatedCell(10));
+  const std::string timedOutDoc = fabricatedDocument({partial});
+  const std::string cleanDoc = fabricatedDocument({fabricatedCell(10)});
 
   for (const auto& order :
        {std::vector<std::string>{timedOutDoc, cleanDoc},
@@ -602,7 +633,7 @@ TEST(Merge, PrefersTheHealthyCopyOfATimedOutCell) {
 TEST(Merge, RejectsIncompatibleConfigs) {
   // Two reports that differ in exactly one identity field never merge, and
   // the error names that field.
-  const std::string base = fabricatedDocument(fabricatedCell(10));
+  const std::string base = fabricatedDocument({fabricatedCell(10)});
   struct Case {
     const char* field;
     std::function<void(campaign::ReportConfig&)> change;
@@ -641,7 +672,7 @@ TEST(Merge, RejectsIncompatibleConfigs) {
 }
 
 TEST(Merge, RejectsAReportMissingAnIdentityField) {
-  const std::string base = fabricatedDocument(fabricatedCell(10));
+  const std::string base = fabricatedDocument({fabricatedCell(10)});
   for (const char* key : {"limit", "max_events", "seed", "incremental",
                           "workers", "snapshot_budget", "memory_model"}) {
     // Drop the key's line from the config block (four-space indent).
@@ -775,7 +806,7 @@ TEST(Suite, ReportEchoesTheSnapshotBudgetItsCellsRan) {
   const auto parsed = support::JsonValue::parse(suiteShard.toJson(), &error);
   ASSERT_NE(parsed, nullptr) << error;
   EXPECT_EQ(parsed->find("config")->uintAt("snapshot_budget"),
-            explore::defaultSnapshotBudgetBytes());
+            defaultSnapshotBudgetBytes());
 
   campaign::CampaignOptions options = smallCampaign(2);
   options.shardIndex = 1;
@@ -785,7 +816,7 @@ TEST(Suite, ReportEchoesTheSnapshotBudgetItsCellsRan) {
   const auto merged = campaign::mergeReports({suiteShard.toJson(), benchShard},
                                              {"suite", "bench"});
   EXPECT_EQ(merged.config.snapshotBudgetBytes,
-            explore::defaultSnapshotBudgetBytes());
+            defaultSnapshotBudgetBytes());
 }
 
 TEST(Suite, ResumesFromItsCheckpointDirectory) {

@@ -11,12 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/explorer_spec.hpp"
+#include "cli/cli.hpp"
 #include "explore/dfs_explorer.hpp"
 #include "explore/random_explorer.hpp"
 #include "lazyhb/lazyhb.hpp"
@@ -83,10 +87,12 @@ constexpr std::uint64_t kParitySeed = 42;
 /// cannot degenerate into comparing the factory against itself.
 explore::ExplorationResult runDirect(const std::string& strategy,
                                      const explore::Program& program,
-                                     bool checkpointable) {
+                                     bool checkpointable,
+                                     MemoryModel memoryModel = MemoryModel::Sc) {
   explore::ExplorerOptions options;
   options.scheduleLimit = kParityLimit;
   options.checkpointable = checkpointable;
+  options.memoryModel = memoryModel;
   if (strategy == "dfs") {
     explore::TreeExplorer explorer(options);
     return explorer.explore(program);
@@ -254,6 +260,125 @@ TEST(Session, StopOnFirstViolationStopsEarly) {
   ASSERT_TRUE(first.foundViolation());
   EXPECT_LE(first.schedulesExecuted, all.schedulesExecuted);
   EXPECT_EQ(first.violations.size(), 1u);
+}
+
+// --- the memory model and the run-knob defaults through the facade ---------
+
+TEST(SessionMemoryModel, TsoRunFindsTheStoreBufferBugWithDirectCounts) {
+  const programs::ProgramSpec* spec = programs::byName("sb-unfenced");
+  ASSERT_NE(spec, nullptr);
+  for (const campaign::ExplorerSpec& mode : campaign::allExplorers()) {
+    SCOPED_TRACE(mode.name);
+    const explore::ExplorationResult direct = runDirect(
+        mode.name, spec->body, spec->checkpointable, MemoryModel::Tso);
+    const TestReport viaSession = Session()
+                                      .strategy(mode.name)
+                                      .schedules(kParityLimit)
+                                      .seed(kParitySeed)
+                                      .memoryModel("tso")
+                                      .run(spec->name);
+    EXPECT_EQ(viaSession.memoryModel, "tso");
+    EXPECT_TRUE(viaSession.foundViolation());
+    EXPECT_EQ(viaSession.schedulesExecuted, direct.schedulesExecuted);
+    EXPECT_EQ(viaSession.terminalSchedules, direct.terminalSchedules);
+    EXPECT_EQ(viaSession.prunedSchedules, direct.prunedSchedules);
+    EXPECT_EQ(viaSession.violationSchedules, direct.violationSchedules);
+    EXPECT_EQ(viaSession.totalEvents, direct.totalEvents);
+    EXPECT_EQ(viaSession.distinctHbrs, direct.distinctHbrs);
+    EXPECT_EQ(viaSession.distinctLazyHbrs, direct.distinctLazyHbrs);
+    EXPECT_EQ(viaSession.distinctValueClasses, direct.distinctValueClasses);
+    EXPECT_EQ(viaSession.distinctStates, direct.distinctStates);
+    EXPECT_EQ(viaSession.violations.size(), direct.violations.size());
+  }
+  // Under SC the store-buffering outcome is unreachable.
+  EXPECT_FALSE(Session().strategy("dfs").schedules(kParityLimit).run(spec->name)
+                   .foundViolation());
+}
+
+TEST(SessionMemoryModel, TsoViolationReplaysOnlyUnderTso) {
+  const TestReport report = Session()
+                                .strategy("dfs")
+                                .schedules(kParityLimit)
+                                .memoryModel("tso")
+                                .run("sb-unfenced");
+  ASSERT_TRUE(report.foundViolation());
+  const std::vector<int>& schedule = report.violations.front().schedule;
+
+  TraceOptions tso;
+  tso.memoryModel = "tso";
+  const ScheduleTrace underTso = traceSchedule("sb-unfenced", schedule, tso);
+  EXPECT_TRUE(underTso.applied);
+  EXPECT_TRUE(underTso.violated);
+  EXPECT_EQ(underTso.outcome, report.violations.front().kind);
+
+  // The schedule carries flush picks, which no SC execution can apply.
+  TraceOptions sc;
+  sc.memoryModel = "sc";
+  EXPECT_FALSE(traceSchedule("sb-unfenced", schedule, sc).applied);
+  EXPECT_FALSE(traceSchedule("sb-unfenced", schedule).applied);
+}
+
+TEST(SessionMemoryModel, UnknownModelNameThrows) {
+  for (const char* name : {"pso", "SC", ""}) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW((void)Session().memoryModel(name), std::invalid_argument);
+    EXPECT_THROW((void)Suite().memoryModel(name), std::invalid_argument);
+    TraceOptions options;
+    options.memoryModel = name;
+    EXPECT_THROW((void)traceSchedule("sb-unfenced", {}, options),
+                 std::invalid_argument);
+  }
+}
+
+TEST(SessionMemoryModel, SuiteCellsRunUnderTheModel) {
+  const SuiteReport report = Suite()
+                                 .add("sb-unfenced")
+                                 .strategies({"dfs"})
+                                 .schedules(kParityLimit)
+                                 .memoryModel("tso")
+                                 .jobs(1)
+                                 .run();
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_GT(report.cells.front().violations, 0u);
+  std::string error;
+  const auto parsed = support::JsonValue::parse(report.toJson(), &error);
+  ASSERT_NE(parsed, nullptr) << error;
+  EXPECT_EQ(parsed->find("config")->stringAt("memory_model"), "tso");
+}
+
+/// The "config" block of a lazyhb-test-report document, as written.
+std::string configBlock(const std::string& json) {
+  const std::size_t begin = json.find("\"config\"");
+  if (begin == std::string::npos) return {};
+  return json.substr(begin, json.find('}', begin) - begin);
+}
+
+TEST(RunOptionsDefaults, SessionCliAndStructEchoOneConfig) {
+  const programs::ProgramSpec* spec = programs::byName("peterson");
+  ASSERT_NE(spec, nullptr);
+  const RunOptions defaults;
+  TestReport expected;
+  expected.scheduleLimit = defaults.scheduleLimit;
+  expected.maxEventsPerSchedule = defaults.maxEventsPerSchedule;
+  expected.seed = kDefaultSeed;
+  expected.incremental = defaults.incremental;
+  expected.checkpointable = spec->checkpointable;
+  expected.memoryModel = memoryModelName(defaults.memoryModel);
+
+  const TestReport viaSession = Session().strategy("dfs").run("peterson");
+  EXPECT_EQ(configBlock(viaSession.toJson()), configBlock(expected.toJson()));
+
+  const std::string path = ::testing::TempDir() + "run-options-defaults.json";
+  std::vector<std::string> args = {"lazyhb", "explore", "--program", "peterson",
+                                   "--out", path};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  ASSERT_EQ(cli::run(static_cast<int>(argv.size()), argv.data()), 0);
+  std::ifstream in(path);
+  const std::string viaCli((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_EQ(configBlock(viaCli), configBlock(expected.toJson()));
 }
 
 // --- SuiteReport JSON --------------------------------------------------------

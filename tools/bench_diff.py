@@ -6,7 +6,10 @@ a pure function of (corpus, explorer list, budget, seed) — independent of
 --jobs, hardware and, crucially, of performance refactors. This tool is how
 that contract is enforced: it exits non-zero if any count differs between
 two reports, and reports the per-explorer eventsPerSecond deltas (geometric
-mean over cells) so perf PRs have a standard scoreboard.
+mean over cells) so perf PRs have a standard scoreboard. Cells pair up by
+(program, explorer); a paired cell whose `program_id` differs between the
+two reports fails the comparison too, since the reports then number the
+corpus differently.
 
 Schema v3 reports additionally carry incremental-replay fields: per-cell
 `events_elided` / `events_replayed` and `executed_events_per_second`. The
@@ -460,6 +463,17 @@ def main():
             print(f"NEW in candidate (allowed): {key[0]} x {key[1]}")
         else:
             print(f"EXTRA in candidate:   {key[0]} x {key[1]}")
+            failed = True
+
+    # A cell names its program twice, by name and by id. Cells pair up by
+    # name, so an id that changed means the two reports number the corpus
+    # differently (or one cell is mislabelled): fail rather than compare.
+    for key in sorted(base_cells.keys() & cand_cells.keys()):
+        ids = (base_cells[key].get("program_id"),
+               cand_cells[key].get("program_id"))
+        if None not in ids and ids[0] != ids[1]:
+            print(f"PROGRAM ID MISMATCH {key[0]} x {key[1]}: "
+                  f"program_id {ids[0]} -> {ids[1]}")
             failed = True
 
     shared = []
