@@ -41,7 +41,7 @@
 namespace lazyhb {
 
 inline constexpr const char* kSuiteReportSchemaName = "lazyhb-bench-report";
-inline constexpr int kSuiteReportSchemaVersion = 8;
+inline constexpr int kSuiteReportSchemaVersion = 9;
 
 /// One (scenario, strategy) cell of the suite matrix — the public mirror of
 /// the campaign report's cell block.

@@ -384,6 +384,17 @@ CampaignResult runCampaign(const CampaignOptions& options) {
 std::string checkCountingChain(const std::string& program,
                                const explore::ExplorationResult& stats,
                                std::uint64_t scheduleLimit) {
+  // The theorems first: the chain is their corollary.
+  for (const auto& [theorem, checker] :
+       {std::pair{"theorem 2.1", &stats.theorem21},
+        std::pair{"theorem 2.2", &stats.theorem22},
+        std::pair{"value soundness", &stats.theoremValue}}) {
+    if (checker->conflicts > 0) {
+      return program + ": " + theorem + " violated (" +
+             std::to_string(checker->conflicts) + " conflict" +
+             (checker->conflicts == 1 ? "" : "s") + ")";
+    }
+  }
   auto fail = [&](const char* what) {
     return program + ": counting chain violated (" + what + ")";
   };

@@ -171,11 +171,13 @@ void runTasks(std::vector<std::function<void()>> tasks, int jobs);
 /// figures from the report it writes.
 [[nodiscard]] CampaignResult runCampaign(const CampaignOptions& options);
 
-/// Verify the §3 counting chain on one cell's counts:
+/// Verify one cell's soundness verdict: no conflict on Theorem 2.1, 2.2 or
+/// value soundness (zero unless the checkers ran), then the §3 counting
+/// chain that follows from them:
 ///   #states <= #valueClasses <= #lazyHBRs <= #HBRs <= #schedules <= limit.
 /// A cell with no value classes recorded falls back to the original
-/// #states <= #lazyHBRs link. Returns an empty string if the chain holds,
-/// else a diagnostic naming `program`.
+/// #states <= #lazyHBRs link. Returns an empty string if all of it holds,
+/// else a diagnostic naming `program` and the first broken claim.
 [[nodiscard]] std::string checkCountingChain(const std::string& program,
                                              const explore::ExplorationResult& stats,
                                              std::uint64_t scheduleLimit);

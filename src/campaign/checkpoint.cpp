@@ -39,7 +39,6 @@ std::string manifestDocument(const CampaignOptions& options) {
   json.field("version", kJournalSchemaVersion);
   writeIdentityFields(json, makeReportConfig(options));
   json.field("detect_races", options.explorer.detectRaces);
-  json.field("check_theorems", options.explorer.checkTheorems);
   json.field("stop_on_first_violation", options.explorer.stopOnFirstViolation);
   json.field("shard_index", options.shardIndex);
   json.field("shard_count", options.shardCount);

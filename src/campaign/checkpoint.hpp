@@ -38,7 +38,7 @@ class CampaignJournal {
  public:
   /// Opens options.checkpointDir. The manifest holds the campaign identity
   /// (makeReportConfig(options)) plus what else changes a cell's record:
-  /// the race, theorem and stop-on-violation toggles, the shard slice, and
+  /// the race and stop-on-violation toggles, the shard slice, and
   /// the explorer and program lists in matrix order — cell indices only
   /// mean something relative to these, so `options` must carry the
   /// resolved, non-empty lists. Throws std::runtime_error when the

@@ -44,7 +44,7 @@ struct MergeOutcome {
   MergeProvenance provenance;
 };
 
-/// A document that is not a readable schema-v8 report: malformed JSON, a
+/// A document that is not a readable schema-v9 report: malformed JSON, a
 /// wrong schema or version, or a malformed or incomplete cell.
 struct ReportFormatError : std::runtime_error {
   using std::runtime_error::runtime_error;

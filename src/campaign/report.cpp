@@ -81,6 +81,9 @@ bool groupPresent(const explore::ExplorationResult& stats, CountGroup group) {
     case CountGroup::Cache: return stats.cacheStats.enabled;
     case CountGroup::Checkpoint: return stats.checkpointStats.enabled;
     case CountGroup::Tso: break;
+    case CountGroup::Theorems:
+      if (stats.theorem21.schedules != 0) return true;  // the checkers ran
+      break;
   }
   bool nonzero = false;
   forEachCount(
@@ -113,6 +116,7 @@ const char* countGroupKey(CountGroup group) {
     case CountGroup::Cache: return "cache";
     case CountGroup::Checkpoint: return "checkpoint";
     case CountGroup::Tso: return "tso";
+    case CountGroup::Theorems: return "theorems";
   }
   return "";
 }
@@ -137,8 +141,8 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell) {
   if (cell.attempts > 1) json.field("attempts", static_cast<std::int64_t>(cell.attempts));
   if (cell.failed()) json.field("error", cell.error);
   if (cell.fromCheckpoint) json.field("from_checkpoint", true);
-  for (const CountGroup group :
-       {CountGroup::Cache, CountGroup::Checkpoint, CountGroup::Tso}) {
+  for (const CountGroup group : {CountGroup::Cache, CountGroup::Checkpoint,
+                                 CountGroup::Tso, CountGroup::Theorems}) {
     if (!groupPresent(cell.stats, group)) continue;
     json.key(countGroupKey(group)).beginObject();
     writeCounts(json, cell.stats, group);
@@ -189,6 +193,18 @@ bool parseCellJson(const support::JsonValue& value, CellResult* cell,
   if (!missing.empty()) return fail("cell is missing '" + missing + "'");
   cell->stats.cacheStats.enabled = value.has("cache");
   cell->stats.checkpointStats.enabled = value.has("checkpoint");
+  if (value.has("theorems")) {
+    explore::ExplorationResult& stats = cell->stats;
+    const auto restore = [&](core::EquivalenceChecker::Stats& checker,
+                             std::uint64_t classes) {
+      checker.schedules = stats.terminalSchedules;
+      checker.classes = classes;
+      checker.states = stats.distinctStates;
+    };
+    restore(stats.theorem21, stats.distinctHbrs);
+    restore(stats.theorem22, stats.distinctLazyHbrs);
+    restore(stats.theoremValue, stats.distinctValueClasses);
+  }
   cell->wallSeconds = value.doubleAt("wall_seconds");
   cell->eventsPerSecond = value.doubleAt("events_per_second");
   cell->executedEventsPerSecond = value.doubleAt("executed_events_per_second");
@@ -252,7 +268,6 @@ std::string writeReportJson(const CampaignResult& result,
   json.field("cpu_seconds", result.cpuSeconds);
   json.field("events_per_second", result.eventsPerSecond);
   json.field("executed_events_per_second", result.executedEventsPerSecond);
-  json.field("tasks_stolen", std::uint64_t{0});  // no longer measured; schema v8 keeps it
   json.field("inequality_violations",
              static_cast<std::int64_t>(result.inequalityViolations));
   // Schema v5 supervisor/durability tallies, off-default only.
@@ -307,6 +322,7 @@ ReportConfig makeReportConfig(const CampaignOptions& options) {
   config.workers = options.explorer.workers;
   config.snapshotBudgetBytes = options.explorer.snapshotBudgetBytes;
   config.memoryModel = memory::memoryModelName(options.explorer.memoryModel);
+  config.checkTheorems = options.explorer.checkTheorems;
   config.shardIndex = options.shardIndex;
   config.shardCount = options.shardCount;
   return config;

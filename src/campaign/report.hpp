@@ -27,7 +27,7 @@ struct JsonValue;
 namespace lazyhb::campaign {
 
 inline constexpr const char* kReportSchemaName = "lazyhb-bench-report";
-inline constexpr int kReportSchemaVersion = 8;
+inline constexpr int kReportSchemaVersion = 9;
 
 /// The campaign configuration echoed into the report, so a BENCH_*.json is
 /// self-describing and two reports are comparable at a glance.
@@ -51,6 +51,10 @@ struct ReportConfig {
   /// config block: two reports are only count-comparable under the same
   /// model, so bench_diff refuses v8 reports without it.
   std::string memoryModel = "sc";
+  /// Whether every terminal schedule fed the Theorem 2.1/2.2 and value
+  /// soundness checkers (--theorems). Mandatory in a v9 config block: only
+  /// such cells carry the "theorems" conflict block.
+  bool checkTheorems = false;
   /// Which slice of the cell matrix this report covers (schema v5): the
   /// cells with index % shardCount == shardIndex. The config block carries
   /// a "shard" object only when shardCount > 1 — an unsharded report is
@@ -61,8 +65,8 @@ struct ReportConfig {
 
 /// The config block of a campaign run with `options`: every field echoed
 /// from what the cells actually ran under (quick is the one caller-side
-/// label left at false). The CLI bench, Suite, the corpus benches and the
-/// campaign journal all build their config through this.
+/// label left at false). The CLI bench, Suite and the campaign journal all
+/// build their config through this.
 [[nodiscard]] ReportConfig makeReportConfig(const CampaignOptions& options);
 
 /// The campaign identity: every ReportConfig field that can change a cell's
@@ -80,15 +84,17 @@ void forEachIdentityField(Visit&& visit, Configs&... configs) {
   visit("workers", configs.workers...);
   visit("snapshot_budget", configs.snapshotBudgetBytes...);
   visit("memory_model", configs.memoryModel...);
+  visit("check_theorems", configs.checkTheorems...);
 }
 
 /// Write the identity fields of `config` into the open JSON object.
 void writeIdentityFields(support::JsonWriter& json, const ReportConfig& config);
 
 /// Where a count sits in a report cell: at the top level, or in a block
-/// written only when the cache ran, checkpointing ran, or (tso) any of its
-/// counts is nonzero, so SC cells keep their v7 encoding.
-enum class CountGroup : std::uint8_t { Top, Cache, Checkpoint, Tso };
+/// written only when the cache ran, checkpointing ran, (tso) any of its
+/// counts is nonzero, or (theorems) the theorem checkers saw a terminal
+/// schedule, so SC cells at the default flags keep their v7 encoding.
+enum class CountGroup : std::uint8_t { Top, Cache, Checkpoint, Tso, Theorems };
 
 /// Which comparisons a count must survive; a comparison covers one class
 /// and every class before it.
@@ -108,12 +114,12 @@ struct Count {
   [[nodiscard]] std::string name() const;
 };
 
-/// The JSON key of a count block ("cache", "checkpoint", "tso").
+/// The JSON key of a count block ("cache", "checkpoint", "tso", "theorems").
 [[nodiscard]] const char* countGroupKey(CountGroup group);
 
 /// The exploration counts of a report cell, declared once. Calls
 /// `visit(count, results.member...)` once per count, passing that member of
-/// each of `results`, in the v8 cell key order. The report codec, merge's
+/// each of `results`, in the v9 cell key order. The report codec, merge's
 /// conflict check, the per-explorer totals and the determinism tests all
 /// walk this list, so a new count is one line here (plus, for a Contract
 /// count, the matching lists in tools/bench_diff.py).
@@ -148,6 +154,15 @@ void forEachCount(Visit&& visit, Results&... results) {
   visit(Count{"flush_events", Tso, Contract}, results.flushEvents...);
   visit(Count{"fence_events", Tso, Contract}, results.fenceEvents...);
   visit(Count{"max_buffered_stores", Tso, Scoreboard}, results.maxBufferedStores...);
+  // The checkers' schedules, classes and states are not listed: with the
+  // checkers on they equal terminal, hbrs/lazy_hbrs/value_classes and
+  // states, and parseCellJson restores them from those.
+  visit(Count{"theorem_21_conflicts", Theorems, Contract},
+        results.theorem21.conflicts...);
+  visit(Count{"theorem_22_conflicts", Theorems, Contract},
+        results.theorem22.conflicts...);
+  visit(Count{"theorem_value_conflicts", Theorems, Contract},
+        results.theoremValue.conflicts...);
 }
 
 /// Where a merged report's cells came from: one entry per (transitively)
@@ -172,9 +187,11 @@ void writeCellJson(support::JsonWriter& json, const CellResult& cell);
 /// Parse a cell object written by writeCellJson back into a CellResult.
 /// Returns false (and sets *error, naming the key) on a malformed block, or
 /// one that lacks a key the writer always writes or a count of a block it
-/// carries. Fields the report does not carry (violation reproducers, race
-/// reports, theorem tallies) come back at their defaults — the journal and
-/// the merger only ever need the report-visible projection.
+/// carries. A cell with a "theorems" block gets its checkers' schedules,
+/// classes and states back from its own counts. Fields the report does not
+/// carry (violation reproducers, race reports) come back at their defaults
+/// — the journal and the merger only ever need the report-visible
+/// projection.
 [[nodiscard]] bool parseCellJson(const support::JsonValue& value,
                                  CellResult* cell, std::string* error);
 

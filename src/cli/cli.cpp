@@ -42,8 +42,8 @@ void printTopLevelUsage() {
       "            with --checkpoint/--resume, divisible with --shard i/N)\n"
       "  merge     merge shard/resume bench reports into one report with\n"
       "            recomputed totals\n"
-      "  figures   print the paper's Figure 2, Figure 3, section-3 chain and\n"
-      "            explorer ablation from bench reports\n"
+      "  figures   print the paper's Figure 2, Figure 3, theorem check,\n"
+      "            section-3 chain and explorer ablation from bench reports\n"
       "  replay    re-execute a recorded schedule and render its trace\n"
       "\n"
       "Run `lazyhb <command> --help` for the command's options.\n"
@@ -94,6 +94,7 @@ void addRunFlags(support::Options& options) {
                  "the checkpoint furthest from the search frontier is "
                  "evicted — counts stay byte-identical at any budget");
   addExecutionFlags(options);
+  options.addFlag("theorems", "feed terminal schedules to the theorem checkers");
 }
 
 /// Validate the addRunFlags flags and set them on `session`. Returns false
@@ -128,7 +129,8 @@ bool parseRunFlags(const support::Options& options, Session* session) {
   session->schedules(static_cast<std::uint64_t>(options.getInt("limit")))
       .maxEventsPerSchedule(static_cast<std::uint32_t>(options.getInt("max-events")))
       .seed(static_cast<std::uint64_t>(options.getInt("seed")))
-      .incremental(incremental == "on");
+      .incremental(incremental == "on")
+      .checkTheorems(options.getFlag("theorems"));
   return true;
 }
 
@@ -136,7 +138,6 @@ bool parseRunFlags(const support::Options& options, Session* session) {
 void addExplorerFlags(support::Options& options) {
   addRunFlags(options);
   options.addFlag("races", "run the sync-HB data-race detector");
-  options.addFlag("theorems", "feed terminal schedules to the theorem checkers");
   options.addFlag("stop-on-violation", "stop at the first violation");
 }
 
@@ -145,7 +146,6 @@ void addExplorerFlags(support::Options& options) {
 bool sessionFrom(const support::Options& options, Session* session) {
   if (!parseRunFlags(options, session)) return false;
   session->detectRaces(options.getFlag("races"))
-      .checkTheorems(options.getFlag("theorems"))
       .stopOnFirstViolation(options.getFlag("stop-on-violation"));
   return true;
 }
@@ -625,8 +625,13 @@ int cmdBench(int argc, char** argv) {
     std::printf("section-3 inequality (#states <= #valueClasses <= #lazyHBRs "
                 "<= #HBRs <= #schedules): holds on all %zu cells\n",
                 result.cells.size());
+    if (campaignOptions.explorer.checkTheorems) {
+      std::printf("theorems 2.1/2.2 and value soundness: no conflict on any "
+                  "of the %zu cells\n",
+                  result.cells.size());
+    }
   } else {
-    std::printf("section-3 inequality: VIOLATED on %d cell(s):\n",
+    std::printf("section-3 inequality or a theorem: VIOLATED on %d cell(s):\n",
                 result.inequalityViolations);
     for (const campaign::CellResult& cell : result.cells) {
       if (!cell.inequalityHolds()) {
@@ -798,7 +803,8 @@ void printFigure3(const campaign::CampaignResult& result,
 }
 
 /// The section-3 chain: every dfs cell, plus every cell of any explorer
-/// that breaks the chain or failed. Returns the number of the latter.
+/// that breaks a theorem or the chain, or failed. Returns the number of the
+/// latter.
 int printChain(const campaign::CampaignResult& result) {
   std::printf("\nSection 3: #states <= #valueClasses <= #lazyHBRs <= #HBRs <= "
               "#schedules per cell\n");
@@ -829,10 +835,37 @@ int printChain(const campaign::CampaignResult& result) {
                              : cell.inequalityDiagnostic);
   }
   if (table.rowCount() > 0) std::fputs(table.toText().c_str(), stdout);
-  std::printf("%d/%zu cells break the chain or failed (dfs: %d/%d); the chain "
-              "holds by construction, so any break is an implementation bug\n",
+  std::printf("%d/%zu cells break a theorem or the chain, or failed (dfs: "
+              "%d/%d); both hold by construction, so any break is an "
+              "implementation bug\n",
               broken, result.cells.size(), dfsBroken, dfsCells);
   return broken;
+}
+
+/// Theorems 2.1/2.2 and value soundness, summed over the cells whose
+/// checkers ran: the terminal schedules each checker saw and its conflicts.
+/// A conflicting cell also breaks its verdict, so printChain names it.
+void printTheorems(const campaign::CampaignResult& result) {
+  std::printf("\nTheorems: equal relation class => equal terminal state\n");
+  support::Table table({"theorem", "relation", "terminal-schedules", "conflicts"});
+  using Checker = core::EquivalenceChecker::Stats explore::ExplorationResult::*;
+  const auto row = [&](const char* theorem, const char* relation, Checker checker) {
+    std::uint64_t schedules = 0;
+    std::uint64_t conflicts = 0;
+    for (const campaign::CellResult& cell : result.cells) {
+      schedules += (cell.stats.*checker).schedules;
+      conflicts += (cell.stats.*checker).conflicts;
+    }
+    table.beginRow();
+    table.cell(std::string(theorem));
+    table.cell(std::string(relation));
+    table.cell(schedules);
+    table.cell(conflicts);
+  };
+  row("2.1", "HBR", &explore::ExplorationResult::theorem21);
+  row("2.2", "lazy HBR", &explore::ExplorationResult::theorem22);
+  row("value", "value class", &explore::ExplorationResult::theoremValue);
+  std::fputs(table.toText().c_str(), stdout);
 }
 
 /// The explorer ablation: per-explorer totals over the whole campaign.
@@ -864,10 +897,11 @@ void printAblation(const campaign::CampaignResult& result) {
 int cmdFigures(int argc, char** argv) {
   support::Options options(
       "lazyhb figures REPORT [REPORT ...]",
-      "print the paper's Figure 2 and Figure 3, the section-3 counting chain "
-      "and the explorer ablation from bench reports (shards are merged "
-      "first); each figure needs its explorers in the report: Figure 2 dpor, "
-      "Figure 3 caching-full and caching-lazy");
+      "print the paper's Figure 2 and Figure 3, the theorem check, the "
+      "section-3 counting chain and the explorer ablation from bench reports "
+      "(shards are merged first); each figure needs its explorers in the "
+      "report: Figure 2 dpor, Figure 3 caching-full and caching-lazy, the "
+      "theorem check a report run with --theorems");
   if (!options.parse(argc, argv)) return options.parseError() ? kExitUsage : kExitOk;
 
   const std::vector<std::string>& paths = options.positional();
@@ -889,6 +923,7 @@ int cmdFigures(int argc, char** argv) {
   const campaign::FigureTotals totals = campaign::figureTotals(result.programs);
   if (totals.dporPrograms > 0) printFigure2(result, totals);
   if (totals.cachingPrograms > 0) printFigure3(result, totals);
+  if (merged.config.checkTheorems) printTheorems(result);
   const int broken = printChain(result);
   printAblation(result);
   return broken == 0 ? kExitOk : kExitViolation;

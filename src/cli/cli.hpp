@@ -25,12 +25,13 @@ namespace lazyhb::cli {
 /// Entry point: dispatch argv[1] to a subcommand. Returns the process exit
 /// status: 0 on success, 2 on usage errors, 1 when a violation was found by
 /// `explore --fail-on-violation`, a replay ends in a violation, a bench
-/// campaign or a merge sees a §3 inequality violation, reports conflict
-/// (different configurations, a duplicate cell with different counts, or a
-/// program id that names two programs),
-/// or `figures` reads a cell that breaks the §3 chain or failed, and 3 when
-/// the arguments were fine but a file could not be read or written, or a
-/// file given to `merge` or `figures` is not a schema-v8 report.
+/// campaign or a merge sees a theorem conflict or a §3 inequality
+/// violation, reports conflict (different configurations, a duplicate cell
+/// with different counts, or a program id that names two programs),
+/// or `figures` reads a cell that breaks a theorem or the §3 chain or
+/// failed, and 3 when the arguments were fine but a file could not be read
+/// or written, or a file given to `merge` or `figures` is not a schema-v9
+/// report.
 [[nodiscard]] int run(int argc, char** argv);
 
 }  // namespace lazyhb::cli

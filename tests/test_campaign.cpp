@@ -372,7 +372,7 @@ TEST(Report, VersionedAndStructurallySound) {
   const std::string json = campaign::writeReportJson(result, config);
 
   EXPECT_NE(json.find("\"schema\": \"lazyhb-bench-report\""), std::string::npos);
-  EXPECT_NE(json.find("\"version\": 8"), std::string::npos);
+  EXPECT_NE(json.find("\"version\": 9"), std::string::npos);
   // Since v4, config.workers is mandatory, and since v6 so is
   // config.snapshot_budget (bench_diff.py rejects a report without them).
   // v7 adds the per-cell value-class count; v8 the config memory model.
@@ -381,6 +381,11 @@ TEST(Report, VersionedAndStructurallySound) {
   // An SC campaign buffers nothing, so no cell emits the optional v8
   // per-cell tso block.
   EXPECT_EQ(json.find("\"tso\""), std::string::npos);
+  // v9 echoes the theorem toggle; without it no cell carries the theorems
+  // block, and the constant tasks_stolen echo is gone.
+  EXPECT_NE(json.find("\"check_theorems\": false"), std::string::npos);
+  EXPECT_EQ(json.find("\"theorems\""), std::string::npos);
+  EXPECT_EQ(json.find("\"tasks_stolen\""), std::string::npos);
   // A clean unsharded run emits none of the v5 optional fields.
   EXPECT_EQ(json.find("\"timed_out\""), std::string::npos);
   EXPECT_EQ(json.find("\"shard\""), std::string::npos);
@@ -454,6 +459,18 @@ TEST(Report, EveryCountSurvivesTheCellRoundTrip) {
         }
       },
       cell.stats);
+  // The theorem checkers' other tallies are not listed counts: a cell
+  // whose checkers ran gets them back from terminal, the class counts and
+  // states.
+  const auto checked = [&](std::uint64_t classes, std::uint64_t conflicts) {
+    return core::EquivalenceChecker::Stats{cell.stats.terminalSchedules, classes,
+                                           cell.stats.distinctStates, conflicts};
+  };
+  cell.stats.theorem21 = checked(cell.stats.distinctHbrs, cell.stats.theorem21.conflicts);
+  cell.stats.theorem22 =
+      checked(cell.stats.distinctLazyHbrs, cell.stats.theorem22.conflicts);
+  cell.stats.theoremValue =
+      checked(cell.stats.distinctValueClasses, cell.stats.theoremValue.conflicts);
 
   support::JsonWriter json;
   campaign::writeCellJson(json, cell);
@@ -466,6 +483,16 @@ TEST(Report, EveryCountSurvivesTheCellRoundTrip) {
                                     campaign::CountClass::Scoreboard, "round trip");
   EXPECT_TRUE(read.stats.cacheStats.enabled);
   EXPECT_TRUE(read.stats.checkpointStats.enabled);
+  const auto expectSameChecker = [](const core::EquivalenceChecker::Stats& got,
+                                    const core::EquivalenceChecker::Stats& want) {
+    EXPECT_EQ(got.schedules, want.schedules);
+    EXPECT_EQ(got.classes, want.classes);
+    EXPECT_EQ(got.states, want.states);
+    EXPECT_EQ(got.conflicts, want.conflicts);
+  };
+  expectSameChecker(read.stats.theorem21, cell.stats.theorem21);
+  expectSameChecker(read.stats.theorem22, cell.stats.theorem22);
+  expectSameChecker(read.stats.theoremValue, cell.stats.theoremValue);
 }
 
 TEST(Report, HbrCacheFootprintGrowsWithInsertions) {

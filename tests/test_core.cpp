@@ -210,6 +210,21 @@ TEST(Redundancy, CountingChainDiagnostics) {
   value.distinctValueClasses = 5;
   EXPECT_EQ(campaign::checkCountingChain("v", value, 1000),
             "v: counting chain violated (#states > #valueClasses)");
+
+  // A theorem conflict breaks the verdict even when the chain holds, and
+  // is named before any chain link: the chain is the theorems' corollary.
+  explore::ExplorationResult thm = counts(100, 50, 20, 10);
+  thm.theorem21.conflicts = 1;
+  EXPECT_EQ(campaign::checkCountingChain("t", thm, 1000),
+            "t: theorem 2.1 violated (1 conflict)");
+  thm = counts(100, 50, 20, 10);
+  thm.theorem22.conflicts = 3;
+  EXPECT_EQ(campaign::checkCountingChain("t", thm, 1000),
+            "t: theorem 2.2 violated (3 conflicts)");
+  thm = counts(100, 50, 60, 10);  // #lazyHBRs > #HBRs as well
+  thm.theoremValue.conflicts = 2;
+  EXPECT_EQ(campaign::checkCountingChain("t", thm, 1000),
+            "t: value soundness violated (2 conflicts)");
 }
 
 }  // namespace

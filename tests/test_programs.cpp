@@ -1,7 +1,8 @@
 // Benchmark-corpus tests: registry integrity, per-benchmark sanity under a
-// budgeted exploration (the §3 counting chain and Theorems 2.1/2.2 must hold
-// on every benchmark), and bug/no-bug classification: DPOR must find the
-// violation in every known-buggy benchmark and must find none elsewhere.
+// budgeted exploration (the §3 counting chain, Theorems 2.1/2.2 and value
+// soundness must hold on every benchmark), and bug/no-bug classification:
+// DPOR must find the violation in every known-buggy benchmark and must find
+// none elsewhere.
 
 #include <gtest/gtest.h>
 
@@ -64,12 +65,9 @@ TEST_P(CorpusSweep, CountingChainAndTheoremsHold) {
     EXPECT_NE(v.kind, runtime::Outcome::UsageError) << spec.name << ": " << v.message;
   }
 
-  // The paper's §3 counting chain.
+  // The cell verdict: Theorems 2.1/2.2 and value soundness on every
+  // terminal schedule seen, then the paper's §3 counting chain.
   EXPECT_EQ(campaign::checkCountingChain(spec.name, result, options.scheduleLimit), "");
-
-  // Theorems 2.1 and 2.2 on every terminal schedule seen.
-  EXPECT_EQ(result.theorem21.conflicts, 0u) << spec.name;
-  EXPECT_EQ(result.theorem22.conflicts, 0u) << spec.name;
 
   // Bug classification: known-buggy benchmarks must reveal a violation
   // within the budget; sound benchmarks must not. A bugRequiresTso bug is
@@ -119,9 +117,8 @@ TEST_P(WeakMemTsoSweep, TsoBugClassificationAndChainsHold) {
     EXPECT_NE(v.kind, runtime::Outcome::UsageError) << spec.name << ": " << v.message;
   }
 
+  // Theorems 2.1/2.2, value soundness and the counting chain.
   EXPECT_EQ(campaign::checkCountingChain(spec.name, result, options.scheduleLimit), "");
-  EXPECT_EQ(result.theorem21.conflicts, 0u) << spec.name;
-  EXPECT_EQ(result.theorem22.conflicts, 0u) << spec.name;
 
   if (spec.hasKnownBug) {
     EXPECT_TRUE(result.foundViolation()) << spec.name << " TSO bug not found";

@@ -29,6 +29,7 @@
 #include "campaign/explorer_spec.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/report.hpp"
+#include "cli/cli.hpp"
 #include "lazyhb/lazyhb.hpp"
 #include "programs/registry.hpp"
 #include "support/json_reader.hpp"
@@ -113,13 +114,38 @@ campaign::CellResult fabricatedCell(std::uint64_t schedules) {
   return cell;
 }
 
-std::string fabricatedDocument(std::vector<campaign::CellResult> cells) {
+/// fabricatedCell with value classes and the tallies the theorem checkers
+/// leave when they ran: every terminal schedule checked, no conflict.
+campaign::CellResult theoremCheckedCell(std::uint64_t schedules) {
+  campaign::CellResult cell = fabricatedCell(schedules);
+  cell.stats.distinctValueClasses = 2;
+  cell.stats.theorem21 = {schedules, 4, 2, 0};
+  cell.stats.theorem22 = {schedules, 3, 2, 0};
+  cell.stats.theoremValue = {schedules, 2, 2, 0};
+  return cell;
+}
+
+std::string fabricatedDocument(std::vector<campaign::CellResult> cells,
+                               bool checkTheorems = false) {
   const campaign::CampaignResult result =
       campaign::foldCells(std::move(cells), {"dfs"});
   campaign::ReportConfig config;
   config.scheduleLimit = 150;
   config.maxEventsPerSchedule = 1u << 16;
+  config.checkTheorems = checkTheorems;
   return campaign::writeReportJson(result, config);
+}
+
+/// `lazyhb <args...>` run in-process; returns the exit status and sets
+/// *out to what it printed on stdout.
+int runCli(std::vector<std::string> args, std::string* out) {
+  args.insert(args.begin(), "lazyhb");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  ::testing::internal::CaptureStdout();
+  const int status = cli::run(static_cast<int>(argv.size()), argv.data());
+  *out = ::testing::internal::GetCapturedStdout();
+  return status;
 }
 
 // --- journal -----------------------------------------------------------------
@@ -160,6 +186,10 @@ TEST(Journal, RejectsConfigMismatch) {
   differentShard.shardIndex = 1;
   differentShard.shardCount = 2;
   EXPECT_THROW(campaign::CampaignJournal{differentShard}, std::runtime_error);
+
+  auto withTheorems = options;
+  withTheorems.explorer.checkTheorems = true;
+  EXPECT_THROW(campaign::CampaignJournal{withTheorems}, std::runtime_error);
 }
 
 TEST(Journal, RequireExistingRefusesEmptyDirectory) {
@@ -265,6 +295,46 @@ campaign::CampaignOptions tinyCampaign(const std::string& checkpointDir) {
   return options;
 }
 
+TEST(Journal, ResumedCellsKeepTheirTheoremTallies) {
+  const TempDir dir;
+  campaign::CampaignOptions options = tinyCampaign(dir.path());
+  options.explorer.checkTheorems = true;
+  const auto first = campaign::runCampaign(options);
+  options.requireExistingJournal = true;
+  const auto resumed = campaign::runCampaign(options);
+  ASSERT_EQ(resumed.cellsFromCheckpoint, resumed.cells.size());
+  for (std::size_t i = 0; i < first.cells.size(); ++i) {
+    const explore::ExplorationResult& want = first.cells[i].stats;
+    const explore::ExplorationResult& got = resumed.cells[i].stats;
+    const auto same = [&](const core::EquivalenceChecker::Stats& a,
+                          const core::EquivalenceChecker::Stats& b) {
+      EXPECT_GT(a.schedules, 0u) << first.cells[i].program;
+      EXPECT_EQ(a.schedules, b.schedules) << first.cells[i].program;
+      EXPECT_EQ(a.classes, b.classes) << first.cells[i].program;
+      EXPECT_EQ(a.states, b.states) << first.cells[i].program;
+      EXPECT_EQ(a.conflicts, b.conflicts) << first.cells[i].program;
+    };
+    same(want.theorem21, got.theorem21);
+    same(want.theorem22, got.theorem22);
+    same(want.theoremValue, got.theoremValue);
+  }
+
+  // A conflict survives the journal too, and so does the verdict it broke.
+  campaign::CampaignJournal journal(options);
+  campaign::CellResult conflicted = theoremCheckedCell(10);
+  conflicted.stats.theoremValue.conflicts = 2;
+  conflicted.inequalityDiagnostic = campaign::checkCountingChain(
+      conflicted.program, conflicted.stats, 150);
+  journal.record(1, conflicted);
+  const campaign::CampaignJournal reopened(options);
+  const campaign::CellResult& loaded = reopened.loaded(1);
+  EXPECT_EQ(loaded.stats.theorem21.conflicts, 0u);
+  EXPECT_EQ(loaded.stats.theoremValue.conflicts, 2u);
+  EXPECT_EQ(loaded.stats.theoremValue.schedules, 10u);
+  EXPECT_EQ(loaded.inequalityDiagnostic,
+            "fabricated: value soundness violated (2 conflicts)");
+}
+
 // The manifest format is what lets a journal started by one build resume
 // under the next: pin it byte for byte.
 TEST(Journal, ManifestIsPinned) {
@@ -294,8 +364,8 @@ TEST(Journal, ManifestIsPinned) {
   "workers": 1,
   "snapshot_budget": 8192,
   "memory_model": "tso",
-  "detect_races": true,
   "check_theorems": false,
+  "detect_races": true,
   "stop_on_first_violation": false,
   "shard_index": 1,
   "shard_count": 2,
@@ -320,7 +390,6 @@ TEST(Journal, ResumeRejectsEveryJournalOnlyField) {
   };
   const std::vector<Case> cases = {
       {"detect_races", [](campaign::CampaignOptions& o) { o.explorer.detectRaces = true; }},
-      {"check_theorems", [](campaign::CampaignOptions& o) { o.explorer.checkTheorems = true; }},
       {"stop_on_first_violation",
        [](campaign::CampaignOptions& o) { o.explorer.stopOnFirstViolation = true; }},
       {"shard", [](campaign::CampaignOptions& o) { o.shardCount = 2; }},
@@ -454,14 +523,14 @@ TEST(Merge, DeduplicatesIdenticalCellsAndOverlappingShards) {
 }
 
 TEST(Merge, RejectsConflictingDuplicateCounts) {
-  // A caching TSO cell, so every count tools/bench_diff.py compares is in
-  // the report; each conflicting copy moves exactly one of them.
-  campaign::CellResult base = fabricatedCell(10);
-  base.stats.distinctValueClasses = 2;
+  // A theorem-checked caching TSO cell, so every count
+  // tools/bench_diff.py compares is in the report; each conflicting copy
+  // moves exactly one of them.
+  campaign::CellResult base = theoremCheckedCell(10);
   base.stats.cacheStats = {true, 8, 3, 5, 5, 640};
   base.stats.flushEvents = 4;
   base.stats.fenceEvents = 2;
-  const std::string doc1 = fabricatedDocument({base});
+  const std::string doc1 = fabricatedDocument({base}, true);
   using Change = void (*)(campaign::CellResult&);
   const std::vector<std::pair<const char*, Change>> conflicts = {
       {"schedules", [](campaign::CellResult& c) { c.stats.schedulesExecuted += 1; }},
@@ -483,11 +552,17 @@ TEST(Merge, RejectsConflictingDuplicateCounts) {
       {"cache.entries", [](campaign::CellResult& c) { c.stats.cacheStats.entries += 1; }},
       {"flush_events", [](campaign::CellResult& c) { c.stats.flushEvents += 1; }},
       {"fence_events", [](campaign::CellResult& c) { c.stats.fenceEvents += 1; }},
+      {"theorems.theorem_21_conflicts",
+       [](campaign::CellResult& c) { c.stats.theorem21.conflicts += 1; }},
+      {"theorems.theorem_22_conflicts",
+       [](campaign::CellResult& c) { c.stats.theorem22.conflicts += 1; }},
+      {"theorems.theorem_value_conflicts",
+       [](campaign::CellResult& c) { c.stats.theoremValue.conflicts += 1; }},
   };
   for (const auto& [field, change] : conflicts) {
     campaign::CellResult other = base;
     change(other);
-    const std::string doc2 = fabricatedDocument({other});
+    const std::string doc2 = fabricatedDocument({other}, true);
     try {
       (void)campaign::mergeReports({doc1, doc2}, {"one", "two"});
       ADD_FAILURE() << field << ": conflicting copies merged";
@@ -535,12 +610,44 @@ TEST(Merge, RejectsAProgramIdThatNamesAnotherProgram) {
   }
 }
 
+TEST(Merge, AndFiguresReportATheoremConflict) {
+  campaign::CellResult cell = theoremCheckedCell(10);
+  cell.stats.theorem22.conflicts = 1;
+  const std::string document = fabricatedDocument({cell}, true);
+  // fabricatedDocument writes no verdict; merge re-checks it from the counts.
+  const campaign::MergeOutcome merged = campaign::mergeReports({document}, {"r"});
+  ASSERT_EQ(merged.result.cells.size(), 1u);
+  EXPECT_EQ(merged.result.inequalityViolations, 1);
+  EXPECT_EQ(merged.result.cells[0].inequalityDiagnostic,
+            "fabricated: theorem 2.2 violated (1 conflict)");
+
+  const TempDir dir;
+  const std::string path = dir.path() + "/conflict.json";
+  ASSERT_TRUE(campaign::writeDocument(path, document));
+  std::string out;
+  EXPECT_EQ(runCli({"merge", path, "--out", dir.path() + "/merged.json"}, &out), 1);
+  EXPECT_NE(out.find("VIOLATED"), std::string::npos) << out;
+  EXPECT_EQ(runCli({"figures", path}, &out), 1);
+  EXPECT_NE(out.find("fabricated: theorem 2.2 violated (1 conflict)"),
+            std::string::npos)
+      << out;
+  // A report run with theorem checking gets the theorem section.
+  EXPECT_NE(out.find("Theorems:"), std::string::npos) << out;
+
+  // The same cell without the conflict passes both.
+  const std::string clean = dir.path() + "/clean.json";
+  ASSERT_TRUE(campaign::writeDocument(
+      clean, fabricatedDocument({theoremCheckedCell(10)}, true)));
+  EXPECT_EQ(runCli({"merge", clean, "--out", dir.path() + "/merged.json"}, &out), 0);
+  EXPECT_EQ(runCli({"figures", clean}, &out), 0) << out;
+  EXPECT_NE(out.find("Theorems:"), std::string::npos) << out;
+}
+
 TEST(Merge, RejectsACellMissingAnyCountKey) {
-  // A cell carrying all three optional blocks, so every listed count is in
+  // A cell carrying all four optional blocks, so every listed count is in
   // the document; a copy without any one of them must not read, and the
   // error names the missing key.
-  campaign::CellResult cell = fabricatedCell(10);
-  cell.stats.distinctValueClasses = 2;
+  campaign::CellResult cell = theoremCheckedCell(10);
   cell.stats.cacheStats = {true, 8, 3, 5, 5, 640};
   cell.stats.checkpointStats = {true, 4, 512, 1, 1};
   cell.stats.flushEvents = 4;
@@ -648,6 +755,7 @@ TEST(Merge, RejectsIncompatibleConfigs) {
       {"workers", [](campaign::ReportConfig& c) { c.workers = 4; }, {"dfs"}},
       {"snapshot_budget", [](campaign::ReportConfig& c) { c.snapshotBudgetBytes = 4096; }, {"dfs"}},
       {"memory_model", [](campaign::ReportConfig& c) { c.memoryModel = "tso"; }, {"dfs"}},
+      {"check_theorems", [](campaign::ReportConfig& c) { c.checkTheorems = true; }, {"dfs"}},
       {"explorers", [](campaign::ReportConfig&) {}, {"dfs", "random"}},
   };
   for (const Case& tc : cases) {
@@ -674,7 +782,8 @@ TEST(Merge, RejectsIncompatibleConfigs) {
 TEST(Merge, RejectsAReportMissingAnIdentityField) {
   const std::string base = fabricatedDocument({fabricatedCell(10)});
   for (const char* key : {"limit", "max_events", "seed", "incremental",
-                          "workers", "snapshot_budget", "memory_model"}) {
+                          "workers", "snapshot_budget", "memory_model",
+                          "check_theorems"}) {
     // Drop the key's line from the config block (four-space indent).
     const std::size_t at = base.find(std::string("\n    \"") + key + "\": ");
     ASSERT_NE(at, std::string::npos) << key;

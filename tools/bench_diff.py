@@ -64,6 +64,15 @@ with the (shared) memory model instead of mixing models in one table. Flush
 and fence totals are part of the count contract (they are a pure function of
 the explored schedule set); the buffer high-water mark is scoreboard-only.
 
+Schema v9 reports can carry the soundness check: `config.check_theorems`
+says whether every terminal schedule fed the Theorem 2.1/2.2 and
+value-soundness checkers (`lazyhb bench --theorems`), and a cell whose
+checkers saw a terminal schedule carries a `theorems` block of their
+conflict counts. Theorem checking changes no other count, so the block is
+count-compared only when both cells carry it, and a v9 candidate run with
+--theorems still compares against any older baseline. v9 also drops the
+constant `totals.tasks_stolen`, which this tool never read.
+
 Usage:
     tools/bench_diff.py BASELINE.json CANDIDATE.json [--counts-only]
                         [--allow-new-cells]
@@ -79,11 +88,12 @@ Exit status: 0 when all counts match, 1 on any count mismatch (or on cell
 sets that do not line up), 2 on usage/schema errors.
 
 The count lists below (COUNT_FIELDS, OPTIONAL_COUNT_FIELDS,
-CACHE_COUNT_FIELDS, TSO_COUNT_FIELDS) must name exactly the Contract class
-of campaign::forEachCount in src/campaign/report.hpp, the one list the
-report codec and `lazyhb merge` walk. They stay spelled out here because
-this tool also reads v1-v7 reports. CI's "Merge and bench_diff count
-agreement" step checks that the two agree leaf by leaf.
+CACHE_COUNT_FIELDS, TSO_COUNT_FIELDS, THEOREM_COUNT_FIELDS) must name
+exactly the Contract class of campaign::forEachCount in
+src/campaign/report.hpp, the one list the report codec and `lazyhb merge`
+walk. They stay spelled out here because this tool also reads v1-v8
+reports. CI's "Merge and bench_diff count agreement" step checks that the
+two agree leaf by leaf.
 """
 
 import argparse
@@ -109,9 +119,10 @@ COUNT_FIELDS = [
     "hit_schedule_limit",
 ]
 
-# Schema v7 count field, compared only when both cells carry it (older
-# baselines legitimately predate it).
-OPTIONAL_COUNT_FIELDS = ["value_classes"]
+# Schema v7 count field and the v9 theorem block (THEOREM_COUNT_FIELDS),
+# each compared only when both cells carry it (older baselines, and runs
+# without --theorems, legitimately lack them).
+OPTIONAL_COUNT_FIELDS = ["value_classes", "theorems"]
 
 # Cache counts are also deterministic, but only present for caching cells.
 CACHE_COUNT_FIELDS = ["lookups", "hits", "insertions", "entries"]
@@ -121,7 +132,7 @@ CACHE_COUNT_FIELDS = ["lookups", "hits", "insertions", "entries"]
 # handled by the fallbacks below); any other version means the report
 # format moved ahead of this tool, and guessing at unknown field semantics
 # would silently corrupt the comparison.
-KNOWN_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8)
+KNOWN_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 
 # Scoreboard-only checkpoint stats (schema v6). Deliberately NOT part of
 # COUNT_FIELDS: staging/eviction order is timing-dependent under
@@ -132,6 +143,11 @@ CHECKPOINT_FIELDS = ["stages", "bytes_staged", "evictions", "replay_fallbacks"]
 # function of the explored schedule set, so they count-compare; the buffer
 # high-water mark is a per-worker maximum and stays scoreboard-only.
 TSO_COUNT_FIELDS = ["flush_events", "fence_events"]
+
+# Schema v9 theorem-checker conflicts, in the `theorems` block of cells run
+# with --theorems; compared only when both cells carry the block.
+THEOREM_COUNT_FIELDS = ["theorem_21_conflicts", "theorem_22_conflicts",
+                        "theorem_value_conflicts"]
 
 
 def load_report(path):
@@ -248,7 +264,10 @@ def cell_key(cell):
 def cell_counts(cell, optional_fields=()):
     counts = {f: cell[f] for f in COUNT_FIELDS}
     for f in optional_fields:
-        counts[f] = cell[f]
+        if f == "theorems":
+            counts[f] = {t: cell[f][t] for t in THEOREM_COUNT_FIELDS}
+        else:
+            counts[f] = cell[f]
     if "cache" in cell:
         counts["cache"] = {f: cell["cache"][f] for f in CACHE_COUNT_FIELDS}
     if "tso" in cell:
